@@ -128,7 +128,7 @@ def _point_count(spec, n: int, context: str) -> int:
     raw = _require(spec, "count", context)
     if raw == "2n":
         return 2 * n
-    if isinstance(raw, int) and raw >= 1:
+    if isinstance(raw, int) and not isinstance(raw, bool) and raw >= 1:
         return raw
     raise ConfigError(f"{context}: count must be a positive integer or '2n'")
 
@@ -167,7 +167,10 @@ def resolve_point_spec(spec: dict, n: int):
         if not path.exists():
             raise ConfigError(f"{context}: no such file {path}")
         pts = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return UnitPointSet(pts[:, :n], f"csv({path.name})")
+        if pts.shape[1] != n:
+            raise ConfigError(f"{context}: {path} has {pts.shape[1]} columns, "
+                              f"expected one per dimension ({n})")
+        return UnitPointSet(pts, f"csv({path.name})")
     raise ConfigError(f"{context}: unknown point set type '{kind}'")
 
 
@@ -328,9 +331,31 @@ def run_moments(config: dict) -> Report:
 # filtering studies
 
 
-def _rmse(estimates: np.ndarray, truth: np.ndarray, components) -> float:
-    diff = estimates[:, components] - truth[:, components]
-    return float(np.sqrt(np.mean(np.sum(diff**2, axis=1))))
+def _rmse(estimates: np.ndarray, truth: np.ndarray, components) -> np.ndarray:
+    """Per-trajectory RMSE over the selected components of (S, T, n) arrays."""
+    diff = estimates[..., components] - truth[..., components]
+    return np.sqrt(np.mean(np.sum(diff**2, axis=-1), axis=-1))
+
+
+def _method_row(method: dict, model, measurements, truth, components) -> list:
+    """One report row: RMSE statistics of a method over all trajectories,
+    filtered and smoothed as one batch, or the error that stopped it."""
+    name = method["name"]
+    try:
+        rule = build_rule(method, model.state_dim)
+        out = run_filter(model, rule, measurements)
+        filter_rmses = _rmse(out.filtered_means, truth, components)
+        smoothed_means, _ = run_smoother(model, rule, out)
+        smoother_rmses = _rmse(smoothed_means, truth, components)
+    except (ConfigError, np.linalg.LinAlgError, ValueError,
+            RuntimeError, FloatingPointError) as exc:
+        return [name, "", "", "", "", str(exc)]
+    return [
+        name,
+        float(np.mean(filter_rmses)), float(np.std(filter_rmses)),
+        float(np.mean(smoother_rmses)), float(np.std(smoother_rmses)),
+        "",
+    ]
 
 
 def _filtering_study(experiment: str, config: dict, model,
@@ -338,7 +363,6 @@ def _filtering_study(experiment: str, config: dict, model,
     methods = _validated_methods(config)
     seeds = _validated_seeds(config)
     steps = int(config.get("steps", default_steps))
-    n = model.state_dim
 
     start = time.time()
     report = Report(
@@ -348,26 +372,10 @@ def _filtering_study(experiment: str, config: dict, model,
         metadata=_metadata(config),
     )
     trajectories = [simulate(model, steps, seed) for seed in seeds]
+    measurements = np.stack([t.measurements for t in trajectories])
+    truth = np.stack([t.states[1:] for t in trajectories])
     for method in methods:
-        name = method["name"]
-        try:
-            rule = build_rule(method, n)
-            filter_rmses, smoother_rmses = [], []
-            for trajectory in trajectories:
-                out = run_filter(model, rule, trajectory.measurements)
-                truth = trajectory.states[1:]
-                filter_rmses.append(_rmse(out.filtered_means, truth, components))
-                smoothed_means, _ = run_smoother(model, rule, out)
-                smoother_rmses.append(_rmse(smoothed_means, truth, components))
-            report.rows.append([
-                name,
-                float(np.mean(filter_rmses)), float(np.std(filter_rmses)),
-                float(np.mean(smoother_rmses)), float(np.std(smoother_rmses)),
-                "",
-            ])
-        except (ConfigError, np.linalg.LinAlgError, ValueError,
-                RuntimeError, FloatingPointError) as exc:
-            report.rows.append([name, "", "", "", "", str(exc)])
+        report.rows.append(_method_row(method, model, measurements, truth, components))
     report.metadata["wall_time_s"] = time.time() - start
     report.metadata["seeds"] = seeds
     report.metadata["steps"] = steps

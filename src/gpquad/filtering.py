@@ -4,8 +4,12 @@ Any ``QuadratureRule`` drives the recursions: classical unscented,
 cubature or Gauss-Hermite weights give the familiar UKF/CKF/GHKF and
 their smoothers, GP-quadrature weights give the GP-quadrature filter and
 smoother.  The unit sigma-points and weights are fixed once per run; the
-points are re-centered through m + sqrt(P) xi at every prediction,
-update and smoothing step.
+points are re-centered through m + sqrt(P) xi at every prediction and
+update step.  The smoother reuses the filter's prediction moments.
+
+The recursion runs over a batch of trajectories at once (a single
+trajectory is a batch of one): means are (S, n), covariances (S, n, n),
+and each model function sees the (S*N, n) sigma points of a whole step.
 
 Model functions are vectorized over the leading axis: ``f(X, k)`` maps an
 (N, n) batch of states at destination index k to (N, n), ``h(X, k)`` maps
@@ -15,13 +19,12 @@ callables of the time index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .quadrature import QuadratureRule, _match_moments, matrix_sqrt
+from .quadrature import QuadratureRule, _match_moments, _member, matrix_sqrt
 
 __all__ = [
     "GaussianState",
@@ -92,7 +95,14 @@ class AdditiveStateSpaceModel:
 
 @dataclass(frozen=True)
 class FilterOutput:
-    """Per-step filter quantities, index k = 1..T at array position k-1."""
+    """Per-step filter quantities, index k = 1..T at array position k-1.
+
+    The shapes below are for one trajectory; a batch of S trajectories
+    adds a leading axis of length S to every array.  ``cross_covs`` holds
+    the cross covariance of x_{k-1} given y_{1:k-1} (the previous
+    filtered state) with the predicted x_k, which the RTS smoother's gain
+    needs.
+    """
 
     predicted_means: np.ndarray      # (T, n)
     predicted_covs: np.ndarray       # (T, n, n)
@@ -100,27 +110,76 @@ class FilterOutput:
     filtered_covs: np.ndarray        # (T, n, n)
     innovation_means: np.ndarray     # (T, d)
     innovation_covs: np.ndarray      # (T, d, d)
+    cross_covs: np.ndarray           # (T, n, n)
 
     def __len__(self) -> int:
-        return self.filtered_means.shape[0]
+        return self.filtered_means.shape[-2]
 
 
-def _propagate(state: GaussianState, rule: QuadratureRule, fn, k: int):
-    root = matrix_sqrt(state.cov).factor
-    sigma_pts = state.mean[None, :] + rule.points.points @ root.T
-    values = np.atleast_2d(np.asarray(fn(sigma_pts, k), dtype=float))
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"model function returned non-finite values at step {k}")
-    return sigma_pts, values
+def _map_arrays(out: FilterOutput, fn) -> FilterOutput:
+    return FilterOutput(*(fn(getattr(out, f.name)) for f in fields(FilterOutput)))
+
+
+def _gain(cross: np.ndarray, cov: np.ndarray, failure: str) -> np.ndarray:
+    """K = C cov^{-1} over a batch (S, n, m), (S, m, m), after a Cholesky
+    check that every cov is positive definite; a failure raises with
+    ``failure``, the batch member and its minimum eigenvalue."""
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        for member, matrix in enumerate(cov):
+            try:
+                np.linalg.cholesky(matrix)
+            except np.linalg.LinAlgError as exc:
+                raise np.linalg.LinAlgError(
+                    f"{failure}{_member(member, len(cov))} "
+                    f"(min eigenvalue {np.linalg.eigvalsh(matrix).min():.3e})"
+                ) from exc
+    return np.linalg.solve(cov, cross.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
+def _transform(rule: QuadratureRule, fn, means, covs, noise_cov, k: int):
+    """Moment-match fn(x) + noise for a batch of Gaussians (S, n), (S, n, n).
+
+    The sigma points of all S members go through ``fn`` in one (S*N, n)
+    call.  Returns the output means, covariances and cross covariances
+    of ``_match_moments``.
+    """
+    root = matrix_sqrt(covs).factor
+    deviations = rule.points.points @ root.transpose(0, 2, 1)
+    batch, count, n = deviations.shape
+    sigma_pts = (means[:, None, :] + deviations).reshape(batch * count, n)
+    values = np.asarray(fn(sigma_pts, k), dtype=float).reshape(batch, count, -1)
+    finite = np.isfinite(values).all(axis=(1, 2))
+    if not finite.all():
+        member = int(np.argmin(finite))
+        raise ValueError(f"model function returned non-finite values at step {k}"
+                         + _member(member, batch))
+    return _match_moments(rule.weights, deviations, values, noise_cov)
+
+
+def _update(rule: QuadratureRule, means, covs, measurement, measurement_cov,
+            observations, k: int):
+    """Measurement update of a batch: predicted (S, n), (S, n, n) and
+    observations (S, d) to filtered means and covariances, plus the
+    innovation means, innovation covariances, cross covariances and gains.
+    """
+    innovation_means, innovation_covs, cross = _transform(
+        rule, measurement, means, covs, measurement_cov, k)
+    gain = _gain(cross, innovation_covs,
+                 f"innovation covariance not positive definite at step {k}")
+    means = means + (gain @ (observations - innovation_means)[:, :, None])[:, :, 0]
+    covs = covs - gain @ innovation_covs @ gain.transpose(0, 2, 1)
+    covs = 0.5 * (covs + covs.transpose(0, 2, 1))
+    return means, covs, innovation_means, innovation_covs, cross, gain
 
 
 def predict(state: GaussianState, rule: QuadratureRule, transition,
             process_cov, k: int = 0) -> GaussianState:
     """One prediction step: moment-match f(x) + q through the rule."""
-    sigma_pts, propagated = _propagate(state, rule, transition, k)
-    moments = _match_moments(rule.weights, sigma_pts, state.mean, propagated,
-                             process_cov)
-    return GaussianState(moments.mean, moments.cov)
+    mean, cov, _ = _transform(rule, transition, state.mean[None], state.cov[None],
+                              np.atleast_2d(np.asarray(process_cov, dtype=float)), k)
+    return GaussianState(mean[0], cov[0])
 
 
 def update(pred: GaussianState, rule: QuadratureRule, measurement,
@@ -128,107 +187,100 @@ def update(pred: GaussianState, rule: QuadratureRule, measurement,
     """One measurement update.
 
     Returns (filtered state, innovation mean, innovation covariance,
-    cross covariance, gain).  The gain solves K S = C through an SPD
-    factorization of S.
+    cross covariance, gain).  The gain solves K S = C after a Cholesky
+    check that S is positive definite.
     """
     observation = np.atleast_1d(np.asarray(observation, dtype=float))
-    sigma_pts, projected = _propagate(pred, rule, measurement, k)
-    moments = _match_moments(rule.weights, sigma_pts, pred.mean, projected,
-                             measurement_cov)
-    innovation_mean, innovation_cov, cross = moments
-    try:
-        factor = cho_factor(innovation_cov, lower=True)
-    except np.linalg.LinAlgError as exc:
-        eigmin = np.linalg.eigvalsh(innovation_cov).min()
-        raise np.linalg.LinAlgError(
-            f"innovation covariance not positive definite at step {k} "
-            f"(min eigenvalue {eigmin:.3e})"
-        ) from exc
-    gain = cho_solve(factor, cross.T).T
-    mean = pred.mean + gain @ (observation - innovation_mean)
-    cov = pred.cov - gain @ innovation_cov @ gain.T
-    cov = 0.5 * (cov + cov.T)
-    return GaussianState(mean, cov), innovation_mean, innovation_cov, cross, gain
+    mean, cov, *rest = _update(
+        rule, pred.mean[None], pred.cov[None], measurement,
+        np.atleast_2d(np.asarray(measurement_cov, dtype=float)), observation[None], k)
+    return (GaussianState(mean[0], cov[0]), *(value[0] for value in rest))
 
 
 def run_filter(model: AdditiveStateSpaceModel, rule: QuadratureRule,
                observations) -> FilterOutput:
-    """Fold predict/update over a measurement sequence from the prior.
+    """Fold predict/update over measurement sequences from the prior.
 
-    ``observations`` is (T, d); a length-T vector is accepted for scalar
-    measurements.
+    ``observations`` is (T, d) for one trajectory or (S, T, d) for a
+    batch of S trajectories of equal length, filtered together: each
+    step factors all S covariances in one call and evaluates the model
+    once on the S*N sigma points.  A length-T vector is accepted for
+    scalar measurements.  The output's arrays carry the batch axis only
+    when the input does.
     """
     observations = np.asarray(observations, dtype=float)
     if observations.ndim == 1 and model.measurement_dim == 1:
         observations = observations[:, None]
-    observations = np.atleast_2d(observations)
-    if observations.size == 0:
-        observations = observations.reshape(0, model.measurement_dim)
-    if observations.shape[1] != model.measurement_dim:
+    batched = observations.ndim == 3
+    if not batched:
+        observations = np.atleast_2d(observations)
+        if observations.size == 0:
+            observations = observations.reshape(0, model.measurement_dim)
+        observations = observations[None]
+    if observations.shape[-1] != model.measurement_dim:
         raise ValueError(
-            f"observations of dimension {observations.shape[1]}, "
+            f"observations of dimension {observations.shape[-1]}, "
             f"model expects {model.measurement_dim}"
         )
-    steps = observations.shape[0]
+    batch, steps = observations.shape[:2]
     n, d = model.state_dim, model.measurement_dim
     out = FilterOutput(
-        predicted_means=np.empty((steps, n)),
-        predicted_covs=np.empty((steps, n, n)),
-        filtered_means=np.empty((steps, n)),
-        filtered_covs=np.empty((steps, n, n)),
-        innovation_means=np.empty((steps, d)),
-        innovation_covs=np.empty((steps, d, d)),
+        predicted_means=np.empty((batch, steps, n)),
+        predicted_covs=np.empty((batch, steps, n, n)),
+        filtered_means=np.empty((batch, steps, n)),
+        filtered_covs=np.empty((batch, steps, n, n)),
+        innovation_means=np.empty((batch, steps, d)),
+        innovation_covs=np.empty((batch, steps, d, d)),
+        cross_covs=np.empty((batch, steps, n, n)),
     )
-    state = model.prior
+    means = np.broadcast_to(model.prior.mean, (batch, n))
+    covs = np.broadcast_to(model.prior.cov, (batch, n, n))
     for k in range(1, steps + 1):
         try:
-            pred = predict(state, rule, model.transition, model.q_cov(k), k)
-            state, mu, s_cov, _, _ = update(
-                pred, rule, model.measurement, model.r_cov(k),
-                observations[k - 1], k,
-            )
+            pred_means, pred_covs, cross = _transform(
+                rule, model.transition, means, covs, model.q_cov(k), k)
+            means, covs, mu, s_cov, _, _ = _update(
+                rule, pred_means, pred_covs, model.measurement, model.r_cov(k),
+                observations[:, k - 1], k)
         except (ValueError, np.linalg.LinAlgError) as exc:
             raise type(exc)(f"filter failed at time index {k}: {exc}") from exc
-        out.predicted_means[k - 1] = pred.mean
-        out.predicted_covs[k - 1] = pred.cov
-        out.filtered_means[k - 1] = state.mean
-        out.filtered_covs[k - 1] = state.cov
-        out.innovation_means[k - 1] = mu
-        out.innovation_covs[k - 1] = s_cov
-    return out
+        out.predicted_means[:, k - 1] = pred_means
+        out.predicted_covs[:, k - 1] = pred_covs
+        out.filtered_means[:, k - 1] = means
+        out.filtered_covs[:, k - 1] = covs
+        out.innovation_means[:, k - 1] = mu
+        out.innovation_covs[:, k - 1] = s_cov
+        out.cross_covs[:, k - 1] = cross
+    if batched:
+        return out
+    return _map_arrays(out, lambda array: array[0])
 
 
 def run_smoother(model: AdditiveStateSpaceModel, rule: QuadratureRule,
                  filter_out: FilterOutput) -> tuple[np.ndarray, np.ndarray]:
-    """Backward RTS pass over a filter output.
+    """Backward RTS pass over a filter output (one trajectory or a batch).
 
-    Re-forms the sigma points at every filtered state, recomputes the
-    one-step prediction moments and the filtered-predicted cross
-    covariance, and runs the gain recursion from the last filtered state
-    (which the smoother leaves untouched).  Returns (means, covs) arrays
-    of the same length as the filter output.
+    The gain G_k = C_{k+1} (P^-_{k+1})^{-1} comes from the predicted
+    covariances and cross covariances the filter stored, so the pass
+    makes no model call and takes no square root; ``model`` and ``rule``
+    are those of the filter run.  The recursion starts from the last
+    filtered state, which it leaves untouched.  Returns (means, covs)
+    arrays shaped like the filtered ones.
     """
-    steps = len(filter_out)
-    means = filter_out.filtered_means.copy()
-    covs = filter_out.filtered_covs.copy()
-    for k in range(steps - 1, 0, -1):
-        # arrays are 0-based: position k-1 holds time index k
-        state = GaussianState(filter_out.filtered_means[k - 1],
-                              filter_out.filtered_covs[k - 1])
-        sigma_pts, propagated = _propagate(state, rule, model.transition, k + 1)
-        pred_mean, pred_cov, cross = _match_moments(
-            rule.weights, sigma_pts, state.mean, propagated,
-            model.q_cov(k + 1),
-        )
-        try:
-            factor = cho_factor(pred_cov, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                f"smoother predicted covariance not positive definite at "
-                f"time index {k}"
-            ) from exc
-        gain = cho_solve(factor, cross.T).T
-        means[k - 1] = state.mean + gain @ (means[k] - pred_mean)
-        smoothed_cov = state.cov + gain @ (covs[k] - pred_cov) @ gain.T
-        covs[k - 1] = 0.5 * (smoothed_cov + smoothed_cov.T)
-    return means, covs
+    batched = filter_out.filtered_means.ndim == 3
+    out = filter_out if batched else _map_arrays(filter_out, lambda array: array[None])
+    means = out.filtered_means.copy()
+    covs = out.filtered_covs.copy()
+    for k in range(len(out) - 1, 0, -1):
+        # arrays are 0-based: position k holds the prediction of time
+        # index k+1, whose moments give the gain at time index k
+        pred_cov = out.predicted_covs[:, k]
+        gain = _gain(out.cross_covs[:, k], pred_cov,
+                     f"smoother predicted covariance not positive definite at "
+                     f"time index {k}")
+        step = means[:, k] - out.predicted_means[:, k]
+        means[:, k - 1] += (gain @ step[:, :, None])[:, :, 0]
+        smoothed_cov = (out.filtered_covs[:, k - 1]
+                        + gain @ (covs[:, k] - pred_cov) @ gain.transpose(0, 2, 1))
+        covs[:, k - 1] = 0.5 * (smoothed_cov + smoothed_cov.transpose(0, 2, 1))
+    return (means, covs) if batched else (means[0], covs[0])

@@ -103,7 +103,8 @@ class HermitePolynomialKernel:
     """Finite Hermite-expansion covariance function.
 
     ``coefficients`` is the symmetric PSD matrix indexed by ``index_set``
-    (graded-lex order); identity reproduces the classical rules.
+    (graded-lex order); ``None`` stands for the identity, which
+    reproduces the classical rules without storing an m x m matrix.
     """
 
     index_set: tuple[MultiIndex, ...]
@@ -118,13 +119,14 @@ class HermitePolynomialKernel:
             raise ValueError("all multi-indices must share one dimension")
         if len(set(ix.exponents for ix in index_set)) != len(index_set):
             raise ValueError("index set contains duplicates")
-        m = len(index_set)
         coeff = self.coefficients
-        coeff = np.eye(m) if coeff is None else np.asarray(coeff, dtype=float)
-        if coeff.shape != (m, m):
-            raise ValueError(f"coefficient matrix must be {m}x{m}, got {coeff.shape}")
-        if not np.allclose(coeff, coeff.T, atol=1e-12):
-            raise ValueError("coefficient matrix must be symmetric")
+        if coeff is not None:
+            m = len(index_set)
+            coeff = np.asarray(coeff, dtype=float)
+            if coeff.shape != (m, m):
+                raise ValueError(f"coefficient matrix must be {m}x{m}, got {coeff.shape}")
+            if not np.allclose(coeff, coeff.T, atol=1e-12):
+                raise ValueError("coefficient matrix must be symmetric")
         object.__setattr__(self, "index_set", index_set)
         object.__setattr__(self, "coefficients", coeff)
 
@@ -139,28 +141,33 @@ class HermitePolynomialKernel:
         inv_fact = np.array([1.0 / ix.factorial() for ix in self.index_set])
         return design * inv_fact
 
+    def _weighted(self, features: np.ndarray) -> np.ndarray:
+        # features @ coefficients; the identity leaves them as they are
+        return features if self.coefficients is None else features @ self.coefficients
+
+    def _zero_row(self) -> int:
+        return self.index_set.index(MultiIndex((0,) * self.dimension))
+
     def eval(self, x, y) -> np.ndarray:
-        fx = self._features(x)
-        fy = self._features(y)
-        return fx @ self.coefficients @ fy.T
+        return self._weighted(self._features(x)) @ self._features(y).T
 
     def gram(self, points) -> np.ndarray:
         f = self._features(points)
-        gram = f @ self.coefficients @ f.T
+        gram = self._weighted(f) @ f.T
         return 0.5 * (gram + gram.T)
 
     def mean_embedding(self, points) -> np.ndarray:
         # integrating H_I against N(0, I) kills every row except I = 0
-        zero = MultiIndex((0,) * self.dimension)
-        row = self.index_set.index(zero)
-        return self._features(points) @ self.coefficients[row]
+        features = self._features(points)
+        if self.coefficients is None:
+            return features[:, self._zero_row()]
+        return features @ self.coefficients[self._zero_row()]
 
     def double_integral(self, n: int | None = None) -> float:
         if n is not None and n != self.dimension:
             raise ValueError(f"kernel built for dimension {self.dimension}, got {n}")
-        zero = MultiIndex((0,) * self.dimension)
-        row = self.index_set.index(zero)
-        return float(self.coefficients[row, row])
+        row = self._zero_row()
+        return 1.0 if self.coefficients is None else float(self.coefficients[row, row])
 
     def flat_increments(self, points):
         return None

@@ -12,6 +12,7 @@ states arrive as (N, n) batches.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,24 +189,57 @@ def moment_integrand(exponent: int):
     return y, y_squared
 
 
+def _normal_factor(cov) -> np.ndarray:
+    """numpy's SVD factor F of a covariance.
+
+    ``standard_normal((1, n)) @ F.T`` is then the draw that
+    ``rng.multivariate_normal(0, cov)`` makes from the same generator
+    state, bit for bit, without its SVD per draw.  A covariance that is
+    not PSD gets numpy's warning.
+    """
+    cov = np.asarray(cov, dtype=float)
+    u, s, vh = np.linalg.svd(cov)
+    if not np.allclose(np.dot(vh.T * s, vh), cov, rtol=1e-8, atol=1e-8):
+        warnings.warn("covariance is not symmetric positive-semidefinite.",
+                      RuntimeWarning)
+    return u * np.sqrt(s)
+
+
+def _normal_factor_fn(cov, cov_at):
+    # one factor for a constant covariance, one per step for a callable
+    if callable(cov):
+        return lambda k: _normal_factor(cov_at(k))
+    fixed = _normal_factor(cov_at(0))
+    return lambda k: fixed
+
+
+def _noise(rng: np.random.Generator, factor: np.ndarray) -> np.ndarray:
+    return (rng.standard_normal((1, factor.shape[0])) @ factor.T)[0]
+
+
 def simulate(model: AdditiveStateSpaceModel, steps: int, seed: int) -> Trajectory:
-    """Draw one trajectory of the model, deterministic per seed."""
+    """Draw one trajectory of the model, deterministic per seed.
+
+    The draws equal those of ``rng.multivariate_normal`` on the prior,
+    process and measurement covariances, but a constant covariance is
+    factored once per trajectory rather than once per draw.
+    """
     if steps < 1:
         raise ValueError(f"need steps >= 1, got {steps}")
     rng = np.random.default_rng(seed)
     n, d = model.state_dim, model.measurement_dim
     states = np.empty((steps + 1, n))
     measurements = np.empty((steps, d))
-    prior = model.prior
-    states[0] = rng.multivariate_normal(prior.mean, prior.cov)
+    process_factor = _normal_factor_fn(model.process_cov, model.q_cov)
+    measurement_factor = _normal_factor_fn(model.measurement_cov, model.r_cov)
+    states[0] = model.prior.mean + _noise(rng, _normal_factor(model.prior.cov))
     for k in range(1, steps + 1):
         drift = np.asarray(model.transition(states[k - 1][None, :], k),
                            dtype=float).reshape(n)
-        states[k] = drift + rng.multivariate_normal(np.zeros(n), model.q_cov(k))
+        states[k] = drift + _noise(rng, process_factor(k))
         if not np.all(np.isfinite(states[k])):
             raise FloatingPointError(f"simulation diverged at step {k}")
         projected = np.asarray(model.measurement(states[k][None, :], k),
                                dtype=float).reshape(d)
-        measurements[k - 1] = projected + rng.multivariate_normal(
-            np.zeros(d), model.r_cov(k))
+        measurements[k - 1] = projected + _noise(rng, measurement_factor(k))
     return Trajectory(states, measurements, seed)

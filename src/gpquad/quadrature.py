@@ -79,33 +79,57 @@ class TransformResult(NamedTuple):
 
 class MatrixSqrtResult(NamedTuple):
     factor: np.ndarray
-    spd_fallback: bool
+    spd_fallback: int   # how many matrices took the eigendecomposition route
+
+
+def _member(index: int, size: int) -> str:
+    """Names a position in a batch; a batch of one needs no name."""
+    return f" for batch member {index}" if size > 1 else ""
 
 
 def matrix_sqrt(cov: np.ndarray) -> MatrixSqrtResult:
     """Lower-triangular Cholesky factor of a symmetric PSD matrix.
 
-    Falls back to a symmetric eigendecomposition square root (negative
-    eigenvalues clipped to zero) when Cholesky fails on a near-singular
-    input; the fallback is reported through ``spd_fallback``.
+    ``cov`` is one (n, n) matrix or a stack (..., n, n), factored by one
+    batched Cholesky call.  A matrix on which Cholesky fails (near
+    singular) falls back alone to a symmetric eigendecomposition square
+    root with negative eigenvalues clipped to zero; ``spd_fallback``
+    counts those matrices.  Errors name the failing matrix's position in
+    the flattened stack.
     """
     cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+    if cov.ndim < 2 or cov.shape[-1] != cov.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {cov.shape}")
-    scale = max(np.abs(cov).max(), 1.0)
-    if np.abs(cov - cov.T).max() > 1e-9 * scale:
-        raise ValueError("matrix is asymmetric beyond 1e-9 relative tolerance")
+    stack = cov.reshape(-1, *cov.shape[-2:])
+    scale = np.maximum(np.abs(stack).max(axis=(1, 2)), 1.0)
+    asymmetry = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
+    asymmetric = np.flatnonzero(asymmetry > 1e-9 * scale)
+    if asymmetric.size:
+        raise ValueError("matrix is asymmetric beyond 1e-9 relative tolerance"
+                         + _member(asymmetric[0], len(stack)))
     try:
-        return MatrixSqrtResult(np.linalg.cholesky(cov), False)
+        return MatrixSqrtResult(np.linalg.cholesky(cov), 0)
     except np.linalg.LinAlgError:
-        eigvals, eigvecs = np.linalg.eigh(0.5 * (cov + cov.T))
-        norm = np.abs(eigvals).max()
-        if eigvals.min() < -1e-10 * max(norm, 1.0):
-            raise ValueError(
-                f"matrix is not PSD: smallest eigenvalue {eigvals.min():.3e}"
-            ) from None
-        root = eigvecs @ np.diag(np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
-        return MatrixSqrtResult(root, True)
+        pass
+    factors = np.empty_like(stack)
+    fallbacks = 0
+    for index, matrix in enumerate(stack):
+        try:
+            factors[index] = np.linalg.cholesky(matrix)
+        except np.linalg.LinAlgError:
+            factors[index] = _eigen_sqrt(matrix, _member(index, len(stack)))
+            fallbacks += 1
+    return MatrixSqrtResult(factors.reshape(cov.shape), fallbacks)
+
+
+def _eigen_sqrt(matrix: np.ndarray, where: str) -> np.ndarray:
+    """Symmetric square root with negative eigenvalues clipped to zero;
+    raises when the matrix is not PSD to within rounding."""
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (matrix + matrix.T))
+    norm = np.abs(eigvals).max()
+    if eigvals.min() < -1e-10 * max(norm, 1.0):
+        raise ValueError(f"matrix is not PSD{where}: smallest eigenvalue {eigvals.min():.3e}")
+    return eigvecs @ np.diag(np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
 
 
 def _cho_solve_spd(matrix: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
@@ -235,19 +259,28 @@ def gp_transform(rule: QuadratureRule, g: Callable, mean, cov,
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     root = matrix_sqrt(cov).factor
-    sigma_pts = mean[None, :] + rule.points.points @ root.T
-    values = _evaluate_at_sigma_points(g, sigma_pts)
-    return _match_moments(rule.weights, sigma_pts, mean, values, noise_cov)
-
-
-def _match_moments(weights, sigma_pts, mean, values, noise_cov) -> TransformResult:
-    # shared by gp_transform and the filtering steps; values is (N, d)
+    deviations = rule.points.points @ root.T
+    values = _evaluate_at_sigma_points(g, mean[None, :] + deviations)
     noise_cov = np.atleast_2d(np.asarray(noise_cov, dtype=float))
+    moments = _match_moments(rule.weights, deviations[None], values[None], noise_cov)
+    return TransformResult(*(moment[0] for moment in moments))
+
+
+def _match_moments(weights, deviations, values, noise_cov) -> TransformResult:
+    """Weighted sigma-point moments over a batch of S input Gaussians.
+
+    ``deviations`` (S, N, n) are the sigma points minus their input mean,
+    ``values`` (S, N, d) the integrand at them; returns the output means
+    (S, d), covariances (S, d, d) with ``noise_cov`` added and
+    input-output cross covariances (S, n, d).  Shared by gp_transform and
+    the filtering steps.
+    """
     out_mean = weights @ values
-    dev = values - out_mean
-    out_cov = (weights[:, None] * dev).T @ dev + noise_cov
-    out_cov = 0.5 * (out_cov + out_cov.T)
-    cross = (weights[:, None] * (sigma_pts - mean)).T @ dev
+    dev = values - out_mean[:, None, :]
+    weighted = weights[:, None] * dev
+    out_cov = weighted.transpose(0, 2, 1) @ dev + noise_cov
+    out_cov = 0.5 * (out_cov + out_cov.transpose(0, 2, 1))
+    cross = deviations.transpose(0, 2, 1) @ weighted
     return TransformResult(out_mean, out_cov, cross)
 
 

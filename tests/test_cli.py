@@ -234,6 +234,18 @@ class TestBuildRule:
         assert rule.points.count == 2
         assert rule.posterior_variance >= 0.0
 
+    def test_csv_points_column_count_must_match_dimension(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("xi1,xi2,weight\n0.5,-1.0,0.5\n1.5,2.0,0.5\n")
+        with pytest.raises(ConfigError, match="3 columns"):
+            build_rule({"name": "fromfile", "points": {"type": "csv", "path": str(path)},
+                        "kernel": "classical"}, n=2)
+
+    def test_boolean_count_rejected(self):
+        with pytest.raises(ConfigError, match="count must be a positive integer"):
+            build_rule({"name": "x", "points": {"type": "hammersley", "count": True},
+                        "kernel": "classical"}, n=2)
+
     def test_unknown_point_type(self):
         with pytest.raises(ConfigError, match="unknown point set type"):
             build_rule({"name": "x", "points": {"type": "sobol"},

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gpquad import filtering
 from gpquad.filtering import (
     AdditiveStateSpaceModel,
     GaussianState,
@@ -12,7 +13,7 @@ from gpquad.filtering import (
 from gpquad.kernels import SquaredExponentialKernel, make_gh_kernel, make_ut_kernel
 from gpquad.models import simulate, ungm_model
 from gpquad.points import cubature_points, gauss_hermite_points, symmetric5_points, ut_points
-from gpquad.quadrature import QuadratureRule, gpq_weights
+from gpquad.quadrature import QuadratureRule, gpq_weights, matrix_sqrt
 
 
 # --- independent closed-form oracle -----------------------------------------
@@ -295,6 +296,114 @@ class TestGpqSeFilterMatchesKalman:
             for k, (_, _, fm, fp) in enumerate(oracle)
         )
         assert worst < 1e-7
+
+
+class TestBatchedRecursion:
+    def test_linear_batch_matches_kalman_and_rts_oracles(self):
+        model, a, h, q, r = random_linear_model()
+        ys = np.stack([simulate_linear(a, h, q, r, model.prior, steps=40, seed=s)
+                       for s in range(5)])
+        rule = QuadratureRule.from_classical(cubature_points(2))
+        out = run_filter(model, rule, ys)
+        means, covs = run_smoother(model, rule, out)
+        assert len(out) == 40
+        assert out.filtered_means.shape == (5, 40, 2)
+        assert means.shape == (5, 40, 2) and covs.shape == (5, 40, 2, 2)
+        for member, y in enumerate(ys):
+            oracle = kalman_filter_oracle(a, h, q, r, model.prior.mean,
+                                          model.prior.cov, y)
+            sm_means, sm_covs = rts_smoother_oracle(a, q, oracle)
+            for k, (pm, pp, fm, fp) in enumerate(oracle):
+                np.testing.assert_allclose(out.predicted_means[member, k], pm, atol=1e-8)
+                np.testing.assert_allclose(out.predicted_covs[member, k], pp, atol=1e-8)
+                np.testing.assert_allclose(out.filtered_means[member, k], fm, atol=1e-8)
+                np.testing.assert_allclose(out.filtered_covs[member, k], fp, atol=1e-8)
+            np.testing.assert_allclose(means[member], sm_means, atol=1e-8)
+            np.testing.assert_allclose(covs[member], sm_covs, atol=1e-8)
+
+    def test_ungm_batch_matches_single_calls(self):
+        # the same arithmetic per member: bit-identical with numpy 2.4 and
+        # OpenBLAS; the bound leaves room for a BLAS that sums in another
+        # order, which the model's chaos amplifies to ~1e-8 over 200 steps
+        model = ungm_model()
+        rule = QuadratureRule.from_classical(gauss_hermite_points(1, 7))
+        ys = np.stack([simulate(model, 200, seed=s).measurements for s in range(4)])
+        out = run_filter(model, rule, ys)
+        means, covs = run_smoother(model, rule, out)
+        for member, y in enumerate(ys):
+            single = run_filter(model, rule, y)
+            single_means, single_covs = run_smoother(model, rule, single)
+            for name in ("filtered_means", "filtered_covs", "predicted_means",
+                         "predicted_covs", "cross_covs"):
+                np.testing.assert_allclose(getattr(out, name)[member],
+                                           getattr(single, name), rtol=0, atol=1e-7)
+            np.testing.assert_allclose(means[member], single_means, rtol=0, atol=1e-7)
+            np.testing.assert_allclose(covs[member], single_covs, rtol=0, atol=1e-7)
+
+    def test_member_going_non_psd_raises_with_time_index_and_member(self):
+        # the UT with kappa = -1/2 puts weight -1 on the centre point; for
+        # f(x) = x^2 the predicted variance is P (8 m^2 - P) / 2, negative
+        # once the filtered mean m is near 0, which an observation of 0
+        # brings about for member 1 after the first update
+        model = AdditiveStateSpaceModel(
+            transition=lambda x, k: x**2,
+            measurement=lambda x, k: x,
+            process_cov=np.zeros((1, 1)),
+            measurement_cov=np.eye(1),
+            prior=GaussianState(np.array([3.0]), np.eye(1)),
+            state_dim=1,
+            measurement_dim=1,
+        )
+        rule = QuadratureRule.from_classical(ut_points(1, -0.5))
+        healthy = np.array([[[3.0]], [[5.0]]])
+        run_filter(model, rule, healthy)
+        with pytest.raises(ValueError, match="time index 2: matrix is not PSD "
+                                             "for batch member 1"):
+            run_filter(model, rule, np.array([[[3.0], [1.0]], [[0.0], [1.0]],
+                                              [[5.0], [1.0]]]))
+
+    def test_smoother_makes_no_model_call_and_no_square_root(self, monkeypatch):
+        calls = {"transition": 0, "measurement": 0, "matrix_sqrt": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        model, a, h, q, r = random_linear_model()
+        model = AdditiveStateSpaceModel(
+            transition=counted("transition", model.transition),
+            measurement=counted("measurement", model.measurement),
+            process_cov=q, measurement_cov=r, prior=model.prior,
+            state_dim=2, measurement_dim=1,
+        )
+        monkeypatch.setattr(filtering, "matrix_sqrt",
+                            counted("matrix_sqrt", filtering.matrix_sqrt))
+        ys = np.stack([simulate_linear(a, h, q, r, model.prior, steps=12, seed=s)
+                       for s in range(3)])
+        rule = QuadratureRule.from_classical(ut_points(2, 1.0))
+        out = run_filter(model, rule, ys)
+        # one call per step for the whole batch
+        assert calls == {"transition": 12, "measurement": 12, "matrix_sqrt": 24}
+        run_smoother(model, rule, out)
+        assert calls == {"transition": 12, "measurement": 12, "matrix_sqrt": 24}
+
+    def test_matrix_sqrt_falls_back_for_the_singular_member_only(self):
+        stack = np.array([np.eye(2), [[1.0, 1.0], [1.0, 1.0]], np.diag([4.0, 9.0])])
+        res = matrix_sqrt(stack)
+        assert res.spd_fallback == 1
+        np.testing.assert_array_equal(res.factor[0], np.linalg.cholesky(stack[0]))
+        np.testing.assert_array_equal(res.factor[2], np.linalg.cholesky(stack[2]))
+        np.testing.assert_allclose(res.factor[1] @ res.factor[1].T, stack[1], atol=1e-12)
+
+    def test_matrix_sqrt_names_the_failing_member(self):
+        stack = np.array([np.eye(2), np.eye(2), np.diag([1.0, -1.0])])
+        with pytest.raises(ValueError, match="not PSD for batch member 2"):
+            matrix_sqrt(stack)
+        stack[1, 0, 1] = 0.5
+        with pytest.raises(ValueError, match="asymmetric .* for batch member 1"):
+            matrix_sqrt(stack)
 
 
 class TestGaussianStateValidation:

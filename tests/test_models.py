@@ -148,3 +148,57 @@ class TestSimulate:
     def test_trajectory_validation(self):
         with pytest.raises(ValueError):
             Trajectory(np.zeros((5, 1)), np.zeros((5, 1)), seed=0)
+
+
+def multivariate_normal_trajectory(model, steps, seed):
+    """The textbook draw: rng.multivariate_normal for every noise term."""
+    rng = np.random.default_rng(seed)
+    n, d = model.state_dim, model.measurement_dim
+    states = [rng.multivariate_normal(model.prior.mean, model.prior.cov)]
+    measurements = []
+    for k in range(1, steps + 1):
+        drift = model.transition(states[-1][None, :], k).reshape(n)
+        states.append(drift + rng.multivariate_normal(np.zeros(n), model.q_cov(k)))
+        projected = model.measurement(states[-1][None, :], k).reshape(d)
+        measurements.append(projected + rng.multivariate_normal(np.zeros(d), model.r_cov(k)))
+    return np.array(states), np.array(measurements)
+
+
+class TestSimulateDraws:
+    @pytest.mark.parametrize("make_model, steps", [(ungm_model, 200), (bot_model, 60)])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_bit_identical_to_multivariate_normal(self, make_model, steps, seed):
+        model = make_model()
+        states, measurements = multivariate_normal_trajectory(model, steps, seed)
+        trajectory = simulate(model, steps, seed)
+        np.testing.assert_array_equal(trajectory.states, states)
+        np.testing.assert_array_equal(trajectory.measurements, measurements)
+
+    def test_time_varying_covariance_matches_multivariate_normal(self):
+        model = AdditiveStateSpaceModel(
+            transition=lambda x, k: 0.9 * x,
+            measurement=lambda x, k: x[:, :1],
+            process_cov=lambda k: np.array([[1.0 + k, 0.3], [0.3, 2.0]]),
+            measurement_cov=np.array([[0.5]]),
+            prior=GaussianState(np.zeros(2), np.eye(2)),
+            state_dim=2,
+            measurement_dim=1,
+        )
+        states, measurements = multivariate_normal_trajectory(model, 25, 3)
+        trajectory = simulate(model, 25, 3)
+        np.testing.assert_array_equal(trajectory.states, states)
+        np.testing.assert_array_equal(trajectory.measurements, measurements)
+
+    def test_non_psd_noise_warns_once(self):
+        model = AdditiveStateSpaceModel(
+            transition=lambda x, k: 0.5 * x,
+            measurement=lambda x, k: x,
+            process_cov=np.array([[-1.0]]),
+            measurement_cov=np.eye(1),
+            prior=GaussianState(np.zeros(1), np.eye(1)),
+            state_dim=1,
+            measurement_dim=1,
+        )
+        with pytest.warns(RuntimeWarning, match="positive-semidefinite") as record:
+            simulate(model, 20, seed=0)
+        assert len(record) == 1
