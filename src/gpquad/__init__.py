@@ -36,6 +36,7 @@ from .quadrature import (
     gp_regression_mean,
     gp_transform,
     gpq_variance,
+    gpq_variance_and_gradient,
     gpq_weights,
     matrix_sqrt,
 )
@@ -59,6 +60,7 @@ __all__ = [
     "gp_regression_mean",
     "gp_transform",
     "gpq_variance",
+    "gpq_variance_and_gradient",
     "gpq_weights",
     "hammersley_points",
     "hermite_multi",

@@ -269,6 +269,14 @@ def moments_ground_truth(n: int, exponent: int, samples: int, seed: int,
     return mean, variance
 
 
+def _rounding_bound(weights: np.ndarray, values: np.ndarray) -> float:
+    """Rounding error bound N eps sum_i |w_i| |y_i| of the dot product w.y;
+    a variance estimate below it is indistinguishable from zero (the
+    classical cubature rule's is zero exactly, all its points lying on
+    one sphere)."""
+    return len(weights) * np.finfo(float).eps * float(np.abs(weights) @ np.abs(values))
+
+
 def run_moments(config: dict) -> Report:
     """Per-method KL divergence of moment estimates across (n, p) cells."""
     methods = _validated_methods(config)
@@ -305,9 +313,10 @@ def run_moments(config: dict) -> Report:
                     report.rows.append([name, n, exponent, "", "", "", str(rule)])
                     continue
                 pts = rule.points.points  # m = 0, P = I: sigma points = unit points
+                y2 = y2_fn(pts)
                 est_mean = float(rule.weights @ y_fn(pts))
-                est_var = float(rule.weights @ y2_fn(pts)) - est_mean**2
-                if not np.isfinite(est_var) or est_var <= 0.0:
+                est_var = float(rule.weights @ y2) - est_mean**2
+                if not np.isfinite(est_var) or est_var <= _rounding_bound(rule.weights, y2):
                     report.rows.append([
                         name, n, exponent, "", est_mean, est_var,
                         "non-positive variance estimate",

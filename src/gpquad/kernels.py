@@ -10,7 +10,9 @@ Two families are supported on the standardized N(0, I) domain:
   integrals reduce to the zero-index row/entry of the coefficients.
 
 Both expose ``eval`` / ``gram`` / ``mean_embedding`` / ``double_integral``,
-the three quantities the quadrature weight and variance formulas consume.
+the three quantities the quadrature weight and variance formulas consume,
+and ``derivatives``, their gradients in the points, which the
+minimum-variance optimizer consumes.
 """
 
 from __future__ import annotations
@@ -71,6 +73,26 @@ class SquaredExponentialKernel:
         """double integral K(x, x') N(x|0,I) N(x'|0,I) dx dx'."""
         l2 = self.length_scale**2
         return self.output_scale**2 * (l2 / (l2 + 2.0)) ** (n / 2.0)
+
+    def derivatives(self, points, gram, embedding):
+        """Gradients of the Gram matrix and embedding in the points.
+
+        ``gram`` and ``embedding`` are this kernel's Gram matrix and mean
+        embedding at the same points, which the SE derivatives rescale:
+        d/dx_i K(x_i, x_k) = -K(x_i, x_k) (x_i - x_k) / l^2 and
+        d/dx_i q(x_i) = -q(x_i) x_i / (1 + l^2).
+
+        Returns
+        -------
+        (dK, dq) with dK[i, k] = d/dx_i K(x_i, x_k), an (N, N, n) ndarray,
+        and dq[i] = d/dx_i q(x_i), an (N, n) ndarray.
+        """
+        pts = _as_points(points)
+        l2 = self.length_scale**2
+        diff = pts[:, None, :] - pts[None, :, :]
+        d_gram = -gram[:, :, None] * diff / l2
+        d_embedding = -embedding[:, None] * pts / (1.0 + l2)
+        return d_gram, d_embedding
 
     def flat_increments(self, points):
         """Exact increments of the nearly-flat weight system.
@@ -134,12 +156,26 @@ class HermitePolynomialKernel:
     def dimension(self) -> int:
         return len(self.index_set[0])
 
-    def _features(self, points) -> np.ndarray:
-        # phi_I(x) = H_I(x) / I!
+    def _features(self, points, indices=None) -> np.ndarray:
+        # phi_I(x) = H_I(x) / I!, over the kernel's index set by default
+        indices = self.index_set if indices is None else indices
         pts = _as_points(points, self.dimension)
-        design = hermite_design_matrix(self.index_set, pts)
-        inv_fact = np.array([1.0 / ix.factorial() for ix in self.index_set])
+        design = hermite_design_matrix(indices, pts)
+        inv_fact = np.array([1.0 / ix.factorial() for ix in indices])
         return design * inv_fact
+
+    def _feature_derivatives(self, points) -> np.ndarray:
+        # d phi_I / dx_d = phi_{I - e_d} (He_k' = k He_{k-1}), zero where
+        # I_d = 0; returns the (n, N, m) stack over d
+        stack = []
+        for d in range(self.dimension):
+            lowered = tuple(
+                MultiIndex(tuple(e - 1 if j == d and e > 0 else e
+                                 for j, e in enumerate(ix)))
+                for ix in self.index_set)
+            present = np.array([ix.exponents[d] > 0 for ix in self.index_set])
+            stack.append(self._features(points, lowered) * present)
+        return np.stack(stack)
 
     def _weighted(self, features: np.ndarray) -> np.ndarray:
         # features @ coefficients; the identity leaves them as they are
@@ -168,6 +204,23 @@ class HermitePolynomialKernel:
             raise ValueError(f"kernel built for dimension {self.dimension}, got {n}")
         row = self._zero_row()
         return 1.0 if self.coefficients is None else float(self.coefficients[row, row])
+
+    def derivatives(self, points, gram, embedding):
+        """Gradients of the Gram matrix and embedding in the points.
+
+        The derivative of a feature is a lower feature, so both follow from
+        the expansion; ``gram`` and ``embedding`` are unused here and taken
+        for the call shared with the SE kernel.  Shapes as in
+        ``SquaredExponentialKernel.derivatives``.
+        """
+        d_features = self._feature_derivatives(points)          # (n, N, m)
+        weighted = self._weighted(self._features(points))       # (N, m)
+        d_gram = (d_features @ weighted.T).transpose(1, 2, 0)
+        if self.coefficients is None:
+            d_embedding = d_features[:, :, self._zero_row()].T
+        else:
+            d_embedding = (d_features @ self.coefficients[self._zero_row()]).T
+        return d_gram, d_embedding
 
     def flat_increments(self, points):
         return None

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import ndtri
 
 from .hermite import gh_roots_weights
@@ -216,7 +215,6 @@ class OptimizerSettings:
     restarts: int = 5
     max_iterations: int = 400
     jitter: float = 0.0
-    fd_step: float = 1e-6
 
 
 def optimize_points(kernel, n: int, count: int, seed: int,
@@ -224,12 +222,17 @@ def optimize_points(kernel, n: int, count: int, seed: int,
     """Minimum-posterior-variance point set for the given kernel.
 
     Quasi-Newton (BFGS) descent on the stacked N*n coordinate vector with
-    finite-difference gradients (step 1e-6 * max(1, |coordinate|)),
-    multi-start from seeded Gaussian initializations; the lowest-variance
-    result wins, ties broken by restart index.  The returned set never has
-    higher variance than the best initialization.
+    the exact gradient, which comes from the same weight solve as the
+    variance (``gpq_variance_and_gradient``; the kernel supplies its
+    derivatives), multi-start from seeded Gaussian initializations; the
+    lowest-variance result wins, ties broken by restart index.  The
+    returned set never has higher variance than the best initialization.
     """
-    from .quadrature import gpq_variance  # deferred: quadrature imports this module
+    # deferred: quadrature imports this module, and only the optimizer
+    # needs scipy.optimize
+    from scipy.optimize import minimize
+
+    from .quadrature import gpq_variance_and_gradient
 
     if n < 1 or count < 1:
         raise ValueError("need n >= 1 and count >= 1")
@@ -237,39 +240,30 @@ def optimize_points(kernel, n: int, count: int, seed: int,
         raise ValueError(f"{count * n} coordinates exceed the optimizer cap of 2000")
     settings = settings or OptimizerSettings()
 
-    def objective(flat: np.ndarray) -> float:
+    def objective(flat: np.ndarray) -> tuple[float, np.ndarray]:
         try:
             pts = UnitPointSet(flat.reshape(count, n), "optimized")
-            v = gpq_variance(kernel, pts, settings.jitter)
+            v, grad = gpq_variance_and_gradient(kernel, pts, settings.jitter)
         except (np.linalg.LinAlgError, ValueError):
-            return np.inf
-        return v if np.isfinite(v) else np.inf
-
-    def fd_gradient(flat: np.ndarray) -> np.ndarray:
-        grad = np.empty_like(flat)
-        f0 = objective(flat)
-        for i in range(flat.size):
-            h = settings.fd_step * max(1.0, abs(flat[i]))
-            bumped = flat.copy()
-            bumped[i] += h
-            fb = objective(bumped)
-            grad[i] = (fb - f0) / h if np.isfinite(fb) and np.isfinite(f0) else 0.0
-        return grad
+            return np.inf, np.zeros_like(flat)
+        if not (np.isfinite(v) and np.all(np.isfinite(grad))):
+            return np.inf, np.zeros_like(flat)
+        return v, grad.ravel()
 
     rng = np.random.default_rng(seed)
     best_flat, best_var = None, np.inf
     failures = 0
     for _ in range(settings.restarts):
         start = rng.standard_normal(count * n)
-        f_start = objective(start)
+        f_start = objective(start)[0]
         if not np.isfinite(f_start):
             failures += 1
             continue
         result = minimize(
-            objective, start, jac=fd_gradient, method="BFGS",
+            objective, start, jac=True, method="BFGS",
             options={"maxiter": settings.max_iterations, "gtol": 1e-10},
         )
-        candidate, f_cand = result.x, objective(result.x)
+        candidate, f_cand = result.x, result.fun
         if not np.isfinite(f_cand) or f_cand > f_start:
             candidate, f_cand = start, f_start
         if f_cand < best_var:

@@ -7,7 +7,8 @@ K_ij = K(xi_i, xi_j) and q_i the kernel mean embedding at xi_i; the
 posterior variance of the integral is the double Gaussian integral of K
 minus q^T W.  Weights may be negative; the variance is zero exactly when
 the points resolve the kernel's function class, which is how the
-classical unscented / cubature / Gauss-Hermite weights drop out.
+classical unscented / cubature / Gauss-Hermite weights drop out.  The
+variance's gradient in the points follows from the same solve.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "MatrixSqrtResult",
     "gpq_weights",
     "gpq_variance",
+    "gpq_variance_and_gradient",
     "apply_rule",
     "gp_transform",
     "matrix_sqrt",
@@ -151,7 +153,7 @@ def _flat_deflated_solve(gram_inc, emb_scale, emb_inc, output_scale2):
     flat; splitting W over span{1} and its orthogonal complement keeps the
     meaningful part of the system at the scale of E, which arrives with
     full relative precision.  The reduced Schur block is SPD and solved by
-    Cholesky.  Returns (weights, q_dot_w).
+    Cholesky.  Returns (weights, q) with q the mean embedding.
     """
     n_pts = gram_inc.shape[0]
     # Householder basis: column 0 is 1/sqrt(N), the rest span its complement
@@ -175,11 +177,21 @@ def _flat_deflated_solve(gram_inc, emb_scale, emb_inc, output_scale2):
     alpha = (b_u - coupling @ beta) / pivot
     weights = u * alpha + complement @ beta
     q = output_scale2 * rhs_scale * (1.0 + emb_inc)
-    return weights, float(q @ weights)
+    return weights, q
 
 
-def _solve_weight_system(kernel, points: UnitPointSet, jitter: float):
-    """Weights plus cached q^T W for the variance. Returns (W, qtw)."""
+class _WeightSystem(NamedTuple):
+    weights: np.ndarray     # (N,) solution of (K + jitter I) W = q
+    gram: np.ndarray        # (N, N) kernel Gram matrix K, without the jitter
+    embedding: np.ndarray   # (N,) kernel mean embedding q
+
+    @property
+    def q_dot_w(self) -> float:
+        return float(self.embedding @ self.weights)
+
+
+def _solve_weight_system(kernel, points: UnitPointSet, jitter: float) -> _WeightSystem:
+    """Weights together with the Gram matrix and embedding they solve."""
     pts = points.points
     if jitter == 0.0 and points.count > 1:
         increments = kernel.flat_increments(pts)
@@ -187,13 +199,13 @@ def _solve_weight_system(kernel, points: UnitPointSet, jitter: float):
             gram_inc, emb_scale, emb_inc = increments
             if np.abs(gram_inc).max() < FLAT_INCREMENT_THRESHOLD:
                 s2 = kernel.eval(pts[:1], pts[:1])[0, 0]  # diagonal value s^2
-                return _flat_deflated_solve(gram_inc, emb_scale, emb_inc, s2)
+                weights, q = _flat_deflated_solve(gram_inc, emb_scale, emb_inc, s2)
+                return _WeightSystem(weights, s2 * (1.0 + gram_inc), q)
     gram = kernel.gram(pts)
-    if jitter > 0.0:
-        gram = gram + jitter * np.eye(points.count)
+    system = gram + jitter * np.eye(points.count) if jitter > 0.0 else gram
     q = kernel.mean_embedding(pts)
-    weights = _cho_solve_spd(gram, q, "quadrature weight system")
-    return weights, float(q @ weights)
+    weights = _cho_solve_spd(system, q, "quadrature weight system")
+    return _WeightSystem(weights, gram, q)
 
 
 def _clamped_variance(kernel, points: UnitPointSet, q_dot_w: float) -> float:
@@ -214,19 +226,40 @@ def gpq_weights(kernel, points: UnitPointSet, jitter: float = 0.0) -> Quadrature
     the rule.  A singular system at zero jitter raises with the offending
     conditioning rather than regularizing silently.
     """
-    weights, q_dot_w = _solve_weight_system(kernel, points, jitter)
+    system = _solve_weight_system(kernel, points, jitter)
     return QuadratureRule(
         points=points,
-        weights=weights,
+        weights=system.weights,
         jitter=jitter,
-        posterior_variance=_clamped_variance(kernel, points, q_dot_w),
+        posterior_variance=_clamped_variance(kernel, points, system.q_dot_w),
     )
 
 
 def gpq_variance(kernel, points: UnitPointSet, jitter: float = 0.0) -> float:
     """Posterior variance of the integral estimate for a point set."""
-    _, q_dot_w = _solve_weight_system(kernel, points, jitter)
-    return _clamped_variance(kernel, points, q_dot_w)
+    system = _solve_weight_system(kernel, points, jitter)
+    return _clamped_variance(kernel, points, system.q_dot_w)
+
+
+def gpq_variance_and_gradient(kernel, points: UnitPointSet,
+                              jitter: float = 0.0) -> tuple[float, np.ndarray]:
+    """Posterior variance and its (N, n) gradient in the points.
+
+    With W = (K + jitter I)^{-1} q from the one weight solve,
+    dV/dx_i = 2 W_i (sum_k W_k d/dx_i K(x_i, x_k) - d/dx_i q(x_i));
+    the derivatives come from ``kernel.derivatives``.  Fails like
+    ``gpq_variance``; where the variance is clamped to zero the gradient
+    is zero too.
+    """
+    system = _solve_weight_system(kernel, points, jitter)
+    variance = _clamped_variance(kernel, points, system.q_dot_w)
+    if variance == 0.0:
+        return variance, np.zeros_like(points.points)
+    d_gram, d_embedding = kernel.derivatives(points.points, system.gram,
+                                             system.embedding)
+    w = system.weights
+    gradient = 2.0 * w[:, None] * (np.einsum("ikd,k->id", d_gram, w) - d_embedding)
+    return variance, gradient
 
 
 def _evaluate_at_sigma_points(g: Callable, sigma_pts: np.ndarray) -> np.ndarray:

@@ -109,6 +109,22 @@ class TestRunMoments:
         assert row[6] == ""
         assert np.isfinite(row[3]) and row[3] >= 0.0
 
+    def test_variance_within_rounding_of_zero_is_reported(self):
+        # the cubature rule's variance estimate is zero in exact arithmetic
+        # (every point on |x|^2 = n) and rounds to +-1e-17 or so; the GPQ
+        # estimates clear the rounding bound by more than ten decades
+        config = json.loads((CONFIG_DIR / "moments.json").read_text())
+        config.pop("cache_dir")
+        config["mc_samples"] = 10**4
+        report = run_moments(config)
+        cols = report.columns
+        errors = {(row[0], row[1], row[2]): row[cols.index("error")]
+                  for row in report.rows}
+        assert len(errors) == 36
+        for (name, n, p), error in errors.items():
+            expected = "non-positive variance estimate" if name == "cubature" else ""
+            assert error == expected, (name, n, p)
+
     def test_report_complete(self):
         report = run_moments(self.config())
         assert len(report.rows) == 2

@@ -203,3 +203,23 @@ class TestKernelInvariants:
         pts, weights = tensor_rule(n, 20)
         oracle = float(weights @ kernel.mean_embedding(pts))
         assert kernel.double_integral(n) == pytest.approx(oracle, abs=1e-8)
+
+    @pytest.mark.parametrize("kernel", ALL_KERNELS + [HermitePolynomialKernel(
+        tuple(enumerate_indices(1, total_degree=2)),
+        np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]]))])
+    def test_derivatives_match_central_differences(self, kernel):
+        rng = np.random.default_rng(31)
+        dim = getattr(kernel, "dimension", 2)
+        pts = rng.normal(size=(4, dim))
+        d_gram, d_embedding = kernel.derivatives(
+            pts, kernel.gram(pts), kernel.mean_embedding(pts))
+        assert d_gram.shape == (4, 4, dim) and d_embedding.shape == (4, dim)
+        h = 1e-6
+        for d in range(dim):
+            step = h * np.eye(dim)[d]
+            # d/dx_i K(x_i, x_k) with x_k held fixed, diagonal included
+            fd_gram = (kernel.eval(pts + step, pts) - kernel.eval(pts - step, pts)) / (2 * h)
+            fd_embedding = (kernel.mean_embedding(pts + step)
+                            - kernel.mean_embedding(pts - step)) / (2 * h)
+            np.testing.assert_allclose(d_gram[:, :, d], fd_gram, atol=1e-8)
+            np.testing.assert_allclose(d_embedding[:, d], fd_embedding, atol=1e-8)

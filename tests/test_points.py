@@ -5,8 +5,13 @@ import numpy as np
 import pytest
 from scipy.special import erf, ndtri
 
+from gpquad import quadrature
 from gpquad.hermite import enumerate_indices
-from gpquad.kernels import SquaredExponentialKernel
+from gpquad.kernels import (
+    HermitePolynomialKernel,
+    SquaredExponentialKernel,
+    make_ut_kernel,
+)
 from gpquad.points import (
     OptimizerSettings,
     UnitPointSet,
@@ -19,7 +24,11 @@ from gpquad.points import (
     symmetric5_points,
     ut_points,
 )
-from gpquad.quadrature import gpq_variance
+from gpquad.quadrature import (
+    FLAT_INCREMENT_THRESHOLD,
+    gpq_variance,
+    gpq_variance_and_gradient,
+)
 
 
 def gaussian_monomial_moment(exponents) -> float:
@@ -258,9 +267,100 @@ class TestOptimizePoints:
         ham_var = gpq_variance(self.kernel, hammersley_points(2, 5))
         assert opt_var <= ham_var
 
+    def test_hermite_kernel_reaches_zero_variance(self):
+        # 5 points can resolve the degree-3 Hermite class in 2-D, as the
+        # unscented set does
+        kernel = make_ut_kernel(2, 3)
+        result = optimize_points(kernel, 2, 5, seed=0)
+        assert gpq_variance(kernel, result) <= 1e-10
+        assert gpq_variance(kernel, hammersley_points(2, 5)) > 1e-3
+
+    def test_one_weight_solve_per_evaluation(self, monkeypatch):
+        counts = {"solves": 0, "derivatives": 0}
+        solve = quadrature._solve_weight_system
+
+        def counting_solve(*args):
+            counts["solves"] += 1
+            return solve(*args)
+
+        class CountingKernel(SquaredExponentialKernel):
+            def derivatives(self, *args):
+                counts["derivatives"] += 1
+                return super().derivatives(*args)
+
+        def no_variance_call(*args):
+            raise AssertionError("the optimizer solved for the variance alone")
+
+        monkeypatch.setattr(quadrature, "_solve_weight_system", counting_solve)
+        monkeypatch.setattr(quadrature, "gpq_variance", no_variance_call)
+        optimize_points(CountingKernel(1.0, 1.0), 2, 5, seed=0,
+                        settings=OptimizerSettings(restarts=2))
+        # every evaluation returns a gradient from its own single solve
+        assert counts["derivatives"] > 2
+        assert counts["solves"] == counts["derivatives"]
+
     def test_coordinate_cap(self):
         with pytest.raises(ValueError, match="cap"):
             optimize_points(self.kernel, 10, 500, seed=0)
+
+
+def central_difference_gradient(kernel, pts, jitter, h):
+    grad = np.empty_like(pts)
+    for idx in np.ndindex(pts.shape):
+        up, down = pts.copy(), pts.copy()
+        up[idx] += h
+        down[idx] -= h
+        grad[idx] = (gpq_variance(kernel, UnitPointSet(up, "up"), jitter)
+                     - gpq_variance(kernel, UnitPointSet(down, "down"), jitter)) / (2 * h)
+    return grad
+
+
+def _hermite_with_coefficients():
+    indices = tuple(enumerate_indices(2, total_degree=3))
+    factor = np.random.default_rng(8).normal(size=(len(indices),) * 2)
+    return HermitePolynomialKernel(indices, factor @ factor.T / len(indices)
+                                   + np.eye(len(indices)))
+
+
+class TestVarianceGradient:
+    @pytest.mark.parametrize("kernel, shape, jitter", [
+        (SquaredExponentialKernel(1.0, 1.0), (6, 2), 0.0),
+        (SquaredExponentialKernel(1.3, 0.8), (5, 3), 1e-3),
+        (make_ut_kernel(2, 3), (6, 2), 0.0),
+        (_hermite_with_coefficients(), (6, 2), 0.0),
+    ], ids=["se", "se-jitter", "hermite-identity", "hermite-coefficients"])
+    def test_matches_central_differences(self, kernel, shape, jitter):
+        pts = np.random.default_rng(3).normal(size=shape)
+        variance, grad = gpq_variance_and_gradient(kernel, UnitPointSet(pts, "x"), jitter)
+        assert variance == gpq_variance(kernel, UnitPointSet(pts, "x"), jitter)
+        assert variance > 0.0 and grad.shape == shape
+        fd = central_difference_gradient(kernel, pts, jitter, 1e-6)
+        np.testing.assert_allclose(grad, fd, atol=1e-8)
+
+    def test_flat_kernel_takes_the_deflated_solve(self):
+        kernel = SquaredExponentialKernel(1.0, 8.0)
+        pts = np.linspace(-1.0, 1.0, 4)[:, None]
+        gram_inc = kernel.flat_increments(pts)[0]
+        assert np.abs(gram_inc).max() < FLAT_INCREMENT_THRESHOLD
+        variance, grad = gpq_variance_and_gradient(kernel, UnitPointSet(pts, "x"))
+        assert 0.0 < variance < 1e-7
+        # V ~ 1e-8 carries absolute rounding noise ~1e-16, so the difference
+        # step is large and the comparison relative to the gradient's scale
+        fd = central_difference_gradient(kernel, pts, 0.0, 1e-3)
+        np.testing.assert_allclose(grad, fd, atol=1e-3 * np.abs(grad).max())
+
+    def test_zero_variance_has_zero_gradient(self):
+        # the 2-D unscented set resolves the degree-3 Hermite kernel exactly;
+        # at kappa = 3 its variance rounds to -4e-16 and is clamped
+        pts = ut_points(2, 3.0).points
+        variance, grad = gpq_variance_and_gradient(make_ut_kernel(2, 3), pts)
+        assert variance == 0.0
+        assert np.array_equal(grad, np.zeros((5, 2)))
+
+    def test_singular_gram_raises(self):
+        pts = UnitPointSet(np.array([[0.5], [0.5], [1.0]]), "repeated")
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            gpq_variance_and_gradient(SquaredExponentialKernel(1.0, 1.0), pts)
 
 
 class TestUnitPointSetValidation:
