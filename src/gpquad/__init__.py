@@ -6,6 +6,8 @@ from .filtering import (
     AdditiveStateSpaceModel,
     FilterOutput,
     GaussianState,
+    TransformResult,
+    gp_transform,
     predict,
     run_filter,
     run_smoother,
@@ -19,7 +21,7 @@ from .kernels import (
     make_ut_kernel,
 )
 from .points import (
-    ClassicalRule,
+    QuadratureRule,
     UnitPointSet,
     cubature_points,
     gauss_hermite_points,
@@ -30,11 +32,7 @@ from .points import (
     ut_points,
 )
 from .quadrature import (
-    QuadratureRule,
-    TransformResult,
-    apply_rule,
     gp_regression_mean,
-    gp_transform,
     gpq_variance,
     gpq_variance_and_gradient,
     gpq_weights,
@@ -43,7 +41,6 @@ from .quadrature import (
 
 __all__ = [
     "AdditiveStateSpaceModel",
-    "ClassicalRule",
     "FilterOutput",
     "GaussianState",
     "HermitePolynomialKernel",
@@ -52,7 +49,6 @@ __all__ = [
     "SquaredExponentialKernel",
     "TransformResult",
     "UnitPointSet",
-    "apply_rule",
     "cubature_points",
     "enumerate_indices",
     "gauss_hermite_points",

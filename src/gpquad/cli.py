@@ -29,9 +29,9 @@ from .experiments import (
     run_moments,
     run_ungm,
 )
+from .filtering import gp_transform
 from .models import moment_integrand, ungm_model
-from .points import ClassicalRule
-from .quadrature import gp_transform, gpq_weights
+from .quadrature import gpq_weights
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -76,14 +76,9 @@ def _points_command(config: dict) -> str:
     spec = config.get("points")
     if spec is None:
         raise ConfigError("config: missing 'points' spec")
-    resolved = resolve_point_spec(spec, n)
-    header = [f"xi{i + 1}" for i in range(n)]
-    if isinstance(resolved, ClassicalRule):
-        rows = np.column_stack([resolved.points.points, resolved.weights])
-        header.append("weight")
-    else:
-        rows = resolved.points
-    lines = [",".join(header)]
+    rule = resolve_point_spec(spec, n)
+    rows = np.column_stack([rule.points.points, rule.weights])
+    lines = [",".join([f"xi{i + 1}" for i in range(n)] + ["weight"])]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
@@ -96,8 +91,7 @@ def _weights_command(config: dict, fmt: str) -> str:
     kernel_spec = config.get("kernel")
     if point_spec is None or kernel_spec is None:
         raise ConfigError("config: 'points' and 'kernel' are both required")
-    resolved = resolve_point_spec(point_spec, n)
-    points = resolved.points if isinstance(resolved, ClassicalRule) else resolved
+    points = resolve_point_spec(point_spec, n).points
     kernel = resolve_kernel_spec(kernel_spec, n)
     if kernel is None:
         raise ConfigError("config: the weights command needs an explicit kernel")
@@ -114,16 +108,15 @@ def _weights_command(config: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+# integrands vectorized over the (N, n) sigma points, as gp_transform takes them
 _TRANSFORM_FUNCTIONS = {
     "identity": lambda spec: (lambda x: x),
-    "componentwise-square": lambda spec: (lambda x: np.asarray(x) ** 2),
+    "componentwise-square": lambda spec: (lambda x: x ** 2),
     "radial-power": lambda spec: moment_integrand(int(spec.get("exponent", 1)))[0],
     "ungm-transition": lambda spec: (
-        lambda x: ungm_model().transition(np.atleast_2d(x), int(spec.get("k", 1)))[0]
+        lambda x: ungm_model().transition(x, int(spec.get("k", 1)))
     ),
-    "ungm-measurement": lambda spec: (
-        lambda x: ungm_model().measurement(np.atleast_2d(x), 0)[0]
-    ),
+    "ungm-measurement": lambda spec: (lambda x: ungm_model().measurement(x, 0)),
 }
 
 
@@ -143,14 +136,9 @@ def _transform_command(config: dict, fmt: str) -> str:
             f"config: unknown function '{name}'; "
             f"choose from {sorted(_TRANSFORM_FUNCTIONS)}")
     g = _TRANSFORM_FUNCTIONS[name](fn_spec)
-    mean = np.asarray(config.get("mean", np.zeros(n)), dtype=float)
-    cov = np.asarray(config.get("cov", np.eye(n).tolist()), dtype=float)
     rule = build_rule(method, n)
-    probe = np.atleast_1d(np.asarray(g(mean), dtype=float))
-    noise = np.asarray(config.get("noise_cov",
-                                  np.zeros((probe.size, probe.size)).tolist()),
-                       dtype=float)
-    result = gp_transform(rule, g, mean, cov, noise)
+    result = gp_transform(rule, g, config.get("mean", np.zeros(n)),
+                          config.get("cov", np.eye(n)), config.get("noise_cov", 0.0))
     if fmt == "json":
         return json.dumps({
             "mean": result.mean.tolist(),

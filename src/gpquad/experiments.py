@@ -1,9 +1,10 @@
 """Experiment harness behind the CLI: configs, methods, studies, reports.
 
 A method is a (point-set spec, weighting spec, jitter) triple resolved
-into a quadrature rule: ``"classical"`` keeps the classical weights of
-the generator (uniform 1/N for random and Hammersley sets), a kernel
-spec solves for GP-quadrature weights.  The studies are
+into a quadrature rule: the point-set spec gives a rule with the
+classical weights of its generator (uniform 1/N for random, Hammersley,
+optimized and CSV sets); ``"classical"`` keeps them, a kernel spec
+solves for GP-quadrature weights on the same points.  The studies are
 
 * ``run_moments`` -- KL divergence of each method's (mean, variance)
   estimate of the radial integrands against a seeded Monte Carlo truth;
@@ -29,7 +30,7 @@ from .filtering import GaussianState, run_filter, run_smoother
 from .kernels import SquaredExponentialKernel, make_gh_kernel, make_ut_kernel
 from .models import BotConfig, bot_model, moment_integrand, simulate, ungm_model
 from .points import (
-    ClassicalRule,
+    QuadratureRule,
     UnitPointSet,
     cubature_points,
     gauss_hermite_points,
@@ -40,7 +41,7 @@ from .points import (
     ut_points,
     OptimizerSettings,
 )
-from .quadrature import QuadratureRule, gpq_weights
+from .quadrature import gpq_weights
 
 __all__ = [
     "ConfigError",
@@ -133,8 +134,9 @@ def _point_count(spec, n: int, context: str) -> int:
     raise ConfigError(f"{context}: count must be a positive integer or '2n'")
 
 
-def resolve_point_spec(spec: dict, n: int):
-    """Build a point set (or classical rule) from its JSON spec."""
+def resolve_point_spec(spec: dict, n: int) -> QuadratureRule:
+    """Build a rule from its JSON spec; a generator without classical
+    weights gets uniform 1/N ones (plain (quasi) Monte Carlo)."""
     context = f"point spec {spec!r}"
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError(f"{context}: expected an object with a 'type' field")
@@ -148,11 +150,11 @@ def resolve_point_spec(spec: dict, n: int):
     if kind == "gauss-hermite":
         return gauss_hermite_points(n, int(_require(spec, "order", context)))
     if kind == "hammersley":
-        return hammersley_points(n, _point_count(spec, n, context))
-    if kind == "random":
-        return random_points(n, _point_count(spec, n, context),
-                             int(spec.get("seed", 0)))
-    if kind == "optimized":
+        points = hammersley_points(n, _point_count(spec, n, context))
+    elif kind == "random":
+        points = random_points(n, _point_count(spec, n, context),
+                               int(spec.get("seed", 0)))
+    elif kind == "optimized":
         kernel = resolve_kernel_spec(
             spec.get("kernel", {"type": "se", "output_scale": 1.0, "length_scale": 1.0}),
             n)
@@ -160,9 +162,9 @@ def resolve_point_spec(spec: dict, n: int):
             restarts=int(spec.get("restarts", 5)),
             jitter=float(spec.get("jitter", 0.0)),
         )
-        return optimize_points(kernel, n, _point_count(spec, n, context),
-                               int(spec.get("seed", 0)), settings)
-    if kind == "csv":
+        points = optimize_points(kernel, n, _point_count(spec, n, context),
+                                 int(spec.get("seed", 0)), settings)
+    elif kind == "csv":
         path = Path(_require(spec, "path", context))
         if not path.exists():
             raise ConfigError(f"{context}: no such file {path}")
@@ -170,8 +172,10 @@ def resolve_point_spec(spec: dict, n: int):
         if pts.shape[1] != n:
             raise ConfigError(f"{context}: {path} has {pts.shape[1]} columns, "
                               f"expected one per dimension ({n})")
-        return UnitPointSet(pts, f"csv({path.name})")
-    raise ConfigError(f"{context}: unknown point set type '{kind}'")
+        points = UnitPointSet(pts, f"csv({path.name})")
+    else:
+        raise ConfigError(f"{context}: unknown point set type '{kind}'")
+    return QuadratureRule(points, np.full(points.count, 1.0 / points.count))
 
 
 def resolve_kernel_spec(spec, n: int):
@@ -197,17 +201,10 @@ def resolve_kernel_spec(spec, n: int):
 def build_rule(method: dict, n: int) -> QuadratureRule:
     """Resolve one method spec into a quadrature rule for dimension n."""
     context = f"method {method.get('name', '?')!r}"
-    point_spec = _require(method, "points", context)
-    points = resolve_point_spec(point_spec, n)
+    rule = resolve_point_spec(_require(method, "points", context), n)
     kernel = resolve_kernel_spec(method.get("kernel", "classical"), n)
     jitter = float(method.get("jitter", 0.0))
-    if kernel is None:
-        if isinstance(points, ClassicalRule):
-            return QuadratureRule.from_classical(points)
-        # plain Monte Carlo / quasi Monte Carlo weighting
-        return QuadratureRule(points, np.full(points.count, 1.0 / points.count))
-    point_set = points.points if isinstance(points, ClassicalRule) else points
-    return gpq_weights(kernel, point_set, jitter)
+    return rule if kernel is None else gpq_weights(kernel, rule.points, jitter)
 
 
 def _validated_methods(config) -> list[dict]:

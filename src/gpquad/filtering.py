@@ -1,4 +1,4 @@
-"""Sigma-point Gaussian filter and RTS smoother, generic over the rule.
+"""Sigma-point transform, Gaussian filter and RTS smoother over any rule.
 
 Any ``QuadratureRule`` drives the recursions: classical unscented,
 cubature or Gauss-Hermite weights give the familiar UKF/CKF/GHKF and
@@ -14,22 +14,25 @@ and each model function sees the (S*N, n) sigma points of a whole step.
 Model functions are vectorized over the leading axis: ``f(X, k)`` maps an
 (N, n) batch of states at destination index k to (N, n), ``h(X, k)`` maps
 (N, n) to (N, d).  Noise covariances may be constant matrices or
-callables of the time index.
+callables of the time index.  ``gp_transform`` is the same step for one
+Gaussian and an integrand ``g(X)`` vectorized the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .quadrature import QuadratureRule, _match_moments, _member, matrix_sqrt
+from .quadrature import QuadratureRule, _member, _not_positive_definite, matrix_sqrt
 
 __all__ = [
     "GaussianState",
     "AdditiveStateSpaceModel",
     "FilterOutput",
+    "TransformResult",
+    "gp_transform",
     "predict",
     "update",
     "run_filter",
@@ -61,13 +64,6 @@ class GaussianState:
         return self.mean.shape[0]
 
 
-def _as_cov_fn(cov) -> Callable[[int], np.ndarray]:
-    if callable(cov):
-        return lambda k: np.atleast_2d(np.asarray(cov(k), dtype=float))
-    fixed = np.atleast_2d(np.asarray(cov, dtype=float))
-    return lambda k: fixed
-
-
 @dataclass(frozen=True)
 class AdditiveStateSpaceModel:
     """x_k = f(x_{k-1}, k) + q_{k-1},  y_k = h(x_k, k) + r_k.
@@ -87,10 +83,12 @@ class AdditiveStateSpaceModel:
     measurement_dim: int
 
     def q_cov(self, k: int) -> np.ndarray:
-        return _as_cov_fn(self.process_cov)(k)
+        cov = self.process_cov
+        return np.atleast_2d(np.asarray(cov(k) if callable(cov) else cov, dtype=float))
 
     def r_cov(self, k: int) -> np.ndarray:
-        return _as_cov_fn(self.measurement_cov)(k)
+        cov = self.measurement_cov
+        return np.atleast_2d(np.asarray(cov(k) if callable(cov) else cov, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -120,30 +118,48 @@ def _map_arrays(out: FilterOutput, fn) -> FilterOutput:
     return FilterOutput(*(fn(getattr(out, f.name)) for f in fields(FilterOutput)))
 
 
-def _gain(cross: np.ndarray, cov: np.ndarray, failure: str) -> np.ndarray:
+def _gain(cross: np.ndarray, cov: np.ndarray, context: str) -> np.ndarray:
     """K = C cov^{-1} over a batch (S, n, m), (S, m, m), after a Cholesky
     check that every cov is positive definite; a failure raises with
-    ``failure``, the batch member and its minimum eigenvalue."""
+    ``context``, the batch member and its minimum eigenvalue."""
     try:
         np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        for member, matrix in enumerate(cov):
-            try:
-                np.linalg.cholesky(matrix)
-            except np.linalg.LinAlgError as exc:
-                raise np.linalg.LinAlgError(
-                    f"{failure}{_member(member, len(cov))} "
-                    f"(min eigenvalue {np.linalg.eigvalsh(matrix).min():.3e})"
-                ) from exc
+    except np.linalg.LinAlgError as exc:
+        raise _not_positive_definite(context, cov) from exc
     return np.linalg.solve(cov, cross.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
+class TransformResult(NamedTuple):
+    """Moment-matched Gaussian approximation of y = g(x) + q."""
+
+    mean: np.ndarray        # (d,)
+    cov: np.ndarray         # (d, d), includes the additive noise covariance
+    cross_cov: np.ndarray   # (n, d), input-output cross covariance
+
+
+def _match_moments(weights, deviations, values, noise_cov) -> TransformResult:
+    """Weighted sigma-point moments over a batch of S input Gaussians.
+
+    ``deviations`` (S, N, n) are the sigma points minus their input mean,
+    ``values`` (S, N, d) the integrand at them; returns the output means
+    (S, d), covariances (S, d, d) with ``noise_cov`` added and
+    input-output cross covariances (S, n, d).
+    """
+    out_mean = weights @ values
+    dev = values - out_mean[:, None, :]
+    weighted = weights[:, None] * dev
+    out_cov = weighted.transpose(0, 2, 1) @ dev + noise_cov
+    out_cov = 0.5 * (out_cov + out_cov.transpose(0, 2, 1))
+    cross = deviations.transpose(0, 2, 1) @ weighted
+    return TransformResult(out_mean, out_cov, cross)
 
 
 def _transform(rule: QuadratureRule, fn, means, covs, noise_cov, k: int):
     """Moment-match fn(x) + noise for a batch of Gaussians (S, n), (S, n, n).
 
     The sigma points of all S members go through ``fn`` in one (S*N, n)
-    call.  Returns the output means, covariances and cross covariances
-    of ``_match_moments``.
+    call; an (S*N,) result is read as d = 1.  Returns the batched
+    ``TransformResult`` of ``_match_moments``.
     """
     root = matrix_sqrt(covs).factor
     deviations = rule.points.points @ root.transpose(0, 2, 1)
@@ -152,9 +168,8 @@ def _transform(rule: QuadratureRule, fn, means, covs, noise_cov, k: int):
     values = np.asarray(fn(sigma_pts, k), dtype=float).reshape(batch, count, -1)
     finite = np.isfinite(values).all(axis=(1, 2))
     if not finite.all():
-        member = int(np.argmin(finite))
-        raise ValueError(f"model function returned non-finite values at step {k}"
-                         + _member(member, batch))
+        raise ValueError("function returned non-finite values at the sigma-points"
+                         + _member(int(np.argmin(finite)), batch))
     return _match_moments(rule.weights, deviations, values, noise_cov)
 
 
@@ -166,12 +181,28 @@ def _update(rule: QuadratureRule, means, covs, measurement, measurement_cov,
     """
     innovation_means, innovation_covs, cross = _transform(
         rule, measurement, means, covs, measurement_cov, k)
-    gain = _gain(cross, innovation_covs,
-                 f"innovation covariance not positive definite at step {k}")
+    gain = _gain(cross, innovation_covs, f"innovation covariance at step {k}")
     means = means + (gain @ (observations - innovation_means)[:, :, None])[:, :, 0]
     covs = covs - gain @ innovation_covs @ gain.transpose(0, 2, 1)
     covs = 0.5 * (covs + covs.transpose(0, 2, 1))
     return means, covs, innovation_means, innovation_covs, cross, gain
+
+
+def gp_transform(rule: QuadratureRule, g: Callable, mean, cov,
+                 noise_cov) -> TransformResult:
+    """Moment-matched Gaussian approximation of y = g(x) + q.
+
+    x ~ N(mean, cov), q ~ N(0, noise_cov); returns the output mean, the
+    output covariance (noise included) and the input-output cross
+    covariance, each a weighted sigma-point sum.  ``g`` is vectorized like
+    the model functions: it maps the (N, n) sigma points to (N, d), or to
+    (N,) for d = 1, in one call.  The mean alone is the rule applied to g.
+    """
+    moments = _transform(rule, lambda x, k: g(x),
+                         np.atleast_1d(np.asarray(mean, dtype=float))[None],
+                         np.atleast_2d(np.asarray(cov, dtype=float))[None],
+                         np.atleast_2d(np.asarray(noise_cov, dtype=float)), 0)
+    return TransformResult(*(moment[0] for moment in moments))
 
 
 def predict(state: GaussianState, rule: QuadratureRule, transition,
@@ -276,8 +307,7 @@ def run_smoother(model: AdditiveStateSpaceModel, rule: QuadratureRule,
         # index k+1, whose moments give the gain at time index k
         pred_cov = out.predicted_covs[:, k]
         gain = _gain(out.cross_covs[:, k], pred_cov,
-                     f"smoother predicted covariance not positive definite at "
-                     f"time index {k}")
+                     f"smoother predicted covariance at time index {k}")
         step = means[:, k] - out.predicted_means[:, k]
         means[:, k - 1] += (gain @ step[:, :, None])[:, :, 0]
         smoothed_cov = (out.filtered_covs[:, k - 1]

@@ -1,10 +1,12 @@
 """Generators for unit sigma-point sets in R^n.
 
 All sets live in the standardized N(0, I) coordinates; filters and
-transforms map them through m + sqrt(P) xi.  Classical rules (unscented,
-spherical cubature, degree-5 symmetric, Gauss-Hermite tensor) come with
-their classical weights; random, Hammersley and variance-optimized sets
-are plain point sets to be weighted by the quadrature solver.
+transforms map them through m + sqrt(P) xi.  A ``QuadratureRule`` is a
+point set with its weights, whoever chose them: the classical generators
+(unscented, spherical cubature, degree-5 symmetric, Gauss-Hermite tensor)
+return rules with their classical weights; random, Hammersley and
+variance-optimized sets are plain point sets to be weighted by the
+quadrature solver.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .hermite import gh_roots_weights
 
 __all__ = [
     "UnitPointSet",
-    "ClassicalRule",
+    "QuadratureRule",
     "ut_points",
     "cubature_points",
     "symmetric5_points",
@@ -58,16 +60,28 @@ class UnitPointSet:
 
 
 @dataclass(frozen=True)
-class ClassicalRule:
-    """A unit point set together with its classical integration weights."""
+class QuadratureRule:
+    """Unit sigma-points with integration weights.
+
+    ``posterior_variance`` is the GP-model variance of the integral
+    estimate, None for weights that no kernel chose (the classical rules,
+    uniform Monte Carlo weights); it is shared across output components
+    since the kernel is.
+    """
 
     points: UnitPointSet
     weights: np.ndarray
+    jitter: float = 0.0
+    posterior_variance: float | None = None
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (self.points.count,):
             raise ValueError("one weight per point required")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
+        if self.jitter < 0:
+            raise ValueError("jitter must be >= 0")
         object.__setattr__(self, "weights", w)
 
 
@@ -76,7 +90,7 @@ def _axis_points(n: int, radius: float) -> np.ndarray:
     return np.vstack([eye, -eye])
 
 
-def ut_points(n: int, kappa: float) -> ClassicalRule:
+def ut_points(n: int, kappa: float) -> QuadratureRule:
     """Canonical unscented transform rule: 2n+1 points.
 
     Origin plus +-sqrt(n+kappa) along each axis; weights kappa/(n+kappa)
@@ -91,19 +105,19 @@ def ut_points(n: int, kappa: float) -> ClassicalRule:
     pts = np.vstack([np.zeros((1, n)), _axis_points(n, radius)])
     weights = np.full(2 * n + 1, 1.0 / (2.0 * (n + kappa)))
     weights[0] = kappa / (n + kappa)
-    return ClassicalRule(UnitPointSet(pts, f"ut(kappa={kappa:g})"), weights)
+    return QuadratureRule(UnitPointSet(pts, f"ut(kappa={kappa:g})"), weights)
 
 
-def cubature_points(n: int) -> ClassicalRule:
+def cubature_points(n: int) -> QuadratureRule:
     """3rd-order spherical cubature rule: 2n points on the radius-sqrt(n)
     sphere, equal weights 1/(2n)."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     pts = _axis_points(n, np.sqrt(n))
-    return ClassicalRule(UnitPointSet(pts, "cubature"), np.full(2 * n, 1.0 / (2 * n)))
+    return QuadratureRule(UnitPointSet(pts, "cubature"), np.full(2 * n, 1.0 / (2 * n)))
 
 
-def symmetric5_points(n: int) -> ClassicalRule:
+def symmetric5_points(n: int) -> QuadratureRule:
     """Degree-5 symmetric rule: 2n^2+1 points.
 
     Generator structure {origin; +-sqrt(3) e_i; (+-sqrt(3), +-sqrt(3)) in
@@ -145,10 +159,10 @@ def symmetric5_points(n: int) -> ClassicalRule:
         np.full(axis.shape[0], w_class[1]),
         np.full(pair.shape[0], w_class[2]),
     ])
-    return ClassicalRule(UnitPointSet(pts, "symmetric5"), weights)
+    return QuadratureRule(UnitPointSet(pts, "symmetric5"), weights)
 
 
-def gauss_hermite_points(n: int, order: int) -> ClassicalRule:
+def gauss_hermite_points(n: int, order: int) -> QuadratureRule:
     """Gauss-Hermite tensor rule: P^n points, product weights."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
@@ -159,7 +173,7 @@ def gauss_hermite_points(n: int, order: int) -> ClassicalRule:
     roots, w1 = gh_roots_weights(order)
     pts = np.array(list(product(roots, repeat=n)))
     weights = np.prod(np.array(list(product(w1, repeat=n))), axis=1)
-    return ClassicalRule(UnitPointSet(pts, f"gauss-hermite(order={order})"), weights)
+    return QuadratureRule(UnitPointSet(pts, f"gauss-hermite(order={order})"), weights)
 
 
 def _primes(count: int) -> list[int]:

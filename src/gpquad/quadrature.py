@@ -1,4 +1,4 @@
-"""Gaussian process quadrature: weights, posterior variance, transform.
+"""Gaussian process quadrature: weights and posterior variance.
 
 A rule is built by conditioning a zero-mean GP with covariance K on
 function evaluations at unit sigma-points and integrating the posterior
@@ -13,23 +13,19 @@ variance's gradient in the points follows from the same solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .points import UnitPointSet
+from .points import QuadratureRule, UnitPointSet
 
 __all__ = [
     "QuadratureRule",
-    "TransformResult",
     "MatrixSqrtResult",
     "gpq_weights",
     "gpq_variance",
     "gpq_variance_and_gradient",
-    "apply_rule",
-    "gp_transform",
     "matrix_sqrt",
     "gp_regression_mean",
 ]
@@ -39,44 +35,6 @@ __all__ = [
 FLAT_INCREMENT_THRESHOLD = 0.1
 
 VARIANCE_CLAMP = 1e-9
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Unit sigma-points with integration weights.
-
-    ``posterior_variance`` is the GP-model variance of the integral
-    estimate (None for classical rules wrapped via ``from_classical``); it
-    is shared across output components since the kernel is.
-    """
-
-    points: UnitPointSet
-    weights: np.ndarray
-    jitter: float = 0.0
-    posterior_variance: float | None = None
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (self.points.count,):
-            raise ValueError("one weight per point required")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        if self.jitter < 0:
-            raise ValueError("jitter must be >= 0")
-        object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def from_classical(cls, rule) -> "QuadratureRule":
-        """Wrap a ClassicalRule (points + weights) unchanged."""
-        return cls(points=rule.points, weights=np.asarray(rule.weights, dtype=float))
-
-
-class TransformResult(NamedTuple):
-    """Moment-matched Gaussian approximation of y = g(x) + q."""
-
-    mean: np.ndarray        # (d,)
-    cov: np.ndarray         # (d, d), includes the additive noise covariance
-    cross_cov: np.ndarray   # (n, d), input-output cross covariance
 
 
 class MatrixSqrtResult(NamedTuple):
@@ -134,14 +92,31 @@ def _eigen_sqrt(matrix: np.ndarray, where: str) -> np.ndarray:
     return eigvecs @ np.diag(np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
 
 
+def _not_positive_definite(context: str, matrices: np.ndarray,
+                           advice: str = "") -> np.linalg.LinAlgError:
+    """The error for a matrix, or a stack (..., m, m), that failed Cholesky.
+
+    Names ``context``, the first member of the stack whose Cholesky fails
+    and that member's minimum eigenvalue, then ``advice``.
+    """
+    stack = matrices.reshape(-1, *matrices.shape[-2:])
+    for index, matrix in enumerate(stack):
+        try:
+            np.linalg.cholesky(matrix)
+        except np.linalg.LinAlgError:
+            break
+    return np.linalg.LinAlgError(
+        f"{context} not positive definite{_member(index, len(stack))} "
+        f"(min eigenvalue {np.linalg.eigvalsh(matrix).min():.3e}){advice}"
+    )
+
+
 def _cho_solve_spd(matrix: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
     try:
         factor = cho_factor(matrix, lower=True)
     except np.linalg.LinAlgError as exc:
-        eigmin = np.linalg.eigvalsh(matrix).min()
-        raise np.linalg.LinAlgError(
-            f"{context}: matrix numerically singular (min eigenvalue {eigmin:.3e}); "
-            "raise the jitter to regularize"
+        raise _not_positive_definite(
+            context, matrix, "; numerically singular, raise the jitter to regularize"
         ) from exc
     return cho_solve(factor, rhs)
 
@@ -260,61 +235,6 @@ def gpq_variance_and_gradient(kernel, points: UnitPointSet,
     w = system.weights
     gradient = 2.0 * w[:, None] * (np.einsum("ikd,k->id", d_gram, w) - d_embedding)
     return variance, gradient
-
-
-def _evaluate_at_sigma_points(g: Callable, sigma_pts: np.ndarray) -> np.ndarray:
-    values = []
-    for row in sigma_pts:
-        val = np.atleast_1d(np.asarray(g(row), dtype=float))
-        if not np.all(np.isfinite(val)):
-            raise ValueError(f"integrand returned non-finite value at sigma-point {row}")
-        values.append(val)
-    return np.array(values)
-
-
-def apply_rule(rule: QuadratureRule, g: Callable, mean, cov) -> np.ndarray:
-    """Approximate integral g(x) N(x | mean, cov) dx as sum W_i g(x_i)."""
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    root = matrix_sqrt(np.atleast_2d(np.asarray(cov, dtype=float))).factor
-    sigma_pts = mean[None, :] + rule.points.points @ root.T
-    values = _evaluate_at_sigma_points(g, sigma_pts)
-    return rule.weights @ values
-
-
-def gp_transform(rule: QuadratureRule, g: Callable, mean, cov,
-                 noise_cov) -> TransformResult:
-    """Moment-matched Gaussian approximation of y = g(x) + q.
-
-    x ~ N(mean, cov), q ~ N(0, noise_cov); returns the output mean, the
-    output covariance (noise included) and the input-output cross
-    covariance, each a weighted sigma-point sum.
-    """
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    root = matrix_sqrt(cov).factor
-    deviations = rule.points.points @ root.T
-    values = _evaluate_at_sigma_points(g, mean[None, :] + deviations)
-    noise_cov = np.atleast_2d(np.asarray(noise_cov, dtype=float))
-    moments = _match_moments(rule.weights, deviations[None], values[None], noise_cov)
-    return TransformResult(*(moment[0] for moment in moments))
-
-
-def _match_moments(weights, deviations, values, noise_cov) -> TransformResult:
-    """Weighted sigma-point moments over a batch of S input Gaussians.
-
-    ``deviations`` (S, N, n) are the sigma points minus their input mean,
-    ``values`` (S, N, d) the integrand at them; returns the output means
-    (S, d), covariances (S, d, d) with ``noise_cov`` added and
-    input-output cross covariances (S, n, d).  Shared by gp_transform and
-    the filtering steps.
-    """
-    out_mean = weights @ values
-    dev = values - out_mean[:, None, :]
-    weighted = weights[:, None] * dev
-    out_cov = weighted.transpose(0, 2, 1) @ dev + noise_cov
-    out_cov = 0.5 * (out_cov + out_cov.transpose(0, 2, 1))
-    cross = deviations.transpose(0, 2, 1) @ weighted
-    return TransformResult(out_mean, out_cov, cross)
 
 
 def gp_regression_mean(kernel, train_points, observations,

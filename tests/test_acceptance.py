@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gpquad.filtering import run_filter, run_smoother
+from gpquad.filtering import gp_transform, run_filter, run_smoother
 from gpquad.hermite import (
     enumerate_indices,
     gh_roots_weights,
@@ -32,7 +32,7 @@ from gpquad.points import (
     symmetric5_points,
     ut_points,
 )
-from gpquad.quadrature import QuadratureRule, gp_transform, gpq_variance, gpq_weights
+from gpquad.quadrature import gpq_variance, gpq_weights
 from gpquad.experiments import run_bot, run_moments, run_ungm
 
 from test_filtering import (
@@ -165,9 +165,9 @@ def test_criterion_5_linear_model_oracle_equivalence():
                                       model.prior.cov, ys)
         sm_means, sm_covs = rts_smoother_oracle(a, q, oracle)
         rules = {
-            "ut": QuadratureRule.from_classical(ut_points(2, 1.0)),
-            "cubature": QuadratureRule.from_classical(cubature_points(2)),
-            "gh3": QuadratureRule.from_classical(gauss_hermite_points(2, 3)),
+            "ut": ut_points(2, 1.0),
+            "cubature": cubature_points(2),
+            "gh3": gauss_hermite_points(2, 3),
             "gpq-se": gpq_weights(SquaredExponentialKernel(1.0, 1e3),
                                   ut_points(2, 2.0).points, jitter=0.0),
         }
@@ -306,11 +306,11 @@ def test_criterion_10_invariant_suites():
         g_mat = rng.normal(size=(2, 2))
         m = rng.normal(size=2)
         p = np.array([[1.3, 0.2], [0.2, 0.9]])
-        rule = QuadratureRule.from_classical(ut_points(2, 1.0))
-        direct = gp_transform(rule, lambda x: g_mat @ x + 0.5, m, p,
+        rule = ut_points(2, 1.0)
+        direct = gp_transform(rule, lambda x: x @ g_mat.T + 0.5, m, p,
                               0.1 * np.eye(2))
         a_inv = np.linalg.inv(a)
-        mapped = gp_transform(rule, lambda z: g_mat @ (a @ z) + 0.5,
+        mapped = gp_transform(rule, lambda z: z @ (g_mat @ a).T + 0.5,
                               a_inv @ m, a_inv @ p @ a_inv.T, 0.1 * np.eye(2))
         np.testing.assert_allclose(mapped.mean, direct.mean, atol=1e-9)
         np.testing.assert_allclose(mapped.cov, direct.cov, atol=1e-9)
@@ -319,7 +319,7 @@ def test_criterion_10_invariant_suites():
         from gpquad.models import simulate, ungm_model
 
         model = ungm_model()
-        rule = QuadratureRule.from_classical(ut_points(1, 2.0))
+        rule = ut_points(1, 2.0)
         trajectory = simulate(model, 150, seed=8)
         out = run_filter(model, rule, trajectory.measurements)
         for covs in (out.predicted_covs, out.filtered_covs):

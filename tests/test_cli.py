@@ -20,6 +20,7 @@ from gpquad.experiments import (
 from gpquad.filtering import GaussianState
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -283,6 +284,17 @@ class TestCliCommands:
         first = lines[1].split(",")
         assert float(first[2]) == pytest.approx(1 / 3)
 
+    def test_points_command_gives_unweighted_sets_uniform_weights(self, tmp_path, capsys):
+        config = write_config(tmp_path, {
+            "experiment": "points",
+            "dimension": 2,
+            "points": {"type": "hammersley", "count": 8},
+        })
+        assert main(["points", "--config", config]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0] == "xi1,xi2,weight"
+        assert [line.split(",")[2] for line in lines[1:]] == ["0.125"] * 8
+
     def test_weights_command_recovers_ut_weights(self, tmp_path, capsys):
         config = write_config(tmp_path, {
             "experiment": "weights",
@@ -325,6 +337,22 @@ class TestCliCommands:
         np.testing.assert_allclose(payload["mean"], [1.0, -2.0], atol=1e-12)
         np.testing.assert_allclose(payload["cov"],
                                    [[2.5, 0.0], [0.0, 1.5]], atol=1e-10)
+
+    def test_transform_command_defaults_for_a_scalar_function(self, tmp_path, capsys):
+        # y = 1 + |x|^2 under N(0, I) in 2-D: mean 3, variance 4, both exact
+        # for the GH-3 rule; with mean, cov and noise_cov left to default
+        config = write_config(tmp_path, {
+            "experiment": "transform",
+            "dimension": 2,
+            "method": {"name": "gh3", "points": {"type": "gauss-hermite", "order": 3},
+                       "kernel": "classical"},
+            "function": {"name": "radial-power", "exponent": 2},
+        })
+        assert main(["transform", "--config", config, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        np.testing.assert_allclose(payload["mean"], [3.0], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(payload["cov"], [[4.0]], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(payload["cross_cov"], [[0.0], [0.0]], rtol=0, atol=1e-13)
 
     def test_ungm_study_writes_csv_file(self, tmp_path):
         out_file = tmp_path / "report.csv"
@@ -382,3 +410,16 @@ class TestCliCommands:
                      "bot_smoke.json"):
             payload = json.loads((CONFIG_DIR / name).read_text())
             assert payload["methods"]
+
+
+class TestGoldenOutput:
+    """CSV output of the example and smoke configs, byte for byte."""
+
+    @pytest.mark.parametrize("name", ["points_example", "weights_example",
+                                      "transform_example", "ungm_smoke", "bot_smoke"])
+    def test_matches_golden_file(self, name, tmp_path):
+        config = CONFIG_DIR / f"{name}.json"
+        command = json.loads(config.read_text())["experiment"]
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / f"{name}.csv").read_bytes()

@@ -13,7 +13,7 @@ from gpquad.filtering import (
 from gpquad.kernels import SquaredExponentialKernel, make_gh_kernel, make_ut_kernel
 from gpquad.models import simulate, ungm_model
 from gpquad.points import cubature_points, gauss_hermite_points, symmetric5_points, ut_points
-from gpquad.quadrature import QuadratureRule, gpq_weights, matrix_sqrt
+from gpquad.quadrature import gpq_weights, matrix_sqrt
 
 
 # --- independent closed-form oracle -----------------------------------------
@@ -85,7 +85,7 @@ class TestPredict:
     def test_identity_no_noise(self):
         state = GaussianState(np.array([1.0, -0.5]),
                               np.array([[1.2, 0.1], [0.1, 0.9]]))
-        rule = QuadratureRule.from_classical(ut_points(2, 1.0))
+        rule = ut_points(2, 1.0)
         out = predict(state, rule, lambda x, k: x, np.zeros((2, 2)))
         np.testing.assert_allclose(out.mean, state.mean, atol=1e-10)
         np.testing.assert_allclose(out.cov, state.cov, atol=1e-10)
@@ -95,7 +95,7 @@ class TestPredict:
         a = rng.normal(size=(2, 2))
         q = np.array([[0.4, 0.0], [0.0, 0.2]])
         state = GaussianState(rng.normal(size=2), np.array([[1.5, 0.3], [0.3, 1.0]]))
-        rule = QuadratureRule.from_classical(ut_points(2, 1.0))
+        rule = ut_points(2, 1.0)
         out = predict(state, rule, lambda x, k: x @ a.T, q)
         np.testing.assert_allclose(out.mean, a @ state.mean, atol=1e-10)
         np.testing.assert_allclose(out.cov, a @ state.cov @ a.T + q, atol=1e-10)
@@ -103,7 +103,7 @@ class TestPredict:
     def test_square_through_gh3(self):
         # x ~ N(0,1): E[x^2] = 1, Var[x^2] = 2; GH-3 resolves the 4th moment
         state = GaussianState(np.zeros(1), np.eye(1))
-        rule = QuadratureRule.from_classical(gauss_hermite_points(1, 3))
+        rule = gauss_hermite_points(1, 3)
         out = predict(state, rule, lambda x, k: x**2, np.zeros((1, 1)))
         assert out.mean[0] == pytest.approx(1.0, abs=1e-12)
         assert out.cov[0, 0] == pytest.approx(2.0, abs=1e-12)
@@ -114,7 +114,7 @@ class TestUpdate:
         model, a, h, q, r = random_linear_model()
         pred = GaussianState(np.array([0.7, -0.3]),
                              np.array([[1.1, 0.2], [0.2, 0.8]]))
-        rule = QuadratureRule.from_classical(ut_points(2, 1.0))
+        rule = ut_points(2, 1.0)
         y = np.array([0.25])
         filtered, mu, s, c, gain = update(
             pred, rule, model.measurement, r, y)
@@ -129,7 +129,7 @@ class TestUpdate:
 
     def test_zero_innovation_keeps_mean(self):
         pred = GaussianState(np.array([2.0]), np.array([[3.0]]))
-        rule = QuadratureRule.from_classical(ut_points(1, 2.0))
+        rule = ut_points(1, 2.0)
         y_at_prediction = np.array([2.0])
         filtered, *_ = update(pred, rule, lambda x, k: x, np.eye(1),
                               y_at_prediction)
@@ -137,14 +137,14 @@ class TestUpdate:
 
     def test_huge_measurement_noise_ignores_observation(self):
         pred = GaussianState(np.array([2.0, 1.0]), np.eye(2))
-        rule = QuadratureRule.from_classical(ut_points(2, 1.0))
+        rule = ut_points(2, 1.0)
         filtered, *_ = update(pred, rule, lambda x, k: x[:, :1], 1e12 * np.eye(1),
                               np.array([500.0]))
         assert np.abs(filtered.mean - pred.mean).max() < 1e-6 * np.linalg.norm(pred.mean)
 
     def test_degenerate_innovation_raises(self):
         pred = GaussianState(np.zeros(1), np.eye(1))
-        rule = QuadratureRule.from_classical(ut_points(1, 2.0))
+        rule = ut_points(1, 2.0)
         with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
             update(pred, rule, lambda x, k: 0.0 * x, np.zeros((1, 1)),
                    np.array([0.0]))
@@ -153,15 +153,15 @@ class TestUpdate:
 class TestRunFilter:
     def test_empty_measurements(self):
         model, *_ = random_linear_model()
-        rule = QuadratureRule.from_classical(ut_points(2, 1.0))
+        rule = ut_points(2, 1.0)
         out = run_filter(model, rule, np.empty((0, 1)))
         assert len(out) == 0
 
     @pytest.mark.parametrize("make_rule", [
-        lambda n: QuadratureRule.from_classical(ut_points(n, 1.0)),
-        lambda n: QuadratureRule.from_classical(cubature_points(n)),
-        lambda n: QuadratureRule.from_classical(gauss_hermite_points(n, 3)),
-        lambda n: QuadratureRule.from_classical(symmetric5_points(n)),
+        lambda n: ut_points(n, 1.0),
+        lambda n: cubature_points(n),
+        lambda n: gauss_hermite_points(n, 3),
+        lambda n: symmetric5_points(n),
     ])
     def test_linear_model_matches_kalman_oracle(self, make_rule):
         model, a, h, q, r = random_linear_model()
@@ -177,7 +177,7 @@ class TestRunFilter:
 
     def test_output_covariances_well_formed(self):
         model = ungm_model()
-        rule = QuadratureRule.from_classical(ut_points(1, 2.0))
+        rule = ut_points(1, 2.0)
         trajectory = simulate(model, 100, seed=3)
         out = run_filter(model, rule, trajectory.measurements)
         for covs in (out.predicted_covs, out.filtered_covs):
@@ -190,7 +190,7 @@ class TestRunFilter:
     def test_ungm_regression_rmse(self):
         # self-regression baseline recorded at first build
         model = ungm_model()
-        rule = QuadratureRule.from_classical(ut_points(1, 2.0))
+        rule = ut_points(1, 2.0)
         trajectory = simulate(model, 200, seed=0)
         out = run_filter(model, rule, trajectory.measurements)
         rmse = float(np.sqrt(np.mean(
@@ -201,7 +201,7 @@ class TestRunFilter:
 class TestRuleEquivalenceInFilter:
     def test_classical_ut_equals_gpq_ut_kernel(self):
         model = ungm_model()
-        classical = QuadratureRule.from_classical(ut_points(1, 2.0))
+        classical = ut_points(1, 2.0)
         gpq = gpq_weights(make_ut_kernel(1, 3), ut_points(1, 2.0).points, 0.0)
         trajectory = simulate(model, 60, seed=11)
         out_a = run_filter(model, classical, trajectory.measurements)
@@ -213,9 +213,8 @@ class TestRuleEquivalenceInFilter:
 
     def test_classical_gh_equals_gpq_gh_kernel(self):
         model = ungm_model()
-        classical_rule = gauss_hermite_points(1, 3)
-        classical = QuadratureRule.from_classical(classical_rule)
-        gpq = gpq_weights(make_gh_kernel(1, 3), classical_rule.points, 0.0)
+        classical = gauss_hermite_points(1, 3)
+        gpq = gpq_weights(make_gh_kernel(1, 3), classical.points, 0.0)
         trajectory = simulate(model, 60, seed=13)
         out_a = run_filter(model, classical, trajectory.measurements)
         out_b = run_filter(model, gpq, trajectory.measurements)
@@ -229,7 +228,7 @@ class TestRunSmoother:
     def test_last_step_equals_filter(self):
         model, a, h, q, r = random_linear_model()
         ys = simulate_linear(a, h, q, r, model.prior, steps=20, seed=5)
-        rule = QuadratureRule.from_classical(ut_points(2, 1.0))
+        rule = ut_points(2, 1.0)
         out = run_filter(model, rule, ys)
         means, covs = run_smoother(model, rule, out)
         np.testing.assert_array_equal(means[-1], out.filtered_means[-1])
@@ -238,7 +237,7 @@ class TestRunSmoother:
     def test_linear_model_matches_rts_oracle(self):
         model, a, h, q, r = random_linear_model()
         ys = simulate_linear(a, h, q, r, model.prior, steps=50, seed=9)
-        rule = QuadratureRule.from_classical(ut_points(2, 1.0))
+        rule = ut_points(2, 1.0)
         out = run_filter(model, rule, ys)
         means, covs = run_smoother(model, rule, out)
         oracle = kalman_filter_oracle(a, h, q, r, model.prior.mean,
@@ -261,7 +260,7 @@ class TestRunSmoother:
         )
         rng = np.random.default_rng(1)
         ys = (0.7 + rng.normal(size=(15, 1)))
-        rule = QuadratureRule.from_classical(ut_points(1, 2.0))
+        rule = ut_points(1, 2.0)
         out = run_filter(model, rule, ys)
         _, covs = run_smoother(model, rule, out)
         for k in range(15):
@@ -269,7 +268,7 @@ class TestRunSmoother:
 
     def test_smoothing_reduces_ungm_rmse_on_average(self):
         model = ungm_model()
-        rule = QuadratureRule.from_classical(ut_points(1, 2.0))
+        rule = ut_points(1, 2.0)
         filter_rmses, smoother_rmses = [], []
         for seed in range(20):
             trajectory = simulate(model, 200, seed=seed)
@@ -303,7 +302,7 @@ class TestBatchedRecursion:
         model, a, h, q, r = random_linear_model()
         ys = np.stack([simulate_linear(a, h, q, r, model.prior, steps=40, seed=s)
                        for s in range(5)])
-        rule = QuadratureRule.from_classical(cubature_points(2))
+        rule = cubature_points(2)
         out = run_filter(model, rule, ys)
         means, covs = run_smoother(model, rule, out)
         assert len(out) == 40
@@ -326,7 +325,7 @@ class TestBatchedRecursion:
         # OpenBLAS; the bound leaves room for a BLAS that sums in another
         # order, which the model's chaos amplifies to ~1e-8 over 200 steps
         model = ungm_model()
-        rule = QuadratureRule.from_classical(gauss_hermite_points(1, 7))
+        rule = gauss_hermite_points(1, 7)
         ys = np.stack([simulate(model, 200, seed=s).measurements for s in range(4)])
         out = run_filter(model, rule, ys)
         means, covs = run_smoother(model, rule, out)
@@ -354,7 +353,7 @@ class TestBatchedRecursion:
             state_dim=1,
             measurement_dim=1,
         )
-        rule = QuadratureRule.from_classical(ut_points(1, -0.5))
+        rule = ut_points(1, -0.5)
         healthy = np.array([[[3.0]], [[5.0]]])
         run_filter(model, rule, healthy)
         with pytest.raises(ValueError, match="time index 2: matrix is not PSD "
@@ -382,7 +381,7 @@ class TestBatchedRecursion:
                             counted("matrix_sqrt", filtering.matrix_sqrt))
         ys = np.stack([simulate_linear(a, h, q, r, model.prior, steps=12, seed=s)
                        for s in range(3)])
-        rule = QuadratureRule.from_classical(ut_points(2, 1.0))
+        rule = ut_points(2, 1.0)
         out = run_filter(model, rule, ys)
         # one call per step for the whole batch
         assert calls == {"transition": 12, "measurement": 12, "matrix_sqrt": 24}
@@ -404,6 +403,28 @@ class TestBatchedRecursion:
         stack[1, 0, 1] = 0.5
         with pytest.raises(ValueError, match="asymmetric .* for batch member 1"):
             matrix_sqrt(stack)
+
+    def test_innovation_failure_names_member_and_min_eigenvalue(self):
+        rule = ut_points(1, 2.0)
+        covs = np.array([[[1.0]], [[0.0]]])
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"^innovation covariance at step 3 not positive definite "
+                                 r"for batch member 1 \(min eigenvalue 0\.000e\+00\)$"):
+            filtering._update(rule, np.zeros((2, 1)), covs, lambda x, k: x,
+                              np.zeros((1, 1)), np.zeros((2, 1)), 3)
+
+
+class TestNoiseCovariances:
+    def test_constant_matrix_is_read_and_callable_is_called(self):
+        model, *_ = random_linear_model()
+        timed = AdditiveStateSpaceModel(
+            transition=model.transition, measurement=model.measurement,
+            process_cov=lambda k: k * np.eye(2), measurement_cov=lambda k: float(k),
+            prior=model.prior, state_dim=2, measurement_dim=1)
+        np.testing.assert_array_equal(model.q_cov(4), 0.1 * np.eye(2))
+        np.testing.assert_array_equal(model.r_cov(4), [[0.1]])
+        np.testing.assert_array_equal(timed.q_cov(3), 3 * np.eye(2))
+        np.testing.assert_array_equal(timed.r_cov(5), [[5.0]])
 
 
 class TestGaussianStateValidation:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import erf, ndtri
 
+import gpquad
 from gpquad import quadrature
 from gpquad.hermite import enumerate_indices
 from gpquad.kernels import (
@@ -14,6 +15,7 @@ from gpquad.kernels import (
 )
 from gpquad.points import (
     OptimizerSettings,
+    QuadratureRule,
     UnitPointSet,
     cubature_points,
     gauss_hermite_points,
@@ -361,6 +363,24 @@ class TestVarianceGradient:
         pts = UnitPointSet(np.array([[0.5], [0.5], [1.0]]), "repeated")
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
             gpq_variance_and_gradient(SquaredExponentialKernel(1.0, 1.0), pts)
+
+
+class TestClassicalGenerators:
+    @pytest.mark.parametrize("make", [
+        lambda: ut_points(3, 2.0),
+        lambda: cubature_points(3),
+        lambda: symmetric5_points(3),
+        lambda: gauss_hermite_points(3, 3),
+    ])
+    def test_return_rules_without_posterior_variance(self, make):
+        rule = make()
+        assert isinstance(rule, QuadratureRule)
+        assert rule.posterior_variance is None
+        assert rule.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_one_rule_type_everywhere(self):
+        assert quadrature.QuadratureRule is QuadratureRule
+        assert gpquad.QuadratureRule is QuadratureRule
 
 
 class TestUnitPointSetValidation:

@@ -9,11 +9,9 @@ from gpquad.points import (
     gauss_hermite_points,
     ut_points,
 )
+from gpquad.filtering import gp_transform
 from gpquad.quadrature import (
-    QuadratureRule,
-    apply_rule,
     gp_regression_mean,
-    gp_transform,
     gpq_variance,
     gpq_weights,
     matrix_sqrt,
@@ -60,6 +58,13 @@ class TestGpqWeights:
             gpq_weights(make_ut_kernel(1, 3), pts, jitter=0.0)
         rule = gpq_weights(make_ut_kernel(1, 3), pts, jitter=1e-8)
         assert np.all(np.isfinite(rule.weights))
+
+    def test_singular_gram_names_the_minimum_eigenvalue(self):
+        pts = UnitPointSet(np.zeros((2, 1)), "coincident")
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"^quadrature weight system not positive definite "
+                                 r"\(min eigenvalue .*\); numerically singular"):
+            gpq_weights(make_ut_kernel(1, 3), pts, jitter=0.0)
 
     def test_flat_path_matches_high_precision_oracle(self):
         import mpmath as mp
@@ -117,63 +122,87 @@ class TestGpqVariance:
 
 
 class TestApplyRule:
+    """A rule applied to an integrand: the mean of its transform."""
+
     def test_identity_returns_mean(self):
-        rule = QuadratureRule.from_classical(ut_points(2, 1.0))
+        rule = ut_points(2, 1.0)
         m = np.array([1.5, -2.0])
         p = np.array([[2.0, 0.3], [0.3, 1.0]])
-        np.testing.assert_allclose(apply_rule(rule, lambda x: x, m, p), m,
+        np.testing.assert_allclose(gp_transform(rule, lambda x: x, m, p, 0.0).mean, m,
                                    atol=1e-12)
 
     def test_square_unit_gaussian(self):
-        rule = QuadratureRule.from_classical(ut_points(1, 2.0))
-        got = apply_rule(rule, lambda x: x**2, np.zeros(1), np.eye(1))
+        rule = ut_points(1, 2.0)
+        got = gp_transform(rule, lambda x: x**2, np.zeros(1), np.eye(1), 0.0).mean
         assert got[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_odd_symmetry(self):
-        rule = QuadratureRule.from_classical(cubature_points(2))
-        got = apply_rule(rule, lambda x: np.array([x[0] * x[1]]),
-                         np.zeros(2), np.eye(2))
+        rule = cubature_points(2)
+        got = gp_transform(rule, lambda x: x[:, 0] * x[:, 1], np.zeros(2), np.eye(2),
+                           0.0).mean
         assert got[0] == pytest.approx(0.0, abs=1e-13)
 
     def test_non_finite_integrand_reports_point(self):
-        rule = QuadratureRule.from_classical(ut_points(1, 2.0))
-        with np.errstate(divide="ignore"), pytest.raises(ValueError, match="sigma-point"):
-            apply_rule(rule, lambda x: np.log(x), np.zeros(1), np.eye(1))
+        rule = ut_points(1, 2.0)
+        with np.errstate(divide="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="sigma-point"):
+            gp_transform(rule, lambda x: np.log(x), np.zeros(1), np.eye(1), 0.0)
 
 
 class TestGpTransform:
+    def test_calls_integrand_once_on_the_batch(self):
+        rule = gauss_hermite_points(2, 3)
+        shapes = []
+
+        def g(x):
+            shapes.append(np.shape(x))
+            return x
+
+        gp_transform(rule, g, np.ones(2), np.eye(2), np.zeros((2, 2)))
+        assert shapes == [(9, 2)]
+
+    def test_vector_of_values_is_one_output(self):
+        # UT with n + kappa = 3: E[x1^2] = 1 and Var[x1^2] = 2 exactly
+        rule = ut_points(2, 1.0)
+        res = gp_transform(rule, lambda x: x[:, 0] ** 2, np.zeros(2), np.eye(2),
+                           0.5 * np.eye(1))
+        assert (res.mean.shape, res.cov.shape, res.cross_cov.shape) == ((1,), (1, 1), (2, 1))
+        assert res.mean[0] == pytest.approx(1.0, abs=1e-12)
+        assert res.cov[0, 0] == pytest.approx(2.5, abs=1e-12)
+        np.testing.assert_allclose(res.cross_cov, 0.0, atol=1e-12)
+
     def test_affine_exactness(self):
         rng = np.random.default_rng(5)
         a = rng.normal(size=(2, 2))
         b = rng.normal(size=2)
         m = rng.normal(size=2)
         p = np.array([[1.5, 0.2], [0.2, 0.8]])
-        rule = QuadratureRule.from_classical(ut_points(2, 1.0))
-        res = gp_transform(rule, lambda x: a @ x + b, m, p, np.zeros((2, 2)))
+        rule = ut_points(2, 1.0)
+        res = gp_transform(rule, lambda x: x @ a.T + b, m, p, np.zeros((2, 2)))
         np.testing.assert_allclose(res.mean, a @ m + b, atol=1e-10)
         np.testing.assert_allclose(res.cov, a @ p @ a.T, atol=1e-10)
         np.testing.assert_allclose(res.cross_cov, p @ a.T, atol=1e-10)
 
     def test_square_through_cubature(self):
-        rule = QuadratureRule.from_classical(cubature_points(1))
+        rule = cubature_points(1)
         res = gp_transform(rule, lambda x: x**2, np.zeros(1), np.eye(1),
                            np.zeros((1, 1)))
         assert res.mean[0] == pytest.approx(1.0, abs=1e-13)
         assert res.cross_cov[0, 0] == pytest.approx(0.0, abs=1e-13)
 
     def test_constant_function(self):
-        rule = QuadratureRule.from_classical(ut_points(2, 1.0))
+        rule = ut_points(2, 1.0)
         noise = np.array([[0.7]])
-        res = gp_transform(rule, lambda x: np.array([4.2]), np.zeros(2),
+        res = gp_transform(rule, lambda x: np.full(len(x), 4.2), np.zeros(2),
                            np.eye(2), noise)
         assert res.mean[0] == pytest.approx(4.2)
         np.testing.assert_allclose(res.cov, noise, atol=1e-14)
         np.testing.assert_allclose(res.cross_cov, 0.0, atol=1e-14)
 
     def test_output_cov_dominates_noise_for_nonneg_weights(self):
-        rule = QuadratureRule.from_classical(gauss_hermite_points(2, 3))
+        rule = gauss_hermite_points(2, 3)
         noise = 0.3 * np.eye(1)
-        res = gp_transform(rule, lambda x: np.array([np.sin(x[0]) + x[1] ** 2]),
+        res = gp_transform(rule, lambda x: np.sin(x[:, 0]) + x[:, 1] ** 2,
                            np.zeros(2), np.eye(2), noise)
         eigs = np.linalg.eigvalsh(res.cov - noise)
         assert eigs.min() >= -1e-9
@@ -187,14 +216,14 @@ class TestGpTransform:
         m = rng.normal(size=2)
         p = np.array([[1.2, 0.4], [0.4, 2.0]])
         q = 0.1 * np.eye(2)
-        rule = QuadratureRule.from_classical(ut_points(2, 1.0))
+        rule = ut_points(2, 1.0)
 
         def g(x):
-            return g_mat @ x + 1.0
+            return x @ g_mat.T + 1.0
 
         direct = gp_transform(rule, g, m, p, q)
         a_inv = np.linalg.inv(a)
-        mapped = gp_transform(rule, lambda z: g(a @ z + b),
+        mapped = gp_transform(rule, lambda z: g(z @ a.T + b),
                               a_inv @ (m - b), a_inv @ p @ a_inv.T, q)
         np.testing.assert_allclose(mapped.mean, direct.mean, atol=1e-9)
         np.testing.assert_allclose(mapped.cov, direct.cov, atol=1e-9)
@@ -206,14 +235,14 @@ class TestGpTransform:
         a = rng.normal(size=(2, 2)) + 2 * np.eye(2)
         m = rng.normal(size=2)
         p = np.array([[1.0, -0.2], [-0.2, 0.6]])
-        rule = QuadratureRule.from_classical(gauss_hermite_points(2, 3))
+        rule = gauss_hermite_points(2, 3)
 
         def g(x):
-            return np.array([x[0] ** 2 - x[1], x[0] * x[1]])
+            return np.column_stack([x[:, 0] ** 2 - x[:, 1], x[:, 0] * x[:, 1]])
 
         direct = gp_transform(rule, g, m, p, np.zeros((2, 2)))
         a_inv = np.linalg.inv(a)
-        mapped = gp_transform(rule, lambda z: g(a @ z),
+        mapped = gp_transform(rule, lambda z: g(z @ a.T),
                               a_inv @ m, a_inv @ p @ a_inv.T, np.zeros((2, 2)))
         np.testing.assert_allclose(mapped.mean, direct.mean, atol=1e-9)
         np.testing.assert_allclose(mapped.cov, direct.cov, atol=1e-9)
