@@ -136,7 +136,9 @@ def _point_count(spec, n: int, context: str) -> int:
 
 def resolve_point_spec(spec: dict, n: int) -> QuadratureRule:
     """Build a rule from its JSON spec; a generator without classical
-    weights gets uniform 1/N ones (plain (quasi) Monte Carlo)."""
+    weights gets uniform 1/N ones (plain (quasi) Monte Carlo).  A ``csv``
+    file holds one column per dimension under a header line, optionally
+    followed by a ``weight`` column whose values become the weights."""
     context = f"point spec {spec!r}"
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError(f"{context}: expected an object with a 'type' field")
@@ -168,11 +170,18 @@ def resolve_point_spec(spec: dict, n: int) -> QuadratureRule:
         path = Path(_require(spec, "path", context))
         if not path.exists():
             raise ConfigError(f"{context}: no such file {path}")
-        pts = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        if pts.shape[1] != n:
-            raise ConfigError(f"{context}: {path} has {pts.shape[1]} columns, "
-                              f"expected one per dimension ({n})")
-        points = UnitPointSet(pts, f"csv({path.name})")
+        with path.open() as handle:
+            last_column = handle.readline().strip().split(",")[-1]
+            table = np.loadtxt(handle, delimiter=",", ndmin=2)
+        # what `gpq points` writes: the points, then the rule's weights
+        weighted = table.shape[1] == n + 1 and last_column == "weight"
+        if table.shape[1] != n and not weighted:
+            raise ConfigError(f"{context}: {path} has {table.shape[1]} columns, "
+                              f"expected one per dimension ({n}), "
+                              "optionally followed by 'weight'")
+        points = UnitPointSet(table[:, :n], f"csv({path.name})")
+        if weighted:
+            return QuadratureRule(points, table[:, n])
     else:
         raise ConfigError(f"{context}: unknown point set type '{kind}'")
     return QuadratureRule(points, np.full(points.count, 1.0 / points.count))

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .quadrature import QuadratureRule, _member, _not_positive_definite, matrix_sqrt
+from .quadrature import QuadratureRule, _member, _spd_solve, matrix_sqrt
 
 __all__ = [
     "GaussianState",
@@ -119,14 +119,10 @@ def _map_arrays(out: FilterOutput, fn) -> FilterOutput:
 
 
 def _gain(cross: np.ndarray, cov: np.ndarray, context: str) -> np.ndarray:
-    """K = C cov^{-1} over a batch (S, n, m), (S, m, m), after a Cholesky
-    check that every cov is positive definite; a failure raises with
-    ``context``, the batch member and its minimum eigenvalue."""
-    try:
-        np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise _not_positive_definite(context, cov) from exc
-    return np.linalg.solve(cov, cross.transpose(0, 2, 1)).transpose(0, 2, 1)
+    """K = C cov^{-1} over a batch (S, n, m), (S, m, m); a cov that is not
+    positive definite raises with ``context``, the batch member and its
+    minimum eigenvalue."""
+    return _spd_solve(cov, cross.transpose(0, 2, 1), context).transpose(0, 2, 1)
 
 
 class TransformResult(NamedTuple):

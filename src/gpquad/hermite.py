@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "MultiIndex",
@@ -182,9 +181,9 @@ def gh_roots_weights(order: int) -> tuple[np.ndarray, np.ndarray]:
     """One-dimensional Gauss-Hermite rule for the N(0, 1) weight.
 
     Roots are the zeros of He_P, computed as eigenvalues of the symmetric
-    tridiagonal Jacobi matrix (Golub-Welsch); weights come from the first
-    components of its eigenvectors and sum to one.  Stable for orders up
-    to ``MAX_GH_ORDER``.
+    tridiagonal Jacobi matrix (Golub-Welsch), held as a dense P x P
+    matrix; weights come from the first components of its eigenvectors
+    and sum to one.  Stable for orders up to ``MAX_GH_ORDER``.
 
     Returns
     -------
@@ -199,7 +198,7 @@ def gh_roots_weights(order: int) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(1), np.ones(1)
     # He_{p+1} = x He_p - p He_{p-1}  ->  Jacobi diag 0, off-diag sqrt(k)
     off = np.sqrt(np.arange(1, order, dtype=float))
-    roots, vecs = eigh_tridiagonal(np.zeros(order), off)
+    roots, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     weights = vecs[0, :] ** 2
     # enforce the exact +/- symmetry of the rule
     roots = 0.5 * (roots - roots[::-1])

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
-from scipy.special import ndtri
 
 from .hermite import gh_roots_weights
 
@@ -206,6 +205,8 @@ def hammersley_points(n: int, count: int) -> UnitPointSet:
     radical-inverse coordinates) is clamped to 1e-12 so every mapped point
     stays finite.
     """
+    from scipy.special import ndtri  # deferred: keeps scipy off the import path
+
     if n < 1 or count < 1:
         raise ValueError("need n >= 1 and count >= 1")
     cube = np.empty((count, n))

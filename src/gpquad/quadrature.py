@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .points import QuadratureRule, UnitPointSet
 
@@ -111,14 +110,22 @@ def _not_positive_definite(context: str, matrices: np.ndarray,
     )
 
 
-def _cho_solve_spd(matrix: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
+def _spd_solve(matrices: np.ndarray, rhs: np.ndarray, context: str,
+               advice: str = "") -> np.ndarray:
+    """Solve ``matrices @ x = rhs`` for one SPD matrix or a stack (..., m, m).
+
+    A batched Cholesky checks that every matrix is positive definite; a
+    failure raises ``_not_positive_definite(context, matrices, advice)``.
+    The solve itself is ``np.linalg.solve``.
+    """
     try:
-        factor = cho_factor(matrix, lower=True)
+        np.linalg.cholesky(matrices)
     except np.linalg.LinAlgError as exc:
-        raise _not_positive_definite(
-            context, matrix, "; numerically singular, raise the jitter to regularize"
-        ) from exc
-    return cho_solve(factor, rhs)
+        raise _not_positive_definite(context, matrices, advice) from exc
+    return np.linalg.solve(matrices, rhs)
+
+
+_SINGULAR_ADVICE = "; numerically singular, raise the jitter to regularize"
 
 
 def _flat_deflated_solve(gram_inc, emb_scale, emb_inc, output_scale2):
@@ -127,8 +134,8 @@ def _flat_deflated_solve(gram_inc, emb_scale, emb_inc, output_scale2):
     J = 11^T swamps E by up to sixteen decades when the kernel is almost
     flat; splitting W over span{1} and its orthogonal complement keeps the
     meaningful part of the system at the scale of E, which arrives with
-    full relative precision.  The reduced Schur block is SPD and solved by
-    Cholesky.  Returns (weights, q) with q the mean embedding.
+    full relative precision.  The reduced Schur block is SPD and solved
+    by ``_spd_solve``.  Returns (weights, q) with q the mean embedding.
     """
     n_pts = gram_inc.shape[0]
     # Householder basis: column 0 is 1/sqrt(N), the rest span its complement
@@ -147,8 +154,8 @@ def _flat_deflated_solve(gram_inc, emb_scale, emb_inc, output_scale2):
     rhs_scale = emb_scale  # the s^2 factor cancels between K and q
     b_u = rhs_scale * (np.sqrt(n_pts) + u @ emb_inc)
     b_c = rhs_scale * (complement.T @ emb_inc)
-    beta = _cho_solve_spd(schur, b_c - coupling * (b_u / pivot),
-                          "deflated weight system")
+    beta = _spd_solve(schur, b_c - coupling * (b_u / pivot),
+                      "deflated weight system", _SINGULAR_ADVICE)
     alpha = (b_u - coupling @ beta) / pivot
     weights = u * alpha + complement @ beta
     q = output_scale2 * rhs_scale * (1.0 + emb_inc)
@@ -157,7 +164,10 @@ def _flat_deflated_solve(gram_inc, emb_scale, emb_inc, output_scale2):
 
 class _WeightSystem(NamedTuple):
     weights: np.ndarray     # (N,) solution of (K + jitter I) W = q
-    gram: np.ndarray        # (N, N) kernel Gram matrix K, without the jitter
+    # (N, N) K + jitter I; the kernel derivatives see the same values as
+    # from K alone, since the SE ones scale the diagonal by x_i - x_i = 0
+    # and the Hermite ones never read it
+    gram: np.ndarray
     embedding: np.ndarray   # (N,) kernel mean embedding q
 
     @property
@@ -177,9 +187,9 @@ def _solve_weight_system(kernel, points: UnitPointSet, jitter: float) -> _Weight
                 weights, q = _flat_deflated_solve(gram_inc, emb_scale, emb_inc, s2)
                 return _WeightSystem(weights, s2 * (1.0 + gram_inc), q)
     gram = kernel.gram(pts)
-    system = gram + jitter * np.eye(points.count) if jitter > 0.0 else gram
+    gram[np.diag_indices_from(gram)] += jitter  # in place: no N x N temporaries
     q = kernel.mean_embedding(pts)
-    weights = _cho_solve_spd(system, q, "quadrature weight system")
+    weights = _spd_solve(gram, q, "quadrature weight system", _SINGULAR_ADVICE)
     return _WeightSystem(weights, gram, q)
 
 
@@ -196,10 +206,10 @@ def _clamped_variance(kernel, points: UnitPointSet, q_dot_w: float) -> float:
 def gpq_weights(kernel, points: UnitPointSet, jitter: float = 0.0) -> QuadratureRule:
     """Build the quadrature rule for a kernel over a unit point set.
 
-    Solves (K + jitter I) W = q by symmetric positive-definite
-    factorization; the posterior variance is computed once and cached on
-    the rule.  A singular system at zero jitter raises with the offending
-    conditioning rather than regularizing silently.
+    Solves (K + jitter I) W = q after a Cholesky check that the system is
+    positive definite; the posterior variance is computed once and cached
+    on the rule.  A singular system at zero jitter raises with the
+    offending conditioning rather than regularizing silently.
     """
     system = _solve_weight_system(kernel, points, jitter)
     return QuadratureRule(
@@ -245,8 +255,7 @@ def gp_regression_mean(kernel, train_points, observations,
     if obs.shape != (train.shape[0],):
         raise ValueError("one observation per training point required")
     gram = kernel.gram(train)
-    if jitter > 0.0:
-        gram = gram + jitter * np.eye(train.shape[0])
-    coeffs = _cho_solve_spd(gram, obs, "regression system")
+    gram[np.diag_indices_from(gram)] += jitter
+    coeffs = _spd_solve(gram, obs, "regression system", _SINGULAR_ADVICE)
     cross = kernel.eval(np.atleast_2d(np.asarray(query, dtype=float)), train)
     return float((cross @ coeffs)[0])

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from gpquad.cli import main
 from gpquad.experiments import (
+    FLOAT_FORMAT,
     ConfigError,
     build_rule,
     kl_gauss,
@@ -253,7 +254,38 @@ class TestBuildRule:
 
     def test_csv_points_column_count_must_match_dimension(self, tmp_path):
         path = tmp_path / "pts.csv"
-        path.write_text("xi1,xi2,weight\n0.5,-1.0,0.5\n1.5,2.0,0.5\n")
+        path.write_text("xi1,xi2,xi3\n0.5,-1.0,0.5\n1.5,2.0,0.5\n")
+        with pytest.raises(ConfigError, match="3 columns"):
+            build_rule({"name": "fromfile", "points": {"type": "csv", "path": str(path)},
+                        "kernel": "classical"}, n=2)
+
+    @pytest.mark.parametrize("spec", [
+        {"type": "hammersley", "count": 7},
+        {"type": "ut", "kappa": 1.0},
+    ], ids=["hammersley", "ut"])
+    def test_csv_points_read_back_what_points_writes(self, tmp_path, spec):
+        config = write_config(tmp_path, {"experiment": "points", "dimension": 2,
+                                         "points": spec})
+        path = tmp_path / "pts.csv"
+        assert main(["points", "--config", config, "--out", str(path)]) == 0
+
+        def digits(values):  # 12 significant digits, as the CSV holds them
+            return [FLOAT_FORMAT % v for v in np.ravel(values)]
+
+        from_file = {"type": "csv", "path": str(path)}
+        written = build_rule({"name": "gen", "points": spec, "kernel": "classical"}, n=2)
+        read = build_rule({"name": "file", "points": from_file, "kernel": "classical"}, n=2)
+        assert digits(read.points.points) == digits(written.points.points)
+        assert digits(read.weights) == digits(written.weights)
+        # a kernel spec ignores the file's weights and solves for its own
+        se = {"kernel": {"type": "se"}, "jitter": 1e-8}
+        np.testing.assert_allclose(
+            build_rule({"name": "file", "points": from_file, **se}, n=2).weights,
+            build_rule({"name": "gen", "points": spec, **se}, n=2).weights, rtol=1e-6)
+
+    def test_csv_weight_column_needs_its_header(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("xi1,xi2,w\n0.5,-1.0,0.5\n1.5,2.0,0.5\n")
         with pytest.raises(ConfigError, match="3 columns"):
             build_rule({"name": "fromfile", "points": {"type": "csv", "path": str(path)},
                         "kernel": "classical"}, n=2)
@@ -404,6 +436,16 @@ class TestCliCommands:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "xi1,weight"
+
+    def test_import_loads_no_scipy(self):
+        # scipy is imported only inside hammersley_points and optimize_points
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, gpquad, gpquad.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_shipped_configs_parse(self):
         for name in ("ungm.json", "moments.json", "bot.json", "ungm_smoke.json",

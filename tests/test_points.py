@@ -352,10 +352,18 @@ class TestVarianceGradient:
         np.testing.assert_allclose(grad, fd, atol=1e-3 * np.abs(grad).max())
 
     def test_zero_variance_has_zero_gradient(self):
-        # the 2-D unscented set resolves the degree-3 Hermite kernel exactly;
-        # at kappa = 3 its variance rounds to -4e-16 and is clamped
+        # the 2-D unscented set resolves the degree-3 Hermite kernel exactly,
+        # so its variance is 0 up to rounding of either sign; lowering the
+        # double integral by 1e-12 puts it near -1e-12, inside the clamp
+        class LoweredKernel(HermitePolynomialKernel):
+            def double_integral(self, n=None):
+                return super().double_integral(n) - 1e-12
+
+        kernel = LoweredKernel(make_ut_kernel(2, 3).index_set)
         pts = ut_points(2, 3.0).points
-        variance, grad = gpq_variance_and_gradient(make_ut_kernel(2, 3), pts)
+        raw = kernel.double_integral(2) - quadrature._solve_weight_system(kernel, pts, 0.0).q_dot_w
+        assert -1e-9 < raw < -1e-13
+        variance, grad = gpq_variance_and_gradient(kernel, pts)
         assert variance == 0.0
         assert np.array_equal(grad, np.zeros((5, 2)))
 

@@ -309,6 +309,12 @@ class TestGpRegressionMean:
                                  np.array([0.37]))
         assert got == 0.0
 
+    def test_jitter_is_added_to_the_gram_diagonal(self):
+        # one training point: k(x, x) o / (k(x, x) + jitter) = 1 / (1 + 1)
+        got = gp_regression_mean(self.kernel, np.zeros((1, 1)), np.ones(1), 1.0,
+                                 np.zeros(1))
+        assert got == 0.5
+
     def test_integral_of_posterior_mean_equals_weighted_sum(self):
         from gpquad.hermite import gh_roots_weights
 
