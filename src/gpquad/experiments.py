@@ -7,7 +7,7 @@ optimized and CSV sets); ``"classical"`` keeps them, a kernel spec
 solves for GP-quadrature weights on the same points.  The studies are
 
 * ``run_moments`` -- KL divergence of each method's (mean, variance)
-  estimate of the radial integrands against a seeded Monte Carlo truth;
+  estimate of the radial integrands against their exact moments;
 * ``run_ungm``    -- filter/smoother RMSE over seeded trajectories of the
   univariate growth model;
 * ``run_bot``     -- position RMSE on the bearings-only tracking model.
@@ -41,7 +41,7 @@ from .points import (
     ut_points,
     OptimizerSettings,
 )
-from .quadrature import gpq_weights
+from .quadrature import _not_positive_definite, gpq_weights
 
 __all__ = [
     "ConfigError",
@@ -99,20 +99,22 @@ class Report:
 
 def kl_gauss(p: GaussianState, q: GaussianState) -> float:
     """KL(p || q) between Gaussians, 0.5 [tr(Sq^-1 Sp) + dm^T Sq^-1 dm
-    - n + ln det Sq / det Sp]; both covariances must be PD."""
+    - n + ln det Sq / det Sp]; both covariances must be PD, and the error
+    for one that is not names batch member 0 for p, 1 for q."""
     n = p.dimension
     if q.dimension != n:
         raise ValueError("dimension mismatch")
+    covs = np.stack([p.cov, q.cov])
     try:
-        chol_q = np.linalg.cholesky(q.cov)
-        chol_p = np.linalg.cholesky(p.cov)
+        chol = np.linalg.cholesky(covs)
     except np.linalg.LinAlgError as exc:
-        raise ValueError("KL divergence requires positive definite covariances") from exc
-    solved = np.linalg.solve(q.cov, p.cov)
+        raise _not_positive_definite("KL divergence covariance", covs) from exc
     dm = q.mean - p.mean
-    maha = dm @ np.linalg.solve(q.cov, dm)
-    logdet = 2.0 * (np.log(np.diag(chol_q)).sum() - np.log(np.diag(chol_p)).sum())
-    return float(0.5 * (np.trace(solved) + maha - n + logdet))
+    solved = np.linalg.solve(q.cov, np.column_stack([p.cov, dm]))
+    maha = dm @ solved[:, n]
+    logdet_p, logdet_q = np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    logdet = 2.0 * (logdet_q - logdet_p)
+    return float(0.5 * (np.trace(solved[:, :n]) + maha - n + logdet))
 
 
 # ---------------------------------------------------------------------------
@@ -242,37 +244,25 @@ def _validated_seeds(config) -> list[int]:
 
 def moments_ground_truth(n: int, exponent: int, samples: int, seed: int,
                          cache_dir: Path | None = None) -> tuple[float, float]:
-    """Monte Carlo (mean, variance) of (1 + ||x||^2)^(p/2), x ~ N(0, I).
+    """Exact (mean, variance) of (1 + ||x||^2)^(p/2), x ~ N(0, I).
 
-    The integrand is radial, so ||x||^2 is sampled directly from the
-    chi-squared distribution with n degrees of freedom.  Results are
-    cached on disk keyed by (n, p, samples, seed).
+    The integrand is radial: with X = ||x||^2 chi-squared with n degrees
+    of freedom, E[(1 + X)^s] = 2^(-n/2) U(n/2, n/2 + s + 1, 1/2) (DLMF
+    13.4.4), U the Tricomi confluent hypergeometric function, at s = p/2
+    for the mean and s = p for the second moment.  ``samples``, ``seed``
+    and ``cache_dir`` are accepted and ignored; nothing is sampled, read
+    or written.  Raises ``FloatingPointError`` where ``hyperu`` returns a
+    non-finite value (it does for some p < 0 once n is 50 or more).
     """
-    cache_file = None
-    key = f"n={n},p={exponent},samples={samples},seed={seed}"
-    if cache_dir is not None:
-        cache_dir = Path(cache_dir)
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        cache_file = cache_dir / "moments_ground_truth.json"
-        if cache_file.exists():
-            cached = json.loads(cache_file.read_text())
-            if key in cached:
-                return tuple(cached[key])
-    rng = np.random.default_rng(seed)
-    mean_acc, second_acc, remaining = 0.0, 0.0, samples
-    while remaining > 0:
-        block = min(remaining, 2_000_000)
-        radial = 1.0 + rng.chisquare(n, block)
-        mean_acc += (radial ** (exponent / 2.0)).sum()
-        second_acc += (radial ** float(exponent)).sum()
-        remaining -= block
-    mean = mean_acc / samples
-    variance = second_acc / samples - mean**2
-    if cache_file is not None:
-        cached = json.loads(cache_file.read_text()) if cache_file.exists() else {}
-        cached[key] = [mean, variance]
-        cache_file.write_text(json.dumps(cached, indent=2, sort_keys=True))
-    return mean, variance
+    from scipy.special import hyperu  # deferred: keeps scipy off the import path
+
+    mean, second = map(float, 2.0 ** (-n / 2.0) * hyperu(
+        n / 2.0, n / 2.0 + 1.0 + np.array([exponent / 2.0, float(exponent)]), 0.5))
+    if not np.isfinite([mean, second]).all():
+        raise FloatingPointError(
+            f"exact moments for n={n}, p={exponent} not evaluated: hyperu gave "
+            f"mean {mean!r} and second moment {second!r}")
+    return mean, second - mean**2
 
 
 def _rounding_bound(weights: np.ndarray, values: np.ndarray) -> float:
@@ -288,10 +278,10 @@ def run_moments(config: dict) -> Report:
     methods = _validated_methods(config)
     dims = [int(d) for d in _require(config, "dimensions", "config")]
     exponents = [int(p) for p in _require(config, "exponents", "config")]
-    samples = int(config.get("mc_samples", 10**7))
-    mc_seed = int(config.get("mc_seed", 0))
+    # accepted and ignored; passed on as moments_ground_truth's ignored arguments
+    samples = config.get("mc_samples", 10**7)
+    mc_seed = config.get("mc_seed", 0)
     cache_dir = config.get("cache_dir")
-    cache_dir = Path(cache_dir) if cache_dir else None
 
     start = time.time()
     report = Report(
@@ -299,6 +289,7 @@ def run_moments(config: dict) -> Report:
         columns=["method", "dimension", "exponent", "kl", "mean", "variance", "error"],
         metadata=_metadata(config),
     )
+    relative_errors = []
     for n in dims:
         rules = {}
         for method in methods:
@@ -322,6 +313,11 @@ def run_moments(config: dict) -> Report:
                 y2 = y2_fn(pts)
                 est_mean = float(rule.weights @ y_fn(pts))
                 est_var = float(rule.weights @ y2) - est_mean**2
+                relative_errors.append({
+                    "method": name, "dimension": n, "exponent": exponent,
+                    "mean": est_mean / truth_mean - 1.0,
+                    "variance": est_var / truth_var - 1.0,
+                })
                 if not np.isfinite(est_var) or est_var <= _rounding_bound(rule.weights, y2):
                     report.rows.append([
                         name, n, exponent, "", est_mean, est_var,
@@ -336,9 +332,11 @@ def run_moments(config: dict) -> Report:
     report.metadata["wall_time_s"] = time.time() - start
     report.metadata["kl_direction"] = "KL(estimate || truth)"
     report.metadata["ground_truth"] = {
-        "mc_samples": samples, "mc_seed": mc_seed,
-        "reduction": "radial chi-squared",
+        "method": "closed form, DLMF 13.4.4",
+        "ignored_keys": [key for key in ("mc_samples", "mc_seed", "cache_dir")
+                         if key in config],
     }
+    report.metadata["relative_error"] = relative_errors
     return report
 
 

@@ -1,12 +1,15 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import gpquad
 from gpquad.cli import main
 from gpquad.experiments import (
     FLOAT_FORMAT,
@@ -61,6 +64,14 @@ class TestKlGauss:
         with pytest.raises(ValueError):
             kl_gauss(p, GaussianState(np.zeros(1), np.array([[0.0]])))
 
+    def test_indefinite_error_names_the_covariance(self):
+        p = GaussianState(np.zeros(2), np.eye(2))
+        q = GaussianState(np.zeros(2), np.diag([1.0, -0.5]))
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"KL divergence covariance not positive definite "
+                                 r"for batch member 1 \(min eigenvalue -5\.000e-01\)"):
+            kl_gauss(p, q)
+
 
 class TestMomentsGroundTruth:
     def test_p1_n1_value(self, tmp_path):
@@ -70,14 +81,30 @@ class TestMomentsGroundTruth:
             lambda x: np.sqrt(1 + x**2) * np.exp(-x**2 / 2) / np.sqrt(2 * np.pi),
             -np.inf, np.inf)
         assert oracle == pytest.approx(1.35453080648, abs=1e-9)
-        assert mean == pytest.approx(oracle, abs=2e-3)
+        assert mean == pytest.approx(oracle, abs=1e-12)
 
-    def test_cache_round_trip(self, tmp_path):
-        first = moments_ground_truth(2, -2, samples=10**5, seed=1, cache_dir=tmp_path)
-        cache = json.loads((tmp_path / "moments_ground_truth.json").read_text())
-        assert len(cache) == 1
-        second = moments_ground_truth(2, -2, samples=10**5, seed=1, cache_dir=tmp_path)
-        assert first == second
+    def test_non_finite_value_raises(self, monkeypatch):
+        import scipy.special
+        monkeypatch.setattr(scipy.special, "hyperu", lambda a, b, z: np.full(2, np.nan))
+        with pytest.raises(FloatingPointError, match=r"n=3, p=-2 not evaluated"):
+            moments_ground_truth(3, -2, samples=10**7, seed=0)
+
+    @pytest.mark.parametrize("n", [2, 5, 10])
+    def test_matches_mpmath_quadrature(self, n):
+        # E[(1 + X)^s] for X chi-squared with n degrees of freedom, 40 digits
+        def raw(s):
+            half = mpmath.mpf(n) / 2
+            return mpmath.quad(
+                lambda x: (1 + x) ** s * x ** (half - 1) * mpmath.exp(-x / 2),
+                [0, n, mpmath.inf]) / (2**half * mpmath.gamma(half))
+
+        for p in json.loads((CONFIG_DIR / "moments.json").read_text())["exponents"]:
+            mean, var = moments_ground_truth(n, p, samples=10**7, seed=0)
+            with mpmath.workdps(40):
+                oracle_mean = raw(mpmath.mpf(p) / 2)
+                oracle_var = raw(p) - oracle_mean**2
+            assert mean == pytest.approx(float(oracle_mean), rel=1e-12), p
+            assert var == pytest.approx(float(oracle_var), rel=1e-12), p
 
 
 class TestRunMoments:
@@ -126,6 +153,44 @@ class TestRunMoments:
         for (name, n, p), error in errors.items():
             expected = "non-positive variance estimate" if name == "cubature" else ""
             assert error == expected, (name, n, p)
+
+    def test_gpq_cubature_cells_are_error_free(self):
+        # criterion 6 scores the 12 classical cubature error cells as
+        # KL = inf, so it holds whatever the GPQ cells say; this pins them
+        config = json.loads((CONFIG_DIR / "moments.json").read_text())
+        report = run_moments(config)
+        cols = report.columns
+        rows = [row for row in report.rows if row[0] == "gpq-cubature"]
+        assert len(rows) == 12
+        for row in rows:
+            assert row[cols.index("error")] == "", row
+            kl = row[cols.index("kl")]
+            assert np.isfinite(kl) and kl >= 0.0, row
+        relative = report.metadata["relative_error"]
+        assert len(relative) == 36
+        assert all(np.isfinite(cell["mean"]) for cell in relative)
+        # cubature, n = 2, p = 1: every point on |x|^2 = 2, variance zero
+        assert relative[0]["method"] == "cubature"
+        truth_mean, _ = moments_ground_truth(2, 1, samples=10**7, seed=0)
+        assert relative[0]["mean"] == pytest.approx(np.sqrt(3.0) / truth_mean - 1.0,
+                                                    rel=1e-12)
+        assert relative[0]["variance"] == pytest.approx(-1.0, abs=1e-12)
+
+    def test_monte_carlo_keys_are_ignored(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        bare = self.config()
+        for key in ("mc_samples", "mc_seed"):
+            bare.pop(key)
+        keyed = {**bare, "mc_samples": 10**3, "mc_seed": 7,
+                 "cache_dir": str(tmp_path / "cache")}
+        keyed_report, bare_report = run_moments(keyed), run_moments(bare)
+        assert keyed_report.to_csv() == bare_report.to_csv()
+        assert list(tmp_path.iterdir()) == []
+        assert json.loads(keyed_report.to_json())["metadata"]["ground_truth"] == {
+            "method": "closed form, DLMF 13.4.4",
+            "ignored_keys": ["mc_samples", "mc_seed", "cache_dir"],
+        }
+        assert bare_report.metadata["ground_truth"]["ignored_keys"] == []
 
     def test_report_complete(self):
         report = run_moments(self.config())
@@ -437,8 +502,20 @@ class TestCliCommands:
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "xi1,weight"
 
+    def test_moments_command_writes_no_cache(self, tmp_path):
+        src = Path(gpquad.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-m", "gpquad.cli", "moments",
+             "--config", str(CONFIG_DIR / "moments.json")],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.splitlines()) == 1 + 36
+        assert not (tmp_path / ".gpq_cache").exists()
+
     def test_import_loads_no_scipy(self):
-        # scipy is imported only inside hammersley_points and optimize_points
+        # scipy is imported only inside hammersley_points, optimize_points and
+        # moments_ground_truth
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, gpquad, gpquad.cli; "
