@@ -13,7 +13,7 @@ from .filtering import (
     run_smoother,
     update,
 )
-from .hermite import MultiIndex, enumerate_indices, gh_roots_weights, hermite_multi, hermite_uni
+from .hermite import enumerate_indices, gh_roots_weights, hermite_multi, hermite_uni
 from .kernels import (
     HermitePolynomialKernel,
     SquaredExponentialKernel,
@@ -44,7 +44,6 @@ __all__ = [
     "FilterOutput",
     "GaussianState",
     "HermitePolynomialKernel",
-    "MultiIndex",
     "QuadratureRule",
     "SquaredExponentialKernel",
     "TransformResult",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,8 @@ from .experiments import (
     FLOAT_FORMAT,
     Report,
     build_rule,
+    config_float,
+    config_int,
     resolve_kernel_spec,
     resolve_point_spec,
     run_bot,
@@ -58,7 +61,8 @@ def _load_config(path: str) -> dict:
 def _apply_seed_offset(config: dict, offset: int) -> dict:
     if offset and isinstance(config.get("seeds"), list):
         config = dict(config)
-        config["seeds"] = [int(s) + offset for s in config["seeds"]]
+        config["seeds"] = [config_int(s, "config: each of 'seeds'") + offset
+                           for s in config["seeds"]]
     return config
 
 
@@ -69,10 +73,8 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _points_command(config: dict) -> str:
-    n = int(config.get("dimension", 0))
-    if n < 1:
-        raise ConfigError("config: 'dimension' must be a positive integer")
+def _points_command(config: dict, n: int, fmt: str) -> str:
+    # CSV in either format: one column per dimension, then the weights
     spec = config.get("points")
     if spec is None:
         raise ConfigError("config: missing 'points' spec")
@@ -83,10 +85,7 @@ def _points_command(config: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _weights_command(config: dict, fmt: str) -> str:
-    n = int(config.get("dimension", 0))
-    if n < 1:
-        raise ConfigError("config: 'dimension' must be a positive integer")
+def _weights_command(config: dict, n: int, fmt: str) -> str:
     point_spec = config.get("points")
     kernel_spec = config.get("kernel")
     if point_spec is None or kernel_spec is None:
@@ -95,7 +94,8 @@ def _weights_command(config: dict, fmt: str) -> str:
     kernel = resolve_kernel_spec(kernel_spec, n)
     if kernel is None:
         raise ConfigError("config: the weights command needs an explicit kernel")
-    rule = gpq_weights(kernel, points, float(config.get("jitter", 0.0)))
+    rule = gpq_weights(kernel, points,
+                       config_float(config.get("jitter", 0.0), "config: 'jitter'"))
     if fmt == "json":
         return json.dumps({
             "weights": [float(w) for w in rule.weights],
@@ -112,18 +112,15 @@ def _weights_command(config: dict, fmt: str) -> str:
 _TRANSFORM_FUNCTIONS = {
     "identity": lambda spec: (lambda x: x),
     "componentwise-square": lambda spec: (lambda x: x ** 2),
-    "radial-power": lambda spec: moment_integrand(int(spec.get("exponent", 1)))[0],
-    "ungm-transition": lambda spec: (
-        lambda x: ungm_model().transition(x, int(spec.get("k", 1)))
-    ),
-    "ungm-measurement": lambda spec: (lambda x: ungm_model().measurement(x, 0)),
+    "radial-power": lambda spec: moment_integrand(
+        config_int(spec.get("exponent", 1), "function: 'exponent'"))[0],
+    "ungm-transition": lambda spec: partial(
+        ungm_model().transition, k=config_int(spec.get("k", 1), "function: 'k'")),
+    "ungm-measurement": lambda spec: partial(ungm_model().measurement, k=0),
 }
 
 
-def _transform_command(config: dict, fmt: str) -> str:
-    n = int(config.get("dimension", 0))
-    if n < 1:
-        raise ConfigError("config: 'dimension' must be a positive integer")
+def _transform_command(config: dict, n: int, fmt: str) -> str:
     method = config.get("method")
     if not isinstance(method, dict):
         raise ConfigError("config: 'method' must be an object")
@@ -156,6 +153,8 @@ def _transform_command(config: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+_COMMANDS = {"points": _points_command, "weights": _weights_command,
+             "transform": _transform_command}
 _STUDIES = {"moments": run_moments, "ungm": run_ungm, "bot": run_bot}
 
 
@@ -178,14 +177,9 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config)
         config = _apply_seed_offset(config, args.seed_offset)
-        if args.command == "points":
-            _emit(_points_command(config), args.out)
-            return EXIT_OK
-        if args.command == "weights":
-            _emit(_weights_command(config, args.format), args.out)
-            return EXIT_OK
-        if args.command == "transform":
-            _emit(_transform_command(config, args.format), args.out)
+        if args.command in _COMMANDS:
+            n = config_int(config.get("dimension"), "config: 'dimension'", minimum=1)
+            _emit(_COMMANDS[args.command](config, n, args.format), args.out)
             return EXIT_OK
         report: Report = _STUDIES[args.command](config)
     except ConfigError as exc:

@@ -19,6 +19,7 @@ CSV (floats at 12 significant digits, metadata lives only in JSON).
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,6 +46,8 @@ from .quadrature import _not_positive_definite, gpq_weights
 
 __all__ = [
     "ConfigError",
+    "config_int",
+    "config_float",
     "Report",
     "kl_gauss",
     "resolve_point_spec",
@@ -61,6 +64,26 @@ FLOAT_FORMAT = "%.12g"
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
+
+
+def config_int(value, what: str, minimum: int | None = None) -> int:
+    """A config value read as an int; a bool, a non-number, a fractional
+    number or one below ``minimum`` raises ConfigError naming ``what``."""
+    integral = (isinstance(value, int) and not isinstance(value, bool)) or (
+        isinstance(value, float) and value.is_integer())
+    if not integral or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"{what} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
+def config_float(value, what: str) -> float:
+    """A config value read as a float; a bool, a non-number or a non-finite
+    number raises ConfigError naming ``what``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass
@@ -146,28 +169,29 @@ def resolve_point_spec(spec: dict, n: int) -> QuadratureRule:
         raise ConfigError(f"{context}: expected an object with a 'type' field")
     kind = spec["type"]
     if kind == "ut":
-        return ut_points(n, float(spec.get("kappa", 2.0)))
+        return ut_points(n, config_float(spec.get("kappa", 2.0), f"{context}: kappa"))
     if kind == "cubature":
         return cubature_points(n)
     if kind == "symmetric5":
         return symmetric5_points(n)
     if kind == "gauss-hermite":
-        return gauss_hermite_points(n, int(_require(spec, "order", context)))
+        return gauss_hermite_points(
+            n, config_int(_require(spec, "order", context), f"{context}: order"))
     if kind == "hammersley":
         points = hammersley_points(n, _point_count(spec, n, context))
     elif kind == "random":
-        points = random_points(n, _point_count(spec, n, context),
-                               int(spec.get("seed", 0)))
+        seed = config_int(spec.get("seed", 0), f"{context}: seed", minimum=0)
+        points = random_points(n, _point_count(spec, n, context), seed)
     elif kind == "optimized":
         kernel = resolve_kernel_spec(
             spec.get("kernel", {"type": "se", "output_scale": 1.0, "length_scale": 1.0}),
             n)
         settings = OptimizerSettings(
-            restarts=int(spec.get("restarts", 5)),
-            jitter=float(spec.get("jitter", 0.0)),
+            restarts=config_int(spec.get("restarts", 5), f"{context}: restarts"),
+            jitter=config_float(spec.get("jitter", 0.0), f"{context}: jitter"),
         )
-        points = optimize_points(kernel, n, _point_count(spec, n, context),
-                                 int(spec.get("seed", 0)), settings)
+        seed = config_int(spec.get("seed", 0), f"{context}: seed", minimum=0)
+        points = optimize_points(kernel, n, _point_count(spec, n, context), seed, settings)
     elif kind == "csv":
         path = Path(_require(spec, "path", context))
         if not path.exists():
@@ -190,22 +214,26 @@ def resolve_point_spec(spec: dict, n: int) -> QuadratureRule:
 
 
 def resolve_kernel_spec(spec, n: int):
-    """Build a kernel from its JSON spec ('classical' returns None)."""
+    """Build a kernel from its JSON spec ('classical' returns None); a
+    value the kernel's constructor rejects is a ConfigError."""
     if spec == "classical":
         return None
     context = f"kernel spec {spec!r}"
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError(f"{context}: expected 'classical' or an object with 'type'")
     kind = spec["type"]
-    if kind == "se":
-        return SquaredExponentialKernel(
-            output_scale=float(spec.get("output_scale", 1.0)),
-            length_scale=float(spec.get("length_scale", 1.0)),
-        )
-    if kind == "ut-hermite":
-        return make_ut_kernel(n, int(spec.get("order", 3)))
-    if kind == "gh-hermite":
-        return make_gh_kernel(n, int(_require(spec, "order", context)))
+    try:
+        if kind == "se":
+            return SquaredExponentialKernel(
+                output_scale=config_float(spec.get("output_scale", 1.0), "output_scale"),
+                length_scale=config_float(spec.get("length_scale", 1.0), "length_scale"),
+            )
+        if kind == "ut-hermite":
+            return make_ut_kernel(n, config_int(spec.get("order", 3), "order"))
+        if kind == "gh-hermite":
+            return make_gh_kernel(n, config_int(spec.get("order"), "order"))
+    except ValueError as exc:  # a reader's ConfigError too, given its context here
+        raise ConfigError(f"{context}: {exc}") from exc
     raise ConfigError(f"{context}: unknown kernel type '{kind}'")
 
 
@@ -214,7 +242,7 @@ def build_rule(method: dict, n: int) -> QuadratureRule:
     context = f"method {method.get('name', '?')!r}"
     rule = resolve_point_spec(_require(method, "points", context), n)
     kernel = resolve_kernel_spec(method.get("kernel", "classical"), n)
-    jitter = float(method.get("jitter", 0.0))
+    jitter = config_float(method.get("jitter", 0.0), f"{context}: jitter")
     return rule if kernel is None else gpq_weights(kernel, rule.points, jitter)
 
 
@@ -235,7 +263,7 @@ def _validated_seeds(config) -> list[int]:
     seeds = _require(config, "seeds", "config")
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError("config: 'seeds' must be a non-empty list")
-    return [int(s) for s in seeds]
+    return [config_int(s, "config: each of 'seeds'", minimum=0) for s in seeds]
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +304,10 @@ def _rounding_bound(weights: np.ndarray, values: np.ndarray) -> float:
 def run_moments(config: dict) -> Report:
     """Per-method KL divergence of moment estimates across (n, p) cells."""
     methods = _validated_methods(config)
-    dims = [int(d) for d in _require(config, "dimensions", "config")]
-    exponents = [int(p) for p in _require(config, "exponents", "config")]
+    dims = [config_int(d, "config: each of 'dimensions'", minimum=1)
+            for d in _require(config, "dimensions", "config")]
+    exponents = [config_int(p, "config: each of 'exponents'")
+                 for p in _require(config, "exponents", "config")]
     # accepted and ignored; passed on as moments_ground_truth's ignored arguments
     samples = config.get("mc_samples", 10**7)
     mc_seed = config.get("mc_seed", 0)
@@ -375,7 +405,7 @@ def _filtering_study(experiment: str, config: dict, model,
                      components, default_steps: int = 500) -> Report:
     methods = _validated_methods(config)
     seeds = _validated_seeds(config)
-    steps = int(config.get("steps", default_steps))
+    steps = config_int(config.get("steps", default_steps), "config: 'steps'", minimum=1)
 
     start = time.time()
     report = Report(
@@ -415,7 +445,7 @@ def _bot_config(spec: dict) -> BotConfig:
         kwargs["sensors"] = np.asarray(spec["sensors"], dtype=float)
     for key in ("bearing_noise_std", "dt", "q1", "q2"):
         if key in spec:
-            kwargs[key] = float(spec[key])
+            kwargs[key] = config_float(spec[key], f"config: model '{key}'")
     if "prior_mean" in spec:
         kwargs["prior_mean"] = np.asarray(spec["prior_mean"], dtype=float)
     if "prior_cov" in spec:

@@ -1,21 +1,20 @@
-"""Probabilists' Hermite polynomials, multi-indices and Gauss-Hermite rules.
+"""Probabilists' Hermite polynomials, index sets and Gauss-Hermite rules.
 
 All polynomials here follow the probabilists' convention (weight function
 ``exp(-x^2/2)``, recurrence ``He_{p+1} = x He_p - p He_{p-1}``), NOT the
 physicists' convention ``H_{p+1} = 2x H_p - 2p H_{p-1}`` used by
 ``numpy.polynomial.hermite``.  The probabilists' family is the orthogonal
 one for N(0, 1), which is the weight every rule in this package targets.
+
+An index set is an (m, n) integer array, one multi-index I per row, that
+names the multivariate polynomials H_I(x) = prod_d He_{I[d]}(x[d]).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "MultiIndex",
     "hermite_uni",
     "hermite_multi",
     "enumerate_indices",
@@ -23,40 +22,6 @@ __all__ = [
 ]
 
 MAX_GH_ORDER = 50
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """Tuple of per-dimension polynomial degrees.
-
-    Indexes one multivariate Hermite polynomial: ``H_I(x) = prod_d
-    He_{I[d]}(x[d])``.
-    """
-
-    exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.exponents) == 0:
-            raise ValueError("multi-index must have at least one entry")
-        if any(e < 0 or int(e) != e for e in self.exponents):
-            raise ValueError(f"multi-index entries must be non-negative integers: {self.exponents}")
-        object.__setattr__(self, "exponents", tuple(int(e) for e in self.exponents))
-
-    def __len__(self) -> int:
-        return len(self.exponents)
-
-    def __iter__(self):
-        return iter(self.exponents)
-
-    def total_degree(self) -> int:
-        return sum(self.exponents)
-
-    def factorial(self) -> int:
-        """Product of per-entry factorials (>= 1)."""
-        out = 1
-        for e in self.exponents:
-            out *= math.factorial(e)
-        return out
 
 
 def hermite_uni(p: int, x):
@@ -76,20 +41,26 @@ def hermite_uni(p: int, x):
     """
     if p < 0:
         raise ValueError(f"degree must be non-negative, got {p}")
-    x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if p == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = x.copy()
-    for k in range(1, p):
-        h, h_prev = x * h - k * h_prev, h
+    h = _hermite_table(x, p)[..., p]
     return h if h.ndim else float(h)
 
 
-def hermite_multi(index: MultiIndex, xi) -> float:
+def _hermite_table(x, max_deg: int) -> np.ndarray:
+    """He_0 .. He_max_deg at x, along a new last axis."""
+    x = np.asarray(x, dtype=float)
+    table = np.ones(x.shape + (max_deg + 1,))
+    if max_deg >= 1:
+        table[..., 1] = x
+    for p in range(1, max_deg):
+        table[..., p + 1] = x * table[..., p] - p * table[..., p - 1]
+    return table
+
+
+def hermite_multi(index, xi) -> float:
     """Evaluate the multivariate Hermite polynomial H_I(xi).
 
-    The value is the product of univariate evaluations, one per dimension.
+    ``index`` is any length-n sequence of non-negative ints; the value is
+    the product of univariate evaluations, one per dimension.
     """
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 1 or len(index) != xi.shape[0]:
@@ -102,19 +73,8 @@ def hermite_multi(index: MultiIndex, xi) -> float:
     return out
 
 
-def _compositions(total: int, n: int):
-    # all n-tuples of non-negative ints summing to `total`,
-    # first coordinate descending (graded-lex within a degree block)
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, n - 1):
-            yield (first,) + rest
-
-
 def enumerate_indices(n: int, *, total_degree: int | None = None,
-                      per_dim_degree: int | None = None) -> list[MultiIndex]:
+                      per_dim_degree: int | None = None) -> np.ndarray:
     """Enumerate multi-indices in a fixed graded-lexicographic order.
 
     Exactly one of the two constraints must be given.  ``total_degree=P``
@@ -123,27 +83,33 @@ def enumerate_indices(n: int, *, total_degree: int | None = None,
     lexicographic with the first coordinate largest) is part of the
     contract: coefficient matrices built over an index set must be
     reproducible.
+
+    Returns
+    -------
+    (m, n) read-only integer ndarray, one multi-index per row.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if (total_degree is None) == (per_dim_degree is None):
         raise ValueError("specify exactly one of total_degree / per_dim_degree")
-    out: list[MultiIndex] = []
-    if total_degree is not None:
-        if total_degree < 0:
-            raise ValueError("total_degree must be >= 0")
-        for deg in range(total_degree + 1):
-            out.extend(MultiIndex(c) for c in _compositions(deg, n))
-    else:
-        if per_dim_degree < 0:
-            raise ValueError("per_dim_degree must be >= 0")
-        for deg in range(n * per_dim_degree + 1):
-            out.extend(
-                MultiIndex(c)
-                for c in _compositions(deg, n)
-                if max(c) <= per_dim_degree
-            )
-    return out
+    cap = total_degree if per_dim_degree is None else per_dim_degree
+    if cap < 0:
+        raise ValueError(f"degree must be >= 0, got {cap}")
+    budget = cap if per_dim_degree is None else n * cap
+    # grow one coordinate at a time, each row extended by every value its
+    # degree budget allows, so no intermediate outgrows the final set
+    indices = np.zeros((1, 0), dtype=int)
+    for _ in range(n):
+        counts = np.minimum(cap, budget - indices.sum(axis=1)) + 1
+        offsets = np.repeat(np.cumsum(counts) - counts, counts)
+        indices = np.column_stack([np.repeat(indices, counts, axis=0),
+                                   np.arange(counts.sum()) - offsets])
+    # np.lexsort's last key is the primary one: total degree, then each
+    # coordinate descending, the first coordinate before the second
+    order = np.lexsort(np.vstack([-indices[:, ::-1].T, indices.sum(axis=1)]))
+    indices = indices[order]
+    indices.flags.writeable = False
+    return indices
 
 
 def hermite_design_matrix(indices, points: np.ndarray) -> np.ndarray:
@@ -151,30 +117,28 @@ def hermite_design_matrix(indices, points: np.ndarray) -> np.ndarray:
 
     Parameters
     ----------
-    indices : sequence of MultiIndex
-        Index set, all of the points' dimension.
+    indices : (m, n) integer array-like
+        Index set, of the points' dimension.
     points : (N, n) ndarray
 
     Returns
     -------
-    (N, M) ndarray with columns H_I(points), one per index.
+    (N, m) ndarray with columns H_I(points), one per index.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    indices = np.asarray(indices)
     n = points.shape[1]
-    if any(len(ix) != n for ix in indices):
-        raise ValueError(f"index set dimension does not match points of dimension {n}")
-    max_deg = max((max(ix.exponents) for ix in indices), default=0)
-    # table[p, :, d] = He_p evaluated on coordinate d of every point
-    table = np.ones((max_deg + 1,) + points.shape)
-    if max_deg >= 1:
-        table[1] = points
-    for p in range(1, max_deg):
-        table[p + 1] = points * table[p] - p * table[p - 1]
-    cols = [
-        np.prod([table[e, :, d] for d, e in enumerate(ix)], axis=0)
-        for ix in indices
-    ]
-    return np.column_stack(cols)
+    if indices.ndim != 2 or indices.shape[1] != n:
+        raise ValueError(f"index set of shape {indices.shape} does not match "
+                         f"points of dimension {n}")
+    # table[d, :, p] = He_p evaluated on coordinate d of every point
+    table = _hermite_table(points.T, int(indices.max(initial=0)))
+    # np.take returns C order; fancy indexing on axis 1 would return F
+    # order, on which the downstream matmuls round differently
+    design = np.take(table[0], indices[:, 0], axis=1)
+    for d in range(1, n):
+        design *= np.take(table[d], indices[:, d], axis=1)
+    return design
 
 
 def gh_roots_weights(order: int) -> tuple[np.ndarray, np.ndarray]:

@@ -5,8 +5,9 @@ Two families are supported on the standardized N(0, I) domain:
 * ``SquaredExponentialKernel`` -- s^2 exp(-||x - x'||^2 / (2 l^2)), whose
   mean embedding and double Gaussian integral are closed-form.
 * ``HermitePolynomialKernel`` -- a finite Hermite expansion
-  sum_{I,J} lambda_{I,J} / (I! J!) H_I(x) H_J(x') over a fixed index set
-  with a symmetric PSD coefficient matrix.  By orthogonality its Gaussian
+  sum_{I,J} lambda_{I,J} / (I! J!) H_I(x) H_J(x') over a fixed index set,
+  an (m, n) integer array of multi-indices in graded-lex order, with a
+  symmetric PSD coefficient matrix.  By orthogonality its Gaussian
   integrals reduce to the zero-index row/entry of the coefficients.
 
 Both expose ``eval`` / ``gram`` / ``mean_embedding`` / ``double_integral``,
@@ -17,11 +18,13 @@ minimum-variance optimizer consumes.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hermite import MultiIndex, enumerate_indices, hermite_design_matrix
+from .hermite import enumerate_indices, hermite_design_matrix
 
 __all__ = [
     "SquaredExponentialKernel",
@@ -120,27 +123,54 @@ class SquaredExponentialKernel:
         return gram_inc, emb_scale, emb_inc
 
 
-@dataclass(frozen=True)
+def _inverse_factorials(indices: np.ndarray) -> np.ndarray:
+    """1 / I! for each row I of an index set, each I! an exact integer
+    rounded once; ValueError where one is beyond the float range, as its
+    1 / I! would read 0."""
+    factorials = np.cumprod([1, *range(1, int(indices.max()) + 1)], dtype=object)
+    exact = factorials[indices].prod(axis=1)
+    largest = int(np.argmax(exact))
+    if exact[largest] > sys.float_info.max:
+        raise ValueError(
+            f"index factorial {tuple(indices[largest].tolist())}! is about "
+            f"1e{math.log10(exact[largest]):.0f}, beyond the float range; "
+            "reduce the order or dimension")
+    return (1.0 / exact).astype(float)
+
+
+# eq=False: an index-set array has no truth value to compare by
+@dataclass(frozen=True, eq=False)
 class HermitePolynomialKernel:
     """Finite Hermite-expansion covariance function.
 
-    ``coefficients`` is the symmetric PSD matrix indexed by ``index_set``
-    (graded-lex order); ``None`` stands for the identity, which
-    reproduces the classical rules without storing an m x m matrix.
+    ``index_set`` is an (m, n) array of distinct non-negative integer
+    multi-indices, the zero index among them (``enumerate_indices`` gives
+    them in graded-lex order); it is stored read-only.
+    ``coefficients`` is the symmetric PSD matrix indexed by its rows;
+    ``None`` stands for the identity, which reproduces the classical
+    rules without storing an m x m matrix.
     """
 
-    index_set: tuple[MultiIndex, ...]
+    index_set: np.ndarray
     coefficients: np.ndarray | None = field(default=None)
+    # phi_I = H_I / I! scales and the zero index's row, set once from index_set
+    _inv_factorial: np.ndarray = field(init=False, repr=False)
+    _zero_row: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        index_set = tuple(self.index_set)
-        if not index_set:
-            raise ValueError("index set must be non-empty")
-        dim = len(index_set[0])
-        if any(len(ix) != dim for ix in index_set):
-            raise ValueError("all multi-indices must share one dimension")
-        if len(set(ix.exponents for ix in index_set)) != len(index_set):
+        raw = np.asarray(self.index_set)
+        if raw.ndim != 2 or 0 in raw.shape:
+            raise ValueError(f"index set must be a non-empty (m, n) array, got {raw.shape}")
+        index_set = raw.astype(int)
+        if not np.array_equal(index_set, raw) or (index_set < 0).any():
+            raise ValueError("index set entries must be non-negative integers")
+        ordered = index_set[np.lexsort(index_set.T)]
+        if (ordered[1:] == ordered[:-1]).all(axis=1).any():
             raise ValueError("index set contains duplicates")
+        zero = np.flatnonzero(~index_set.any(axis=1))
+        if zero.size == 0:
+            raise ValueError("index set must contain the zero index")
+        index_set.flags.writeable = False
         coeff = self.coefficients
         if coeff is not None:
             m = len(index_set)
@@ -151,38 +181,34 @@ class HermitePolynomialKernel:
                 raise ValueError("coefficient matrix must be symmetric")
         object.__setattr__(self, "index_set", index_set)
         object.__setattr__(self, "coefficients", coeff)
+        object.__setattr__(self, "_inv_factorial", _inverse_factorials(index_set))
+        object.__setattr__(self, "_zero_row", int(zero[0]))
 
     @property
     def dimension(self) -> int:
-        return len(self.index_set[0])
+        return self.index_set.shape[1]
 
-    def _features(self, points, indices=None) -> np.ndarray:
-        # phi_I(x) = H_I(x) / I!, over the kernel's index set by default
-        indices = self.index_set if indices is None else indices
+    def _features(self, points) -> np.ndarray:
+        # phi_I(x) = H_I(x) / I!
         pts = _as_points(points, self.dimension)
-        design = hermite_design_matrix(indices, pts)
-        inv_fact = np.array([1.0 / ix.factorial() for ix in indices])
-        return design * inv_fact
+        return hermite_design_matrix(self.index_set, pts) * self._inv_factorial
 
     def _feature_derivatives(self, points) -> np.ndarray:
         # d phi_I / dx_d = phi_{I - e_d} (He_k' = k He_{k-1}), zero where
         # I_d = 0; returns the (n, N, m) stack over d
+        pts = _as_points(points, self.dimension)
         stack = []
         for d in range(self.dimension):
-            lowered = tuple(
-                MultiIndex(tuple(e - 1 if j == d and e > 0 else e
-                                 for j, e in enumerate(ix)))
-                for ix in self.index_set)
-            present = np.array([ix.exponents[d] > 0 for ix in self.index_set])
-            stack.append(self._features(points, lowered) * present)
+            present = self.index_set[:, d] > 0
+            lowered = self.index_set.copy()
+            lowered[:, d] -= present
+            stack.append(hermite_design_matrix(lowered, pts)
+                         * _inverse_factorials(lowered) * present)
         return np.stack(stack)
 
     def _weighted(self, features: np.ndarray) -> np.ndarray:
         # features @ coefficients; the identity leaves them as they are
         return features if self.coefficients is None else features @ self.coefficients
-
-    def _zero_row(self) -> int:
-        return self.index_set.index(MultiIndex((0,) * self.dimension))
 
     def eval(self, x, y) -> np.ndarray:
         return self._weighted(self._features(x)) @ self._features(y).T
@@ -193,16 +219,18 @@ class HermitePolynomialKernel:
         return 0.5 * (gram + gram.T)
 
     def mean_embedding(self, points) -> np.ndarray:
-        # integrating H_I against N(0, I) kills every row except I = 0
+        # integrating H_I against N(0, I) kills every row except I = 0. The
+        # identity's column of ones stays a strided view: on a contiguous
+        # vector BLAS rounds the weight solve's q @ w differently
         features = self._features(points)
         if self.coefficients is None:
-            return features[:, self._zero_row()]
-        return features @ self.coefficients[self._zero_row()]
+            return features[:, self._zero_row]
+        return features @ self.coefficients[self._zero_row]
 
     def double_integral(self, n: int | None = None) -> float:
         if n is not None and n != self.dimension:
             raise ValueError(f"kernel built for dimension {self.dimension}, got {n}")
-        row = self._zero_row()
+        row = self._zero_row
         return 1.0 if self.coefficients is None else float(self.coefficients[row, row])
 
     def derivatives(self, points, gram, embedding):
@@ -217,9 +245,9 @@ class HermitePolynomialKernel:
         weighted = self._weighted(self._features(points))       # (N, m)
         d_gram = (d_features @ weighted.T).transpose(1, 2, 0)
         if self.coefficients is None:
-            d_embedding = d_features[:, :, self._zero_row()].T
+            d_embedding = d_features[:, :, self._zero_row].T
         else:
-            d_embedding = (d_features @ self.coefficients[self._zero_row()]).T
+            d_embedding = (d_features @ self.coefficients[self._zero_row]).T
         return d_gram, d_embedding
 
     def flat_increments(self, points):
@@ -237,7 +265,7 @@ def make_ut_kernel(n: int, order: int = 3) -> HermitePolynomialKernel:
     """
     if order not in (3, 5, 7, 9):
         raise ValueError(f"supported orders are 3, 5, 7, 9; got {order}")
-    return HermitePolynomialKernel(tuple(enumerate_indices(n, total_degree=order)))
+    return HermitePolynomialKernel(enumerate_indices(n, total_degree=order))
 
 
 def make_gh_kernel(n: int, order: int) -> HermitePolynomialKernel:
@@ -255,6 +283,4 @@ def make_gh_kernel(n: int, order: int) -> HermitePolynomialKernel:
             f"index set of size {terms} exceeds cap {MAX_GH_KERNEL_TERMS}; "
             "reduce the order or dimension"
         )
-    return HermitePolynomialKernel(
-        tuple(enumerate_indices(n, per_dim_degree=2 * order - 1))
-    )
+    return HermitePolynomialKernel(enumerate_indices(n, per_dim_degree=2 * order - 1))

@@ -477,6 +477,45 @@ class TestCliCommands:
         bad.write_text("{not json")
         assert main(["ungm", "--config", str(bad)]) == 1
 
+    WEIGHTS = {"experiment": "weights", "dimension": 2,
+               "points": {"type": "ut", "kappa": 1.0},
+               "kernel": {"type": "se", "output_scale": 1.0, "length_scale": 1.0}}
+    UNGM = {"experiment": "ungm", "seeds": [0], "steps": 5,
+            "methods": [{"name": "ukf", "points": {"type": "ut"}, "kernel": "classical"}]}
+
+    @pytest.mark.parametrize("base,change,offset", [
+        (WEIGHTS, {"dimension": "two"}, "0"),
+        (WEIGHTS, {"dimension": 2.7}, "0"),
+        (WEIGHTS, {"dimension": True}, "0"),
+        (WEIGHTS, {"points": {"type": "ut", "kappa": "big"}}, "0"),
+        (WEIGHTS, {"kernel": {"type": "se", "length_scale": -1}}, "0"),
+        (WEIGHTS, {"kernel": {"type": "se", "length_scale": "long"}}, "0"),
+        (WEIGHTS, {"kernel": {"type": "ut-hermite", "order": 4}}, "0"),
+        (WEIGHTS, {"jitter": "none"}, "0"),
+        (UNGM, {"steps": "ten"}, "0"),
+        (UNGM, {"steps": 0}, "0"),
+        (UNGM, {"seeds": ["a"]}, "0"),
+        (UNGM, {"seeds": ["a"]}, "3"),
+        (UNGM, {"seeds": [1.5]}, "0"),
+        (UNGM, {"seeds": [-1]}, "0"),
+    ], ids=["dimension-string", "dimension-fraction", "dimension-bool", "kappa-string",
+            "length-scale-negative", "length-scale-string", "ut-order-even",
+            "jitter-string", "steps-string", "steps-zero", "seed-string",
+            "seed-string-offset", "seed-fraction", "seed-negative"])
+    def test_bad_config_number_is_exit_1(self, tmp_path, capsys, base, change, offset):
+        config = write_config(tmp_path, {**base, **change})
+        command = base["experiment"]
+        assert main([command, "--config", config, "--seed-offset", offset]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dimension,order", [(1, 100), (2, 50)])
+    def test_hermite_factorial_overflow_is_exit_1(self, tmp_path, capsys, dimension, order):
+        config = write_config(tmp_path, {
+            **self.WEIGHTS, "dimension": dimension,
+            "kernel": {"type": "gh-hermite", "order": order}})
+        assert main(["weights", "--config", config]) == 1
+        assert "beyond the float range" in capsys.readouterr().err
+
     def test_all_methods_failing_is_exit_2(self, tmp_path, capsys):
         config = write_config(tmp_path, {
             "experiment": "ungm",
@@ -535,6 +574,7 @@ class TestGoldenOutput:
     """CSV output of the example and smoke configs, byte for byte."""
 
     @pytest.mark.parametrize("name", ["points_example", "weights_example",
+                                      "weights_gh_hermite", "weights_ut5_hermite",
                                       "transform_example", "ungm_smoke", "bot_smoke"])
     def test_matches_golden_file(self, name, tmp_path):
         config = CONFIG_DIR / f"{name}.json"

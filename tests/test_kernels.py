@@ -116,7 +116,7 @@ class TestHermitePolynomialKernel:
         rng = np.random.default_rng(3)
         x, y = rng.normal(size=2), rng.normal(size=2)
         expected = sum(
-            hermite_multi(ix, x) * hermite_multi(ix, y) / ix.factorial() ** 2
+            hermite_multi(ix, x) * hermite_multi(ix, y) / math.prod(map(math.factorial, ix)) ** 2
             for ix in self.kernel.index_set
         )
         assert self.kernel.eval(x, y)[0, 0] == pytest.approx(expected, rel=1e-12)
@@ -135,11 +135,51 @@ class TestHermitePolynomialKernel:
         with pytest.raises(ValueError):
             HermitePolynomialKernel(indices, np.array([[1.0, 0.2], [0.1, 1.0]]))
 
+    @pytest.mark.parametrize("index_set,message", [
+        ([[0, 0], [1, -1]], "non-negative integers"),
+        ([[0, 0], [0.5, 1]], "non-negative integers"),
+        ([[0, 0], [1, 0], [1, 0]], "duplicates"),
+        ([0, 1, 2], r"\(m, n\) array"),
+        (np.zeros((2, 2, 1), dtype=int), r"\(m, n\) array"),
+        ([[1, 0], [0, 1]], "zero index"),
+    ], ids=["negative", "non-integer", "duplicate", "1-d", "3-d", "no-zero-index"])
+    def test_rejects_invalid_index_sets_at_construction(self, index_set, message):
+        with pytest.raises(ValueError, match=message):
+            HermitePolynomialKernel(index_set)
+
+    def test_stores_the_index_set_read_only(self):
+        indices = np.array([[0, 0], [1, 0], [0, 1]])
+        kernel = HermitePolynomialKernel(indices)
+        indices[1, 0] = 2
+        assert kernel.index_set.tolist() == [[0, 0], [1, 0], [0, 1]]
+        with pytest.raises(ValueError):
+            kernel.index_set[1, 0] = 2
+
+    def test_zero_index_need_not_come_first(self):
+        indices = enumerate_indices(2, total_degree=2)
+        order = np.roll(np.arange(len(indices)), 2)   # the zero index moves to row 2
+        a = np.random.default_rng(4).normal(size=(len(indices),) * 2)
+        lam = a @ a.T
+        pts = np.random.default_rng(5).normal(size=(5, 2))
+        graded = HermitePolynomialKernel(indices, lam)
+        moved = HermitePolynomialKernel(indices[order], lam[np.ix_(order, order)])
+        np.testing.assert_allclose(moved.mean_embedding(pts), graded.mean_embedding(pts),
+                                   rtol=1e-12)
+        assert moved.double_integral(2) == pytest.approx(graded.double_integral(2), rel=1e-14)
+        np.testing.assert_array_equal(
+            HermitePolynomialKernel(indices[order]).mean_embedding(pts), np.ones(5))
+
+    @pytest.mark.parametrize("n,order", [(1, 100), (2, 50)])
+    def test_factorial_beyond_float_range_is_rejected(self, n, order):
+        # 199! and 99!^2 both exceed the float maximum, where 1 / I! would read 0
+        with pytest.raises(ValueError, match="beyond the float range; reduce the order"):
+            make_gh_kernel(n, order)
+
 
 class TestKernelFactories:
     def test_ut_kernel_index_counts(self):
         assert len(make_ut_kernel(2, 3).index_set) == 10
-        assert [ix.exponents for ix in make_ut_kernel(1, 3).index_set] == [
+        assert [tuple(ix) for ix in make_ut_kernel(1, 3).index_set] == [
             (0,), (1,), (2,), (3,)]
 
     def test_ut_kernel_rejects_even_order(self):

@@ -84,9 +84,9 @@ class TestUnscentedPoints:
     def test_degree_three_exactness(self, n, kappa):
         rule = ut_points(n, kappa)
         for ix in enumerate_indices(n, total_degree=3):
-            got = rule_monomial(rule, ix.exponents)
+            got = rule_monomial(rule, ix)
             assert got == pytest.approx(
-                gaussian_monomial_moment(ix.exponents), abs=1e-12)
+                gaussian_monomial_moment(ix), abs=1e-12)
 
     def test_sign_flip_closure(self):
         pts = ut_points(3, 1.0).points.points
@@ -115,9 +115,9 @@ class TestCubaturePoints:
     def test_degree_three_exactness_and_fourth_moment_bias(self, n):
         rule = cubature_points(n)
         for ix in enumerate_indices(n, total_degree=3):
-            got = rule_monomial(rule, ix.exponents)
+            got = rule_monomial(rule, ix)
             assert got == pytest.approx(
-                gaussian_monomial_moment(ix.exponents), abs=1e-12)
+                gaussian_monomial_moment(ix), abs=1e-12)
         # the known 3rd-order bias: rule gives E[x_i^4] = n instead of 3
         assert rule_monomial(rule, (4,) + (0,) * (n - 1)) == pytest.approx(float(n))
 
@@ -147,9 +147,9 @@ class TestSymmetric5Points:
     def test_degree_five_exactness(self, n):
         rule = symmetric5_points(n)
         for ix in enumerate_indices(n, total_degree=5):
-            got = rule_monomial(rule, ix.exponents)
+            got = rule_monomial(rule, ix)
             assert got == pytest.approx(
-                gaussian_monomial_moment(ix.exponents), abs=1e-10)
+                gaussian_monomial_moment(ix), abs=1e-10)
 
     def test_weights_sum_to_one(self):
         assert symmetric5_points(3).weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -182,9 +182,9 @@ class TestGaussHermitePoints:
     def test_per_dimension_exactness(self, n, order):
         rule = gauss_hermite_points(n, order)
         for ix in enumerate_indices(n, per_dim_degree=2 * order - 1):
-            got = rule_monomial(rule, ix.exponents)
+            got = rule_monomial(rule, ix)
             assert got == pytest.approx(
-                gaussian_monomial_moment(ix.exponents), abs=1e-9)
+                gaussian_monomial_moment(ix), abs=1e-9)
 
 
 class TestHammersleyPoints:

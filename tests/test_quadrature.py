@@ -254,9 +254,9 @@ class TestGpTransform:
         rule = gpq_weights(make_gh_kernel(n, order),
                            gauss_hermite_points(n, order).points, 0.0)
         for ix in enumerate_indices(n, per_dim_degree=2 * order - 1):
-            vals = np.prod(rule.points.points ** np.asarray(ix.exponents), axis=1)
+            vals = np.prod(rule.points.points ** np.asarray(ix), axis=1)
             expected = 1.0
-            for e in ix.exponents:
+            for e in ix:
                 expected *= (math.prod(range(e - 1, 0, -2)) if e and e % 2 == 0
                              else (0.0 if e % 2 else 1.0))
             assert rule.weights @ vals == pytest.approx(expected, abs=1e-8)
