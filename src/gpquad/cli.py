@@ -108,16 +108,32 @@ def _weights_command(config: dict, n: int, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-# integrands vectorized over the (N, n) sigma points, as gp_transform takes them
+# integrands vectorized over the (N, n) sigma points, as gp_transform takes
+# them, with their output dimension d given the input dimension n
 _TRANSFORM_FUNCTIONS = {
-    "identity": lambda spec: (lambda x: x),
-    "componentwise-square": lambda spec: (lambda x: x ** 2),
-    "radial-power": lambda spec: moment_integrand(
-        config_int(spec.get("exponent", 1), "function: 'exponent'"))[0],
-    "ungm-transition": lambda spec: partial(
-        ungm_model().transition, k=config_int(spec.get("k", 1), "function: 'k'")),
-    "ungm-measurement": lambda spec: partial(ungm_model().measurement, k=0),
+    "identity": lambda spec, n: (lambda x: x, n),
+    "componentwise-square": lambda spec, n: (lambda x: x ** 2, n),
+    "radial-power": lambda spec, n: (moment_integrand(
+        config_int(spec.get("exponent", 1), "function: 'exponent'"))[0], 1),
+    "ungm-transition": lambda spec, n: (partial(
+        ungm_model().transition, k=config_int(spec.get("k", 1), "function: 'k'")), n),
+    "ungm-measurement": lambda spec, n: (partial(ungm_model().measurement, k=0), n),
 }
+
+
+def _config_array(config: dict, key: str, default, *shapes) -> np.ndarray:
+    """``config[key]`` (or ``default``) as a float array of one of
+    ``shapes``; anything else is a ConfigError."""
+    value = config.get(key, default)
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged nesting of lists
+        array = np.asarray(None)
+    if (array.dtype.kind not in "iuf" or array.shape not in shapes
+            or not np.isfinite(array).all()):
+        raise ConfigError(f"config: '{key}' must be finite numbers of shape "
+                          f"{' or '.join(map(str, shapes))}, got {value!r}")
+    return array.astype(float)
 
 
 def _transform_command(config: dict, n: int, fmt: str) -> str:
@@ -132,10 +148,12 @@ def _transform_command(config: dict, n: int, fmt: str) -> str:
         raise ConfigError(
             f"config: unknown function '{name}'; "
             f"choose from {sorted(_TRANSFORM_FUNCTIONS)}")
-    g = _TRANSFORM_FUNCTIONS[name](fn_spec)
+    g, d = _TRANSFORM_FUNCTIONS[name](fn_spec, n)
+    mean = _config_array(config, "mean", np.zeros(n), (n,))
+    cov = _config_array(config, "cov", np.eye(n), (n, n))
+    noise_cov = _config_array(config, "noise_cov", 0.0, (), (d, d))
     rule = build_rule(method, n)
-    result = gp_transform(rule, g, config.get("mean", np.zeros(n)),
-                          config.get("cov", np.eye(n)), config.get("noise_cov", 0.0))
+    result = gp_transform(rule, g, mean, cov, noise_cov)
     if fmt == "json":
         return json.dumps({
             "mean": result.mean.tolist(),

@@ -28,9 +28,11 @@ import numpy as np
 
 from . import __version__
 from .filtering import GaussianState, run_filter, run_smoother
+from .hermite import MAX_GH_ORDER
 from .kernels import SquaredExponentialKernel, make_gh_kernel, make_ut_kernel
 from .models import BotConfig, bot_model, moment_integrand, simulate, ungm_model
 from .points import (
+    MAX_TENSOR_POINTS,
     QuadratureRule,
     UnitPointSet,
     cubature_points,
@@ -66,14 +68,19 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-def config_int(value, what: str, minimum: int | None = None) -> int:
+def config_int(value, what: str, minimum: int | None = None,
+               maximum: int | None = None) -> int:
     """A config value read as an int; a bool, a non-number, a fractional
-    number or one below ``minimum`` raises ConfigError naming ``what``."""
+    number or one outside [``minimum``, ``maximum``] raises ConfigError
+    naming ``what``."""
     integral = (isinstance(value, int) and not isinstance(value, bool)) or (
         isinstance(value, float) and value.is_integer())
-    if not integral or (minimum is not None and value < minimum):
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise ConfigError(f"{what} must be an integer{bound}, got {value!r}")
+    if (not integral or (minimum is not None and value < minimum)
+            or (maximum is not None and value > maximum)):
+        bounds = " and ".join(f"{sign} {limit}" for sign, limit
+                              in ((">=", minimum), ("<=", maximum)) if limit is not None)
+        raise ConfigError(f"{what} must be an integer{' ' + bounds if bounds else ''}, "
+                          f"got {value!r}")
     return int(value)
 
 
@@ -175,8 +182,12 @@ def resolve_point_spec(spec: dict, n: int) -> QuadratureRule:
     if kind == "symmetric5":
         return symmetric5_points(n)
     if kind == "gauss-hermite":
-        return gauss_hermite_points(
-            n, config_int(_require(spec, "order", context), f"{context}: order"))
+        order = config_int(_require(spec, "order", context), f"{context}: order",
+                           minimum=1, maximum=MAX_GH_ORDER)
+        if order**n > MAX_TENSOR_POINTS:
+            raise ConfigError(f"{context}: a tensor grid of {order}^{n} points "
+                              f"exceeds the cap {MAX_TENSOR_POINTS}")
+        return gauss_hermite_points(n, order)
     if kind == "hammersley":
         points = hammersley_points(n, _point_count(spec, n, context))
     elif kind == "random":
@@ -380,29 +391,53 @@ def _rmse(estimates: np.ndarray, truth: np.ndarray, components) -> np.ndarray:
     return np.sqrt(np.mean(np.sum(diff**2, axis=-1), axis=-1))
 
 
-def _method_row(method: dict, model, measurements, truth, components) -> list:
-    """One report row: RMSE statistics of a method over all trajectories,
-    filtered and smoothed as one batch, or the error that stopped it."""
-    name = method["name"]
+# the failures a method's row reports in its error cell
+_METHOD_ERRORS = (ConfigError, np.linalg.LinAlgError, ValueError,
+                  RuntimeError, FloatingPointError)
+
+
+def _error_row(name: str, exc: Exception) -> list:
+    return [name, "", "", "", "", str(exc)]
+
+
+def _group_rows(names, rules, model, measurements, truth, components) -> list:
+    """Report rows of methods whose rules share a point count: RMSE
+    statistics over all trajectories, every method and trajectory
+    filtered and smoothed as one batch."""
+    out = run_filter(model, rules, measurements)
+    smoothed_means, _ = run_smoother(model, rules, out)
+    rows = []
+    for name, filtered, smoothed in zip(names, out.filtered_means, smoothed_means):
+        filter_rmses = _rmse(filtered, truth, components)
+        smoother_rmses = _rmse(smoothed, truth, components)
+        rows.append([
+            name,
+            float(np.mean(filter_rmses)), float(np.std(filter_rmses)),
+            float(np.mean(smoother_rmses)), float(np.std(smoother_rmses)),
+            "",
+        ])
+    return rows
+
+
+def _method_row(name, rule, model, measurements, truth, components) -> list:
+    """One method's report row, or the error that stopped it."""
     try:
-        rule = build_rule(method, model.state_dim)
-        out = run_filter(model, rule, measurements)
-        filter_rmses = _rmse(out.filtered_means, truth, components)
-        smoothed_means, _ = run_smoother(model, rule, out)
-        smoother_rmses = _rmse(smoothed_means, truth, components)
-    except (ConfigError, np.linalg.LinAlgError, ValueError,
-            RuntimeError, FloatingPointError) as exc:
-        return [name, "", "", "", "", str(exc)]
-    return [
-        name,
-        float(np.mean(filter_rmses)), float(np.std(filter_rmses)),
-        float(np.mean(smoother_rmses)), float(np.std(smoother_rmses)),
-        "",
-    ]
+        return _group_rows([name], [rule], model, measurements, truth, components)[0]
+    except _METHOD_ERRORS as exc:
+        return _error_row(name, exc)
 
 
 def _filtering_study(experiment: str, config: dict, model,
                      components, default_steps: int = 500) -> Report:
+    """Filter/smoother RMSE rows, one per method in config order.
+
+    Every method's rule is built first; a build failure is that method's
+    error row.  The built rules are grouped by point count and each group
+    runs as one recursion over all trajectories.  When a group's
+    recursion fails, its methods run again one at a time, so the failing
+    method's error cell reads as it would alone and the others' rows are
+    unchanged.
+    """
     methods = _validated_methods(config)
     seeds = _validated_seeds(config)
     steps = config_int(config.get("steps", default_steps), "config: 'steps'", minimum=1)
@@ -417,8 +452,24 @@ def _filtering_study(experiment: str, config: dict, model,
     trajectories = [simulate(model, steps, seed) for seed in seeds]
     measurements = np.stack([t.measurements for t in trajectories])
     truth = np.stack([t.states[1:] for t in trajectories])
+    rows, rules, groups = {}, {}, {}
     for method in methods:
-        report.rows.append(_method_row(method, model, measurements, truth, components))
+        name = method["name"]
+        try:
+            rules[name] = build_rule(method, model.state_dim)
+        except _METHOD_ERRORS as exc:
+            rows[name] = _error_row(name, exc)
+            continue
+        groups.setdefault(rules[name].points.count, []).append(name)
+    for names in groups.values():
+        try:
+            rows.update(zip(names, _group_rows(names, [rules[name] for name in names],
+                                               model, measurements, truth, components)))
+        except _METHOD_ERRORS:
+            for name in names:
+                rows[name] = _method_row(name, rules[name], model, measurements,
+                                         truth, components)
+    report.rows = [rows[method["name"]] for method in methods]
     report.metadata["wall_time_s"] = time.time() - start
     report.metadata["seeds"] = seeds
     report.metadata["steps"] = steps

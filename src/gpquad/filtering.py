@@ -7,9 +7,13 @@ smoother.  The unit sigma-points and weights are fixed once per run; the
 points are re-centered through m + sqrt(P) xi at every prediction and
 update step.  The smoother reuses the filter's prediction moments.
 
-The recursion runs over a batch of trajectories at once (a single
-trajectory is a batch of one): means are (S, n), covariances (S, n, n),
-and each model function sees the (S*N, n) sigma points of a whole step.
+The recursion runs over a batch at once: every rule of a group that
+shares a point count N, on every trajectory (a single rule on a single
+trajectory is a batch of one).  With M rules and S trajectories there
+are B = M*S members; means are (B, n), covariances (B, n, n), each member
+re-centers its own rule's unit points (B, N, n) and weighs them with its
+own weights (B, N), and each model function sees the (B*N, n) sigma
+points of a whole step.
 
 Model functions are vectorized over the leading axis: ``f(X, k)`` maps an
 (N, n) batch of states at destination index k to (N, n), ``h(X, k)`` maps
@@ -20,8 +24,9 @@ Gaussian and an integrand ``g(X)`` vectorized the same way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -95,8 +100,10 @@ class AdditiveStateSpaceModel:
 class FilterOutput:
     """Per-step filter quantities, index k = 1..T at array position k-1.
 
-    The shapes below are for one trajectory; a batch of S trajectories
-    adds a leading axis of length S to every array.  ``cross_covs`` holds
+    The shapes below are for one rule on one trajectory.  A batch of S
+    trajectories adds a leading axis of length S to every array, and a
+    sequence of M rules adds a leading method axis of length M before it,
+    so a group of rules on a batch gives (M, S, T, n).  ``cross_covs`` holds
     the cross covariance of x_{k-1} given y_{1:k-1} (the previous
     filtered state) with the predicted x_k, which the RTS smoother's gain
     needs.
@@ -134,31 +141,34 @@ class TransformResult(NamedTuple):
 
 
 def _match_moments(weights, deviations, values, noise_cov) -> TransformResult:
-    """Weighted sigma-point moments over a batch of S input Gaussians.
+    """Weighted sigma-point moments over a batch of B input Gaussians.
 
-    ``deviations`` (S, N, n) are the sigma points minus their input mean,
-    ``values`` (S, N, d) the integrand at them; returns the output means
-    (S, d), covariances (S, d, d) with ``noise_cov`` added and
-    input-output cross covariances (S, n, d).
+    ``weights`` are each member's rule weights (B, N), or (N,) shared by
+    all, ``deviations`` (B, N, n) the sigma points minus their input mean,
+    ``values`` (B, N, d) the integrand at them; returns the output means
+    (B, d), covariances (B, d, d) with ``noise_cov`` added and
+    input-output cross covariances (B, n, d).
     """
-    out_mean = weights @ values
+    out_mean = (weights[..., None, :] @ values)[:, 0]
     dev = values - out_mean[:, None, :]
-    weighted = weights[:, None] * dev
+    weighted = weights[..., :, None] * dev
     out_cov = weighted.transpose(0, 2, 1) @ dev + noise_cov
     out_cov = 0.5 * (out_cov + out_cov.transpose(0, 2, 1))
     cross = deviations.transpose(0, 2, 1) @ weighted
     return TransformResult(out_mean, out_cov, cross)
 
 
-def _transform(rule: QuadratureRule, fn, means, covs, noise_cov, k: int):
-    """Moment-match fn(x) + noise for a batch of Gaussians (S, n), (S, n, n).
+def _transform(points, weights, fn, means, covs, noise_cov, k: int):
+    """Moment-match fn(x) + noise for a batch of Gaussians (B, n), (B, n, n).
 
-    The sigma points of all S members go through ``fn`` in one (S*N, n)
-    call; an (S*N,) result is read as d = 1.  Returns the batched
-    ``TransformResult`` of ``_match_moments``.
+    Member b re-centers the unit points ``points[b]`` (N, n) and weighs
+    them with ``weights[b]`` (N,); a single (N, n) and (N,) rule serves
+    every member.  The sigma points of all B members go through ``fn`` in
+    one (B*N, n) call; a (B*N,) result is read as d = 1.  Returns the
+    batched ``TransformResult`` of ``_match_moments``.
     """
     root = matrix_sqrt(covs).factor
-    deviations = rule.points.points @ root.transpose(0, 2, 1)
+    deviations = points @ root.transpose(0, 2, 1)
     batch, count, n = deviations.shape
     sigma_pts = (means[:, None, :] + deviations).reshape(batch * count, n)
     values = np.asarray(fn(sigma_pts, k), dtype=float).reshape(batch, count, -1)
@@ -166,17 +176,18 @@ def _transform(rule: QuadratureRule, fn, means, covs, noise_cov, k: int):
     if not finite.all():
         raise ValueError("function returned non-finite values at the sigma-points"
                          + _member(int(np.argmin(finite)), batch))
-    return _match_moments(rule.weights, deviations, values, noise_cov)
+    return _match_moments(weights, deviations, values, noise_cov)
 
 
-def _update(rule: QuadratureRule, means, covs, measurement, measurement_cov,
+def _update(points, weights, means, covs, measurement, measurement_cov,
             observations, k: int):
-    """Measurement update of a batch: predicted (S, n), (S, n, n) and
-    observations (S, d) to filtered means and covariances, plus the
-    innovation means, innovation covariances, cross covariances and gains.
+    """Measurement update of a batch: predicted (B, n), (B, n, n) and
+    observations (B, d) to filtered means and covariances, plus the
+    innovation means, innovation covariances, cross covariances and gains;
+    ``points`` and ``weights`` are those of ``_transform``.
     """
     innovation_means, innovation_covs, cross = _transform(
-        rule, measurement, means, covs, measurement_cov, k)
+        points, weights, measurement, means, covs, measurement_cov, k)
     gain = _gain(cross, innovation_covs, f"innovation covariance at step {k}")
     means = means + (gain @ (observations - innovation_means)[:, :, None])[:, :, 0]
     covs = covs - gain @ innovation_covs @ gain.transpose(0, 2, 1)
@@ -194,7 +205,7 @@ def gp_transform(rule: QuadratureRule, g: Callable, mean, cov,
     the model functions: it maps the (N, n) sigma points to (N, d), or to
     (N,) for d = 1, in one call.  The mean alone is the rule applied to g.
     """
-    moments = _transform(rule, lambda x, k: g(x),
+    moments = _transform(rule.points.points, rule.weights, lambda x, k: g(x),
                          np.atleast_1d(np.asarray(mean, dtype=float))[None],
                          np.atleast_2d(np.asarray(cov, dtype=float))[None],
                          np.atleast_2d(np.asarray(noise_cov, dtype=float)), 0)
@@ -204,7 +215,8 @@ def gp_transform(rule: QuadratureRule, g: Callable, mean, cov,
 def predict(state: GaussianState, rule: QuadratureRule, transition,
             process_cov, k: int = 0) -> GaussianState:
     """One prediction step: moment-match f(x) + q through the rule."""
-    mean, cov, _ = _transform(rule, transition, state.mean[None], state.cov[None],
+    mean, cov, _ = _transform(rule.points.points, rule.weights, transition,
+                              state.mean[None], state.cov[None],
                               np.atleast_2d(np.asarray(process_cov, dtype=float)), k)
     return GaussianState(mean[0], cov[0])
 
@@ -219,22 +231,35 @@ def update(pred: GaussianState, rule: QuadratureRule, measurement,
     """
     observation = np.atleast_1d(np.asarray(observation, dtype=float))
     mean, cov, *rest = _update(
-        rule, pred.mean[None], pred.cov[None], measurement,
+        rule.points.points, rule.weights, pred.mean[None], pred.cov[None], measurement,
         np.atleast_2d(np.asarray(measurement_cov, dtype=float)), observation[None], k)
     return (GaussianState(mean[0], cov[0]), *(value[0] for value in rest))
 
 
-def run_filter(model: AdditiveStateSpaceModel, rule: QuadratureRule,
+def run_filter(model: AdditiveStateSpaceModel,
+               rule: QuadratureRule | Sequence[QuadratureRule],
                observations) -> FilterOutput:
     """Fold predict/update over measurement sequences from the prior.
 
     ``observations`` is (T, d) for one trajectory or (S, T, d) for a
-    batch of S trajectories of equal length, filtered together: each
-    step factors all S covariances in one call and evaluates the model
-    once on the S*N sigma points.  A length-T vector is accepted for
-    scalar measurements.  The output's arrays carry the batch axis only
-    when the input does.
+    batch of S trajectories of equal length.  ``rule`` is one rule, or a
+    sequence of M rules with one point count, every one of which filters
+    every trajectory.  All M*S members run as one recursion: each step
+    factors their covariances in one call and evaluates the model once on
+    all their sigma points; member (m, s) uses rule m's points and
+    weights, so its numbers are those of rule m run on trajectory s
+    alone.  A length-T vector is accepted for scalar measurements.  The
+    output's arrays carry the method axis only for a sequence of rules
+    and the trajectory axis only for a batch: (M, S, T, ...) for both.
+    An error names the time index and the failing member's position in
+    the flattened (M*S) batch.
     """
+    single = isinstance(rule, QuadratureRule)
+    rules = [rule] if single else list(rule)
+    counts = sorted({member.points.count for member in rules})
+    if len(counts) != 1:
+        raise ValueError("rules filtered together need one point count, "
+                         f"got {counts or 'no rule'}")
     observations = np.asarray(observations, dtype=float)
     if observations.ndim == 1 and model.measurement_dim == 1:
         observations = observations[:, None]
@@ -249,7 +274,12 @@ def run_filter(model: AdditiveStateSpaceModel, rule: QuadratureRule,
             f"observations of dimension {observations.shape[-1]}, "
             f"model expects {model.measurement_dim}"
         )
-    batch, steps = observations.shape[:2]
+    size, steps = observations.shape[:2]
+    batch = len(rules) * size
+    # member m*S + s: rule m on trajectory s
+    points = np.repeat(np.stack([member.points.points for member in rules]), size, axis=0)
+    weights = np.repeat(np.stack([member.weights for member in rules]), size, axis=0)
+    observations = np.tile(observations, (len(rules), 1, 1))
     n, d = model.state_dim, model.measurement_dim
     out = FilterOutput(
         predicted_means=np.empty((batch, steps, n)),
@@ -265,10 +295,10 @@ def run_filter(model: AdditiveStateSpaceModel, rule: QuadratureRule,
     for k in range(1, steps + 1):
         try:
             pred_means, pred_covs, cross = _transform(
-                rule, model.transition, means, covs, model.q_cov(k), k)
+                points, weights, model.transition, means, covs, model.q_cov(k), k)
             means, covs, mu, s_cov, _, _ = _update(
-                rule, pred_means, pred_covs, model.measurement, model.r_cov(k),
-                observations[:, k - 1], k)
+                points, weights, pred_means, pred_covs, model.measurement,
+                model.r_cov(k), observations[:, k - 1], k)
         except (ValueError, np.linalg.LinAlgError) as exc:
             raise type(exc)(f"filter failed at time index {k}: {exc}") from exc
         out.predicted_means[:, k - 1] = pred_means
@@ -278,24 +308,28 @@ def run_filter(model: AdditiveStateSpaceModel, rule: QuadratureRule,
         out.innovation_means[:, k - 1] = mu
         out.innovation_covs[:, k - 1] = s_cov
         out.cross_covs[:, k - 1] = cross
-    if batched:
-        return out
-    return _map_arrays(out, lambda array: array[0])
+    lead = ((len(rules),) if not single else ()) + ((size,) if batched else ())
+    return _map_arrays(out, lambda array: array.reshape(lead + array.shape[1:]))
 
 
-def run_smoother(model: AdditiveStateSpaceModel, rule: QuadratureRule,
+def run_smoother(model: AdditiveStateSpaceModel,
+                 rule: QuadratureRule | Sequence[QuadratureRule],
                  filter_out: FilterOutput) -> tuple[np.ndarray, np.ndarray]:
-    """Backward RTS pass over a filter output (one trajectory or a batch).
+    """Backward RTS pass over a filter output with any leading batch axes.
 
     The gain G_k = C_{k+1} (P^-_{k+1})^{-1} comes from the predicted
     covariances and cross covariances the filter stored, so the pass
     makes no model call and takes no square root; ``model`` and ``rule``
-    are those of the filter run.  The recursion starts from the last
-    filtered state, which it leaves untouched.  Returns (means, covs)
-    arrays shaped like the filtered ones.
+    (one rule or the filter's sequence of rules) are those of the filter
+    run.  All members, (M, S) for a group of rules on a batch, run as one
+    recursion.  The recursion starts from the last filtered state, which
+    it leaves untouched.  Returns (means, covs) arrays shaped like the
+    filtered ones; an error names the failing member's position in the
+    flattened batch.
     """
-    batched = filter_out.filtered_means.ndim == 3
-    out = filter_out if batched else _map_arrays(filter_out, lambda array: array[None])
+    lead = filter_out.filtered_means.shape[:-2]
+    out = _map_arrays(filter_out, lambda array: array.reshape(
+        (math.prod(lead),) + array.shape[len(lead):]))
     means = out.filtered_means.copy()
     covs = out.filtered_covs.copy()
     for k in range(len(out) - 1, 0, -1):
@@ -309,4 +343,4 @@ def run_smoother(model: AdditiveStateSpaceModel, rule: QuadratureRule,
         smoothed_cov = (out.filtered_covs[:, k - 1]
                         + gain @ (covs[:, k] - pred_cov) @ gain.transpose(0, 2, 1))
         covs[:, k - 1] = 0.5 * (smoothed_cov + smoothed_cov.transpose(0, 2, 1))
-    return (means, covs) if batched else (means[0], covs[0])
+    return means.reshape(lead + means.shape[1:]), covs.reshape(lead + covs.shape[1:])

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 
 import gpquad
 from gpquad.cli import main
+from gpquad import experiments
 from gpquad.experiments import (
     FLOAT_FORMAT,
     ConfigError,
@@ -21,7 +22,7 @@ from gpquad.experiments import (
     run_moments,
     run_ungm,
 )
-from gpquad.filtering import GaussianState
+from gpquad.filtering import AdditiveStateSpaceModel, GaussianState
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -298,6 +299,85 @@ class TestRunBot:
         assert row[1] < 0.1 * 100.0
 
 
+def _method(name, points, length_scale=None):
+    if length_scale is None:
+        return {"name": name, "points": points, "kernel": "classical"}
+    return {"name": name, "points": points, "jitter": 1e-8,
+            "kernel": {"type": "se", "output_scale": 1.0, "length_scale": length_scale}}
+
+
+UT, CUBATURE = {"type": "ut", "kappa": 2.0}, {"type": "cubature"}
+# groups of 3 (five methods), 2 and 7 points; gpq-hammersley-7 fails at
+# time index 2, so its group runs again one method at a time
+UNGM_METHODS = [
+    _method("ukf", UT), _method("ckf", CUBATURE),
+    _method("ghkf-3", {"type": "gauss-hermite", "order": 3}),
+    _method("ghkf-7", {"type": "gauss-hermite", "order": 7}),
+    _method("gpq-ut", UT, 3.0),
+    _method("gpq-hammersley-3", {"type": "hammersley", "count": 3}, 3.0),
+    _method("gpq-hammersley-7", {"type": "hammersley", "count": 7}, 3.0),
+    _method("gpq-optimized-3", {"type": "optimized", "count": 3, "seed": 0,
+                                "kernel": {"type": "se", "length_scale": 1.0}}, 3.0),
+]
+# configs/bot.json: groups of 11, 10 and 243 points
+BOT_METHODS = [
+    _method("ukf", UT), _method("ckf", CUBATURE),
+    _method("ghkf-3", {"type": "gauss-hermite", "order": 3}),
+    _method("gpq-ut", UT, 10.0), _method("gpq-cubature", CUBATURE, 10.0),
+]
+
+
+def assert_rows_match(rows, single_rows):
+    # numbers with the convention of test_ungm_batch_matches_single_calls,
+    # names and error cells exactly
+    assert [row[0] for row in rows] == [row[0] for row in single_rows]
+    for row, single in zip(rows, single_rows):
+        assert row[5] == single[5]
+        if row[5] == "":
+            np.testing.assert_allclose(row[1:5], single[1:5], rtol=0, atol=1e-7)
+
+
+class TestMethodGroups:
+    @pytest.mark.parametrize("study,methods,steps", [
+        (run_ungm, UNGM_METHODS, 60), (run_bot, BOT_METHODS, 30)], ids=["ungm", "bot"])
+    def test_rows_equal_one_method_studies(self, study, methods, steps):
+        config = {"seeds": [0, 1, 2], "steps": steps, "methods": methods}
+        rows = study(config).rows
+        single_rows = [study({**config, "methods": [method]}).rows[0] for method in methods]
+        assert_rows_match(rows, single_rows)
+        if study is run_ungm:
+            failed = [row[0] for row in rows if row[5]]
+            assert failed == ["gpq-hammersley-7"]
+
+    def test_failing_method_does_not_disturb_its_group(self):
+        # x_k = x_{k-1}^2 from a prior mean of 0: the UT with kappa = -1/2
+        # predicts the variance P (8 m^2 - P) / 2 = -1/2 at time index 1 on
+        # every trajectory, while 3-point Gauss-Hermite runs through; the
+        # UT's first member in the group is member 2, alone it is member 0
+        model = AdditiveStateSpaceModel(
+            transition=lambda x, k: x**2,
+            measurement=lambda x, k: x,
+            process_cov=np.zeros((1, 1)),
+            measurement_cov=np.eye(1),
+            prior=GaussianState(np.zeros(1), np.eye(1)),
+            state_dim=1,
+            measurement_dim=1,
+        )
+        methods = [_method("ghkf-3", {"type": "gauss-hermite", "order": 3}),
+                   _method("ut-negative", {"type": "ut", "kappa": -0.5})]
+        config = {"seeds": [0, 1], "steps": 3, "methods": methods}
+
+        def study(config):
+            return experiments._filtering_study("squared", config, model, components=[0])
+
+        rows = study(config).rows
+        single_rows = [study({**config, "methods": [method]}).rows[0] for method in methods]
+        assert rows == single_rows
+        assert rows[0][5] == ""
+        assert rows[1][5] == ("filter failed at time index 1: matrix is not PSD "
+                              "for batch member 0: smallest eigenvalue -5.000e-01")
+
+
 class TestBuildRule:
     def test_classical_random_points_get_uniform_weights(self):
         rule = build_rule({"name": "mc", "points": {"type": "random",
@@ -482,6 +562,11 @@ class TestCliCommands:
                "kernel": {"type": "se", "output_scale": 1.0, "length_scale": 1.0}}
     UNGM = {"experiment": "ungm", "seeds": [0], "steps": 5,
             "methods": [{"name": "ukf", "points": {"type": "ut"}, "kernel": "classical"}]}
+    POINTS = {"experiment": "points", "dimension": 1,
+              "points": {"type": "gauss-hermite", "order": 3}}
+    TRANSFORM = {"experiment": "transform", "dimension": 2,
+                 "method": {"name": "ut", "points": {"type": "ut"}, "kernel": "classical"},
+                 "function": "identity"}
 
     @pytest.mark.parametrize("base,change,offset", [
         (WEIGHTS, {"dimension": "two"}, "0"),
@@ -498,10 +583,21 @@ class TestCliCommands:
         (UNGM, {"seeds": ["a"]}, "3"),
         (UNGM, {"seeds": [1.5]}, "0"),
         (UNGM, {"seeds": [-1]}, "0"),
+        (POINTS, {"points": {"type": "gauss-hermite", "order": 0}}, "0"),
+        (POINTS, {"points": {"type": "gauss-hermite", "order": 51}}, "0"),
+        (POINTS, {"dimension": 5, "points": {"type": "gauss-hermite", "order": 20}}, "0"),
+        (TRANSFORM, {"mean": "zero"}, "0"),
+        (TRANSFORM, {"cov": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]}, "0"),
+        (TRANSFORM, {"cov": [[1.0, 0.0], [0.0]]}, "0"),
+        (TRANSFORM, {"noise_cov": [[True, False], [False, True]]}, "0"),
+        (TRANSFORM, {"function": {"name": "radial-power"}, "noise_cov": np.eye(2).tolist()},
+         "0"),
     ], ids=["dimension-string", "dimension-fraction", "dimension-bool", "kappa-string",
             "length-scale-negative", "length-scale-string", "ut-order-even",
             "jitter-string", "steps-string", "steps-zero", "seed-string",
-            "seed-string-offset", "seed-fraction", "seed-negative"])
+            "seed-string-offset", "seed-fraction", "seed-negative", "gh-order-zero",
+            "gh-order-above-max", "gh-grid-above-cap", "mean-string", "cov-3x2", "cov-ragged",
+            "noise-cov-bool", "noise-cov-not-output-shape"])
     def test_bad_config_number_is_exit_1(self, tmp_path, capsys, base, change, offset):
         config = write_config(tmp_path, {**base, **change})
         command = base["experiment"]

@@ -1,9 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from gpquad import filtering
 from gpquad.filtering import (
     AdditiveStateSpaceModel,
+    FilterOutput,
     GaussianState,
     predict,
     run_filter,
@@ -11,8 +14,14 @@ from gpquad.filtering import (
     update,
 )
 from gpquad.kernels import SquaredExponentialKernel, make_gh_kernel, make_ut_kernel
-from gpquad.models import simulate, ungm_model
-from gpquad.points import cubature_points, gauss_hermite_points, symmetric5_points, ut_points
+from gpquad.models import bot_model, simulate, ungm_model
+from gpquad.points import (
+    cubature_points,
+    gauss_hermite_points,
+    hammersley_points,
+    symmetric5_points,
+    ut_points,
+)
 from gpquad.quadrature import gpq_weights, matrix_sqrt
 
 
@@ -356,10 +365,15 @@ class TestBatchedRecursion:
         rule = ut_points(1, -0.5)
         healthy = np.array([[[3.0]], [[5.0]]])
         run_filter(model, rule, healthy)
+        ys = np.array([[[3.0], [1.0]], [[0.0], [1.0]], [[5.0], [1.0]]])
         with pytest.raises(ValueError, match="time index 2: matrix is not PSD "
                                              "for batch member 1"):
-            run_filter(model, rule, np.array([[[3.0], [1.0]], [[0.0], [1.0]],
-                                              [[5.0], [1.0]]]))
+            run_filter(model, rule, ys)
+        # in a group the UT's three members follow Gauss-Hermite's three
+        run_filter(model, gauss_hermite_points(1, 3), ys)
+        with pytest.raises(ValueError, match="time index 2: matrix is not PSD "
+                                             "for batch member 4"):
+            run_filter(model, [gauss_hermite_points(1, 3), rule], ys)
 
     def test_smoother_makes_no_model_call_and_no_square_root(self, monkeypatch):
         calls = {"transition": 0, "measurement": 0, "matrix_sqrt": 0}
@@ -410,8 +424,68 @@ class TestBatchedRecursion:
         with pytest.raises(np.linalg.LinAlgError,
                            match=r"^innovation covariance at step 3 not positive definite "
                                  r"for batch member 1 \(min eigenvalue 0\.000e\+00\)$"):
-            filtering._update(rule, np.zeros((2, 1)), covs, lambda x, k: x,
-                              np.zeros((1, 1)), np.zeros((2, 1)), 3)
+            filtering._update(rule.points.points, rule.weights, np.zeros((2, 1)), covs,
+                              lambda x, k: x, np.zeros((1, 1)), np.zeros((2, 1)), 3)
+
+
+def ungm_group():
+    # three points each, classical and GP-quadrature weights
+    ut = ut_points(1, 2.0)
+    se = SquaredExponentialKernel(output_scale=1.0, length_scale=3.0)
+    return ungm_model(), [ut, gpq_weights(se, ut.points, 1e-8), gauss_hermite_points(1, 3),
+                          gpq_weights(se, hammersley_points(1, 3), 1e-8)]
+
+
+def bot_group():
+    # eleven points each in 5-D
+    ut = ut_points(5, 2.0)
+    se = SquaredExponentialKernel(output_scale=1.0, length_scale=10.0)
+    return bot_model(), [ut, gpq_weights(se, ut.points, 1e-8), ut_points(5, 1.0)]
+
+
+class TestRuleGroups:
+    @pytest.mark.parametrize("make_group", [ungm_group, bot_group], ids=["ungm", "bot"])
+    def test_group_equals_its_members_run_alone(self, make_group):
+        # each member's slice against its solo run, with the convention of
+        # test_ungm_batch_matches_single_calls
+        model, rules = make_group()
+        ys = np.stack([simulate(model, 60, seed=s).measurements for s in range(3)])
+        out = run_filter(model, rules, ys)
+        means, covs = run_smoother(model, rules, out)
+        n = model.state_dim
+        assert len(out) == 60
+        assert out.filtered_means.shape == (len(rules), 3, 60, n)
+        assert covs.shape == (len(rules), 3, 60, n, n)
+        for index, rule in enumerate(rules):
+            single = run_filter(model, rule, ys)
+            single_means, single_covs = run_smoother(model, rule, single)
+            for field in fields(FilterOutput):
+                np.testing.assert_allclose(getattr(out, field.name)[index],
+                                           getattr(single, field.name), rtol=0, atol=1e-7)
+            np.testing.assert_allclose(means[index], single_means, rtol=0, atol=1e-7)
+            np.testing.assert_allclose(covs[index], single_covs, rtol=0, atol=1e-7)
+
+    def test_sequence_of_rules_on_one_trajectory_adds_only_the_method_axis(self):
+        model, rules = ungm_group()
+        y = simulate(model, 30, seed=3).measurements
+        out = run_filter(model, rules, y)
+        means, covs = run_smoother(model, rules, out)
+        assert out.innovation_covs.shape == (len(rules), 30, 1, 1)
+        assert means.shape == (len(rules), 30, 1) and covs.shape == (len(rules), 30, 1, 1)
+        single = run_filter(model, rules[1], y)
+        one = run_filter(model, rules[1:2], y)
+        assert one.filtered_means.shape == (1, 30, 1)
+        for group, index in ((out, 1), (one, 0)):
+            np.testing.assert_allclose(group.filtered_means[index], single.filtered_means,
+                                       rtol=0, atol=1e-7)
+
+    def test_rules_of_different_point_counts_are_rejected(self):
+        model = ungm_model()
+        y = simulate(model, 5, seed=0).measurements
+        with pytest.raises(ValueError, match=r"one point count, got \[2, 3\]"):
+            run_filter(model, [ut_points(1, 2.0), cubature_points(1)], y)
+        with pytest.raises(ValueError, match="one point count, got no rule"):
+            run_filter(model, [], y)
 
 
 class TestNoiseCovariances:
