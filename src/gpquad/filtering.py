@@ -18,8 +18,9 @@ points of a whole step.
 Model functions are vectorized over the leading axis: ``f(X, k)`` maps an
 (N, n) batch of states at destination index k to (N, n), ``h(X, k)`` maps
 (N, n) to (N, d).  Noise covariances may be constant matrices or
-callables of the time index.  ``gp_transform`` is the same step for one
-Gaussian and an integrand ``g(X)`` vectorized the same way.
+callables of the time index; a scalar s stands for s I.  ``gp_transform``
+is the same step for one Gaussian and an integrand ``g(X)`` vectorized
+the same way.
 """
 
 from __future__ import annotations
@@ -89,11 +90,26 @@ class AdditiveStateSpaceModel:
 
     def q_cov(self, k: int) -> np.ndarray:
         cov = self.process_cov
-        return np.atleast_2d(np.asarray(cov(k) if callable(cov) else cov, dtype=float))
+        return _noise_matrix(cov(k) if callable(cov) else cov, self.state_dim)
 
     def r_cov(self, k: int) -> np.ndarray:
         cov = self.measurement_cov
-        return np.atleast_2d(np.asarray(cov(k) if callable(cov) else cov, dtype=float))
+        return _noise_matrix(cov(k) if callable(cov) else cov, self.measurement_dim)
+
+
+def _noise_matrix(cov, d: int) -> np.ndarray:
+    """A noise covariance as a (d, d) matrix: a scalar s stands for s I_d.
+
+    Every noise covariance the transform, the filter steps and the model
+    take is read through here; a shape other than () or (d, d) raises.
+    """
+    cov = np.asarray(cov, dtype=float)
+    if cov.shape == ():
+        return cov * np.eye(d)
+    if cov.shape != (d, d):
+        raise ValueError(f"noise covariance of shape {cov.shape}; expected a scalar "
+                         f"or ({d}, {d})")
+    return cov
 
 
 @dataclass(frozen=True)
@@ -146,13 +162,13 @@ def _match_moments(weights, deviations, values, noise_cov) -> TransformResult:
     ``weights`` are each member's rule weights (B, N), or (N,) shared by
     all, ``deviations`` (B, N, n) the sigma points minus their input mean,
     ``values`` (B, N, d) the integrand at them; returns the output means
-    (B, d), covariances (B, d, d) with ``noise_cov`` added and
-    input-output cross covariances (B, n, d).
+    (B, d), covariances (B, d, d) with ``noise_cov`` (read by
+    ``_noise_matrix``) added and input-output cross covariances (B, n, d).
     """
     out_mean = (weights[..., None, :] @ values)[:, 0]
     dev = values - out_mean[:, None, :]
     weighted = weights[..., :, None] * dev
-    out_cov = weighted.transpose(0, 2, 1) @ dev + noise_cov
+    out_cov = weighted.transpose(0, 2, 1) @ dev + _noise_matrix(noise_cov, values.shape[-1])
     out_cov = 0.5 * (out_cov + out_cov.transpose(0, 2, 1))
     cross = deviations.transpose(0, 2, 1) @ weighted
     return TransformResult(out_mean, out_cov, cross)
@@ -199,16 +215,16 @@ def gp_transform(rule: QuadratureRule, g: Callable, mean, cov,
                  noise_cov) -> TransformResult:
     """Moment-matched Gaussian approximation of y = g(x) + q.
 
-    x ~ N(mean, cov), q ~ N(0, noise_cov); returns the output mean, the
-    output covariance (noise included) and the input-output cross
-    covariance, each a weighted sigma-point sum.  ``g`` is vectorized like
+    x ~ N(mean, cov), q ~ N(0, noise_cov), a scalar ``noise_cov`` s
+    meaning s I; returns the output mean, the output covariance (noise
+    included) and the input-output cross covariance, each a weighted
+    sigma-point sum.  ``g`` is vectorized like
     the model functions: it maps the (N, n) sigma points to (N, d), or to
     (N,) for d = 1, in one call.  The mean alone is the rule applied to g.
     """
     moments = _transform(rule.points.points, rule.weights, lambda x, k: g(x),
                          np.atleast_1d(np.asarray(mean, dtype=float))[None],
-                         np.atleast_2d(np.asarray(cov, dtype=float))[None],
-                         np.atleast_2d(np.asarray(noise_cov, dtype=float)), 0)
+                         np.atleast_2d(np.asarray(cov, dtype=float))[None], noise_cov, 0)
     return TransformResult(*(moment[0] for moment in moments))
 
 
@@ -216,8 +232,7 @@ def predict(state: GaussianState, rule: QuadratureRule, transition,
             process_cov, k: int = 0) -> GaussianState:
     """One prediction step: moment-match f(x) + q through the rule."""
     mean, cov, _ = _transform(rule.points.points, rule.weights, transition,
-                              state.mean[None], state.cov[None],
-                              np.atleast_2d(np.asarray(process_cov, dtype=float)), k)
+                              state.mean[None], state.cov[None], process_cov, k)
     return GaussianState(mean[0], cov[0])
 
 
@@ -232,7 +247,7 @@ def update(pred: GaussianState, rule: QuadratureRule, measurement,
     observation = np.atleast_1d(np.asarray(observation, dtype=float))
     mean, cov, *rest = _update(
         rule.points.points, rule.weights, pred.mean[None], pred.cov[None], measurement,
-        np.atleast_2d(np.asarray(measurement_cov, dtype=float)), observation[None], k)
+        measurement_cov, observation[None], k)
     return (GaussianState(mean[0], cov[0]), *(value[0] for value in rest))
 
 

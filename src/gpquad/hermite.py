@@ -119,25 +119,26 @@ def hermite_design_matrix(indices, points: np.ndarray) -> np.ndarray:
     ----------
     indices : (m, n) integer array-like
         Index set, of the points' dimension.
-    points : (N, n) ndarray
+    points : (N, n) ndarray, or a batch of point sets (..., N, n)
 
     Returns
     -------
-    (N, m) ndarray with columns H_I(points), one per index.
+    (N, m) ndarray with columns H_I(points), one per index; (..., N, m)
+    for a batch.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     indices = np.asarray(indices)
-    n = points.shape[1]
+    n = points.shape[-1]
     if indices.ndim != 2 or indices.shape[1] != n:
         raise ValueError(f"index set of shape {indices.shape} does not match "
                          f"points of dimension {n}")
-    # table[d, :, p] = He_p evaluated on coordinate d of every point
-    table = _hermite_table(points.T, int(indices.max(initial=0)))
-    # np.take returns C order; fancy indexing on axis 1 would return F
-    # order, on which the downstream matmuls round differently
-    design = np.take(table[0], indices[:, 0], axis=1)
+    # table[d, ..., p] = He_p evaluated on coordinate d of every point
+    table = _hermite_table(np.moveaxis(points, -1, 0), int(indices.max(initial=0)))
+    # np.take returns C order; fancy indexing on the last axis would
+    # return F order, on which the downstream matmuls round differently
+    design = np.take(table[0], indices[:, 0], axis=-1)
     for d in range(1, n):
-        design *= np.take(table[d], indices[:, d], axis=1)
+        design *= np.take(table[d], indices[:, d], axis=-1)
     return design
 
 

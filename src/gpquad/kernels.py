@@ -13,7 +13,9 @@ Two families are supported on the standardized N(0, I) domain:
 Both expose ``eval`` / ``gram`` / ``mean_embedding`` / ``double_integral``,
 the three quantities the quadrature weight and variance formulas consume,
 and ``derivatives``, their gradients in the points, which the
-minimum-variance optimizer consumes.
+minimum-variance optimizer consumes.  Points are an (N, n) set or a batch
+of sets (..., N, n); every per-set quantity then gains the leading batch
+axes, each set computed as it would be alone.
 """
 
 from __future__ import annotations
@@ -38,9 +40,14 @@ MAX_GH_KERNEL_TERMS = 20_000
 
 def _as_points(x, dim: int | None = None) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    if dim is not None and pts.shape[1] != dim:
-        raise ValueError(f"points of dimension {pts.shape[1]}, kernel expects {dim}")
+    if dim is not None and pts.shape[-1] != dim:
+        raise ValueError(f"points of dimension {pts.shape[-1]}, kernel expects {dim}")
     return pts
+
+
+def _squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """||x_i - y_k||^2 over batches (..., N, n) and (..., M, n): (..., N, M)."""
+    return ((x[..., :, None, :] - y[..., None, :, :]) ** 2).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -57,8 +64,8 @@ class SquaredExponentialKernel:
     def eval(self, x, y) -> np.ndarray:
         """Pairwise kernel matrix between two point batches."""
         x = _as_points(x)
-        y = _as_points(y, x.shape[1])
-        d2 = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=-1)
+        y = _as_points(y, x.shape[-1])
+        d2 = _squared_distances(x, y)
         return self.output_scale**2 * np.exp(-d2 / (2.0 * self.length_scale**2))
 
     def gram(self, points) -> np.ndarray:
@@ -67,10 +74,10 @@ class SquaredExponentialKernel:
     def mean_embedding(self, points) -> np.ndarray:
         """integral K(x, x_i) N(x | 0, I) dx for each point x_i."""
         pts = _as_points(points)
-        n = pts.shape[1]
+        n = pts.shape[-1]
         l2 = self.length_scale**2
         scale = self.output_scale**2 * (l2 / (1.0 + l2)) ** (n / 2.0)
-        return scale * np.exp(-(pts**2).sum(axis=1) / (2.0 * (1.0 + l2)))
+        return scale * np.exp(-(pts**2).sum(axis=-1) / (2.0 * (1.0 + l2)))
 
     def double_integral(self, n: int) -> float:
         """double integral K(x, x') N(x|0,I) N(x'|0,I) dx dx'."""
@@ -88,39 +95,54 @@ class SquaredExponentialKernel:
         Returns
         -------
         (dK, dq) with dK[i, k] = d/dx_i K(x_i, x_k), an (N, N, n) ndarray,
-        and dq[i] = d/dx_i q(x_i), an (N, n) ndarray.
+        and dq[i] = d/dx_i q(x_i), an (N, n) ndarray (each with the
+        points' batch axes in front).
         """
         pts = _as_points(points)
         l2 = self.length_scale**2
-        diff = pts[:, None, :] - pts[None, :, :]
-        d_gram = -gram[:, :, None] * diff / l2
-        d_embedding = -embedding[:, None] * pts / (1.0 + l2)
+        diff = pts[..., :, None, :] - pts[..., None, :, :]
+        d_gram = -gram[..., None] * diff / l2
+        d_embedding = -embedding[..., None] * pts / (1.0 + l2)
         return d_gram, d_embedding
 
     def flat_increments(self, points):
-        """Exact increments of the nearly-flat weight system.
+        """Gram increments E of the nearly-flat weight system.
 
-        Writes the Gram matrix as ``s^2 (11^T + E)`` and the embedding as
-        ``s^2 c (1 + delta)`` with E and delta computed through ``expm1``,
-        so their tiny magnitudes keep full relative precision.  Used by the
-        weight solver when the kernel is almost constant over the point
-        set (large length scales), where the plain Gram matrix is
-        numerically singular.
+        Writes the Gram matrix as ``s^2 (11^T + E)`` with E computed
+        through ``expm1``, so its tiny magnitudes keep full relative
+        precision.  The weight solver tests flatness on E and deflates the
+        system when the kernel is almost constant over the point set
+        (large length scales), where the plain Gram matrix is numerically
+        singular; ``flat_embedding`` then gives the matching embedding.
 
         Returns
         -------
-        (E, c, delta) with E an (N, N) ndarray, c a float, delta (N,).
+        E, an (N, N) ndarray (with the points' batch axes in front).
         """
         pts = _as_points(points)
-        n = pts.shape[1]
+        return np.expm1(-_squared_distances(pts, pts) / (2.0 * self.length_scale**2))
+
+    def flat_embedding(self, points):
+        """The embedding as ``s^2 c (1 + delta)`` for a nearly-flat set.
+
+        delta comes through ``expm1`` about the set's mean squared radius,
+        so it keeps full relative precision.  Its exponent can overflow
+        for points far apart, which a nearly-flat set never has, so the
+        weight solver calls this for such sets only.
+
+        Returns
+        -------
+        (c, delta) with c a float and delta an (N,) ndarray (each with
+        the points' batch axes in front).
+        """
+        pts = _as_points(points)
+        n = pts.shape[-1]
         l2 = self.length_scale**2
-        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
-        gram_inc = np.expm1(-d2 / (2.0 * l2))
-        rho = (pts**2).sum(axis=1)
-        rho0 = rho.mean()
-        emb_inc = np.expm1(-(rho - rho0) / (2.0 * (1.0 + l2)))
+        rho = (pts**2).sum(axis=-1)
+        rho0 = rho.mean(axis=-1)
+        emb_inc = np.expm1(-(rho - rho0[..., None]) / (2.0 * (1.0 + l2)))
         emb_scale = (l2 / (1.0 + l2)) ** (n / 2.0) * np.exp(-rho0 / (2.0 * (1.0 + l2)))
-        return gram_inc, emb_scale, emb_inc
+        return emb_scale, emb_inc
 
 
 def _inverse_factorials(indices: np.ndarray) -> np.ndarray:
@@ -195,7 +217,7 @@ class HermitePolynomialKernel:
 
     def _feature_derivatives(self, points) -> np.ndarray:
         # d phi_I / dx_d = phi_{I - e_d} (He_k' = k He_{k-1}), zero where
-        # I_d = 0; returns the (n, N, m) stack over d
+        # I_d = 0; returns the (n, ..., N, m) stack over d
         pts = _as_points(points, self.dimension)
         stack = []
         for d in range(self.dimension):
@@ -211,12 +233,12 @@ class HermitePolynomialKernel:
         return features if self.coefficients is None else features @ self.coefficients
 
     def eval(self, x, y) -> np.ndarray:
-        return self._weighted(self._features(x)) @ self._features(y).T
+        return self._weighted(self._features(x)) @ np.swapaxes(self._features(y), -1, -2)
 
     def gram(self, points) -> np.ndarray:
         f = self._features(points)
-        gram = self._weighted(f) @ f.T
-        return 0.5 * (gram + gram.T)
+        gram = self._weighted(f) @ np.swapaxes(f, -1, -2)
+        return 0.5 * (gram + np.swapaxes(gram, -1, -2))
 
     def mean_embedding(self, points) -> np.ndarray:
         # integrating H_I against N(0, I) kills every row except I = 0. The
@@ -224,7 +246,7 @@ class HermitePolynomialKernel:
         # vector BLAS rounds the weight solve's q @ w differently
         features = self._features(points)
         if self.coefficients is None:
-            return features[:, self._zero_row]
+            return features[..., self._zero_row]
         return features @ self.coefficients[self._zero_row]
 
     def double_integral(self, n: int | None = None) -> float:
@@ -241,13 +263,13 @@ class HermitePolynomialKernel:
         for the call shared with the SE kernel.  Shapes as in
         ``SquaredExponentialKernel.derivatives``.
         """
-        d_features = self._feature_derivatives(points)          # (n, N, m)
-        weighted = self._weighted(self._features(points))       # (N, m)
-        d_gram = (d_features @ weighted.T).transpose(1, 2, 0)
+        d_features = self._feature_derivatives(points)          # (n, ..., N, m)
+        weighted = self._weighted(self._features(points))       # (..., N, m)
+        d_gram = np.moveaxis(d_features @ np.swapaxes(weighted, -1, -2), 0, -1)
         if self.coefficients is None:
-            d_embedding = d_features[:, :, self._zero_row].T
+            d_embedding = np.moveaxis(d_features[..., self._zero_row], 0, -1)
         else:
-            d_embedding = (d_features @ self.coefficients[self._zero_row]).T
+            d_embedding = np.moveaxis(d_features @ self.coefficients[self._zero_row], 0, -1)
         return d_gram, d_embedding
 
     def flat_increments(self, points):

@@ -232,21 +232,41 @@ class OptimizerSettings:
     jitter: float = 0.0
 
 
+# BFGS constants: stop at a gradient this small (max norm); Armijo's
+# sufficient-decrease factor and the halvings one line search may take
+GRADIENT_TOLERANCE = 1e-10
+ARMIJO_C1 = 1e-4
+MAX_HALVINGS = 12
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, b)
+
+
 def optimize_points(kernel, n: int, count: int, seed: int,
                     settings: OptimizerSettings | None = None) -> UnitPointSet:
     """Minimum-posterior-variance point set for the given kernel.
 
-    Quasi-Newton (BFGS) descent on the stacked N*n coordinate vector with
-    the exact gradient, which comes from the same weight solve as the
-    variance (``gpq_variance_and_gradient``; the kernel supplies its
-    derivatives), multi-start from seeded Gaussian initializations; the
-    lowest-variance result wins, ties broken by restart index.  The
-    returned set never has higher variance than the best initialization.
+    BFGS on the stacked N*n coordinate vector with the exact gradient,
+    which comes from the same weight solve as the variance
+    (``gpq_variance_and_gradient``; the kernel supplies its derivatives).
+    Every restart starts from its own seeded Gaussian draw, and all of them
+    run together as one batch: each iteration, and each trial step of the
+    line search, is one batched evaluation over the restarts still
+    running.  The line search backtracks from the full quasi-Newton step
+    until Armijo's sufficient decrease holds (at most ``MAX_HALVINGS``
+    halvings); the inverse-Hessian update is skipped when s^T y <= 0, the
+    first update starts from the scaled identity (s^T y / y^T y) I, and a
+    direction that does not descend is replaced by the negative gradient
+    (Nocedal & Wright, Numerical Optimization, ch. 3 and 6).  A
+    restart stops when its gradient's largest entry is at most
+    ``GRADIENT_TOLERANCE``, after ``max_iterations`` iterations, or when
+    its line search cannot decrease the variance.  A step that fails (a
+    singular system, a variance below the clamp, a non-finite value)
+    counts as infinite variance, so a restart never ends worse than its
+    start.  The lowest variance wins, ties broken by restart index.
     """
-    # deferred: quadrature imports this module, and only the optimizer
-    # needs scipy.optimize
-    from scipy.optimize import minimize
-
+    # deferred: quadrature imports this module
     from .quadrature import gpq_variance_and_gradient
 
     if n < 1 or count < 1:
@@ -254,38 +274,70 @@ def optimize_points(kernel, n: int, count: int, seed: int,
     if count * n > 2000:
         raise ValueError(f"{count * n} coordinates exceed the optimizer cap of 2000")
     settings = settings or OptimizerSettings()
+    size = count * n
 
-    def objective(flat: np.ndarray) -> tuple[float, np.ndarray]:
-        try:
-            pts = UnitPointSet(flat.reshape(count, n), "optimized")
-            v, grad = gpq_variance_and_gradient(kernel, pts, settings.jitter)
-        except (np.linalg.LinAlgError, ValueError):
-            return np.inf, np.zeros_like(flat)
-        if not (np.isfinite(v) and np.all(np.isfinite(grad))):
-            return np.inf, np.zeros_like(flat)
-        return v, grad.ravel()
+    def evaluate(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        variance, gradient = gpq_variance_and_gradient(
+            kernel, flat.reshape(-1, count, n), settings.jitter)
+        return variance, gradient.reshape(-1, size)
 
     rng = np.random.default_rng(seed)
-    best_flat, best_var = None, np.inf
-    failures = 0
-    for _ in range(settings.restarts):
-        start = rng.standard_normal(count * n)
-        f_start = objective(start)[0]
-        if not np.isfinite(f_start):
-            failures += 1
-            continue
-        result = minimize(
-            objective, start, jac=True, method="BFGS",
-            options={"maxiter": settings.max_iterations, "gtol": 1e-10},
-        )
-        candidate, f_cand = result.x, result.fun
-        if not np.isfinite(f_cand) or f_cand > f_start:
-            candidate, f_cand = start, f_start
-        if f_cand < best_var:
-            best_flat, best_var = candidate, f_cand
-    if best_flat is None:
+    starts = [rng.standard_normal(size) for _ in range(settings.restarts)]
+    x = np.array(starts).reshape(len(starts), size)
+    f, g = evaluate(x)
+    failures = int(np.sum(~np.isfinite(f)))
+    inverse_hessian = np.tile(np.eye(size), (len(starts), 1, 1))
+    unscaled = np.ones(len(starts), dtype=bool)
+    running = np.isfinite(f) & (np.abs(g).max(axis=1) > GRADIENT_TOLERANCE)
+    for _ in range(settings.max_iterations):
+        if not running.any():
+            break
+        direction = -(inverse_hessian @ g[:, :, None])[:, :, 0]
+        slope = _rowdot(direction, g)
+        uphill = ~(slope < 0.0)
+        direction[uphill] = -g[uphill]
+        slope[uphill] = -_rowdot(g[uphill], g[uphill])
+        # backtracking: every running restart still searching tries its
+        # step in one evaluation; an accepted step strictly lowers f
+        step = np.ones(len(x))
+        searching = running.copy()
+        x_next, f_next, g_next = x.copy(), f.copy(), g.copy()
+        for _ in range(MAX_HALVINGS + 1):
+            trial = np.flatnonzero(searching)
+            x_trial = x[trial] + step[trial, None] * direction[trial]
+            f_trial, g_trial = evaluate(x_trial)
+            accepted = ((f_trial <= f[trial] + ARMIJO_C1 * step[trial] * slope[trial])
+                        & (f_trial < f[trial]))
+            done = trial[accepted]
+            x_next[done], f_next[done], g_next[done] = (
+                x_trial[accepted], f_trial[accepted], g_trial[accepted])
+            searching[done] = False
+            step[trial[~accepted]] *= 0.5
+            if not searching.any():
+                break
+        moved = running & ~searching
+        # BFGS: H <- (I - r s y^T) H (I - r y s^T) + r s s^T with r = 1 / s^T y,
+        # where s^T y > 0; r = 0 leaves H exactly as it is
+        s = x_next - x
+        y = g_next - g
+        sy = _rowdot(s, y)
+        update = moved & (sy > 0.0)
+        # the first update starts from H = (s^T y / y^T y) I instead of I
+        first = update & unscaled
+        inverse_hessian[first] = (np.eye(size)
+                                  * (sy[first] / _rowdot(y[first], y[first]))[:, None, None])
+        unscaled &= ~update
+        r = np.divide(1.0, sy, out=np.zeros_like(sy), where=update)
+        rs = r[:, None] * s
+        hy = (inverse_hessian @ y[:, :, None])[:, :, 0]
+        curvature = (1.0 + r * _rowdot(y, hy))[:, None, None]
+        inverse_hessian += (curvature * rs[:, :, None] * s[:, None, :]
+                            - hy[:, :, None] * rs[:, None, :] - rs[:, :, None] * hy[:, None, :])
+        x, f, g = x_next, f_next, g_next
+        running = moved & (np.abs(g).max(axis=1) > GRADIENT_TOLERANCE)
+    if not np.isfinite(f).any():
         raise RuntimeError(
             f"all {settings.restarts} optimizer restarts produced non-finite "
             f"variances ({failures} failed initializations)"
         )
-    return UnitPointSet(best_flat.reshape(count, n), "optimized")
+    return UnitPointSet(x[int(np.argmin(f))].reshape(count, n), "optimized")

@@ -8,12 +8,15 @@ posterior variance of the integral is the double Gaussian integral of K
 minus q^T W.  Weights may be negative; the variance is zero exactly when
 the points resolve the kernel's function class, which is how the
 classical unscented / cubature / Gauss-Hermite weights drop out.  The
-variance's gradient in the points follows from the same solve.
+variance's gradient in the points follows from the same solve; variance
+and gradient are also computed for a batch of point sets at once, each
+set solved as it would be alone.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -91,6 +94,26 @@ def _eigen_sqrt(matrix: np.ndarray, where: str) -> np.ndarray:
     return eigvecs @ np.diag(np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
 
 
+def _positive_definite(stack: np.ndarray) -> np.ndarray:
+    """Which matrices of a stack (B, m, m) pass Cholesky, as a (B,) mask.
+
+    One batched call decides when every matrix passes; only when it fails
+    is each matrix tried on its own.
+    """
+    passed = np.ones(len(stack), dtype=bool)
+    try:
+        np.linalg.cholesky(stack)
+        return passed
+    except np.linalg.LinAlgError:
+        pass
+    for index, matrix in enumerate(stack):
+        try:
+            np.linalg.cholesky(matrix)
+        except np.linalg.LinAlgError:
+            passed[index] = False
+    return passed
+
+
 def _not_positive_definite(context: str, matrices: np.ndarray,
                            advice: str = "") -> np.linalg.LinAlgError:
     """The error for a matrix, or a stack (..., m, m), that failed Cholesky.
@@ -99,14 +122,10 @@ def _not_positive_definite(context: str, matrices: np.ndarray,
     and that member's minimum eigenvalue, then ``advice``.
     """
     stack = matrices.reshape(-1, *matrices.shape[-2:])
-    for index, matrix in enumerate(stack):
-        try:
-            np.linalg.cholesky(matrix)
-        except np.linalg.LinAlgError:
-            break
+    index = int(np.argmin(_positive_definite(stack)))
     return np.linalg.LinAlgError(
         f"{context} not positive definite{_member(index, len(stack))} "
-        f"(min eigenvalue {np.linalg.eigvalsh(matrix).min():.3e}){advice}"
+        f"(min eigenvalue {np.linalg.eigvalsh(stack[index]).min():.3e}){advice}"
     )
 
 
@@ -125,6 +144,54 @@ def _spd_solve(matrices: np.ndarray, rhs: np.ndarray, context: str,
     return np.linalg.solve(matrices, rhs)
 
 
+def _select(stack: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``stack[mask]``, without copying a stack the mask keeps whole."""
+    return stack if mask.all() else stack[mask]
+
+
+# builds the error of a failed solve when a caller raises it
+_Failure = Callable[[], np.linalg.LinAlgError]
+
+
+def _spd_solve_members(stack: np.ndarray, rhs: np.ndarray, context: str,
+                       advice: str) -> tuple[np.ndarray, np.ndarray, _Failure | None]:
+    """Solve ``stack[b] @ x[b] = rhs[b]`` for each SPD member of (B, m, m).
+
+    A member that is not positive definite, or that passes Cholesky and is
+    exactly singular to ``np.linalg.solve``, gets a NaN solution and does
+    not disturb the others.  Returns x (B, m), the (B,) mask of solved
+    members, and None or the builder of the error a lone failed member
+    raises: ``_spd_solve``'s, or ``np.linalg.solve``'s.
+    """
+    solved = _positive_definite(stack)
+    failure = None
+    if not solved.all():
+        failure = partial(_not_positive_definite, context, stack, advice)
+    x = np.full(rhs.shape, np.nan)
+    try:
+        x[solved] = np.linalg.solve(_select(stack, solved),
+                                    _select(rhs, solved)[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        for index in np.flatnonzero(solved):
+            try:
+                x[index] = np.linalg.solve(stack[index], rhs[index])
+            except np.linalg.LinAlgError as exc:
+                solved[index] = False
+                failure = failure or partial(np.linalg.LinAlgError, *exc.args)
+    return x, solved, failure
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_b . b_b over leading batch axes, each rounded as the 1-D ``a_b @ b_b``
+    (BLAS ddot on the operands' own strides)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _matvec(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """matrices @ v for each vector v of a batch (..., m), rounded as the 1-D form."""
+    return (matrices @ vectors[..., None])[..., 0]
+
+
 _SINGULAR_ADVICE = "; numerically singular, raise the jitter to regularize"
 
 
@@ -135,9 +202,13 @@ def _flat_deflated_solve(gram_inc, emb_scale, emb_inc, output_scale2):
     flat; splitting W over span{1} and its orthogonal complement keeps the
     meaningful part of the system at the scale of E, which arrives with
     full relative precision.  The reduced Schur block is SPD and solved
-    by ``_spd_solve``.  Returns (weights, q) with q the mean embedding.
+    per member by ``_spd_solve_members``.  Every argument carries a
+    leading batch axis of F sets of one size N: E (F, N, N), c (F,),
+    delta (F, N) and the diagonal value s^2 (F,).  Returns (weights, q,
+    solved, failure), with q the mean embedding and the last two as from
+    ``_spd_solve_members``.
     """
-    n_pts = gram_inc.shape[0]
+    n_pts = gram_inc.shape[-1]
     # Householder basis: column 0 is 1/sqrt(N), the rest span its complement
     u = np.full(n_pts, 1.0 / np.sqrt(n_pts))
     v = -u
@@ -146,51 +217,85 @@ def _flat_deflated_solve(gram_inc, emb_scale, emb_inc, output_scale2):
     complement = basis[:, 1:]
 
     e_u = gram_inc @ u
-    pivot = n_pts + u @ e_u
-    coupling = complement.T @ e_u
+    pivot = n_pts + _dot(u, e_u)
+    coupling = _matvec(complement.T, e_u)
     reduced = complement.T @ gram_inc @ complement
-    schur = reduced - np.outer(coupling, coupling) / pivot
+    schur = reduced - coupling[:, :, None] * coupling[:, None, :] / pivot[:, None, None]
 
     rhs_scale = emb_scale  # the s^2 factor cancels between K and q
-    b_u = rhs_scale * (np.sqrt(n_pts) + u @ emb_inc)
-    b_c = rhs_scale * (complement.T @ emb_inc)
-    beta = _spd_solve(schur, b_c - coupling * (b_u / pivot),
-                      "deflated weight system", _SINGULAR_ADVICE)
-    alpha = (b_u - coupling @ beta) / pivot
-    weights = u * alpha + complement @ beta
-    q = output_scale2 * rhs_scale * (1.0 + emb_inc)
-    return weights, q
+    b_u = rhs_scale * (np.sqrt(n_pts) + _dot(u, emb_inc))
+    b_c = rhs_scale[:, None] * _matvec(complement.T, emb_inc)
+    beta, solved, failure = _spd_solve_members(
+        schur, b_c - coupling * (b_u / pivot)[:, None],
+        "deflated weight system", _SINGULAR_ADVICE)
+    alpha = (b_u - _dot(coupling, beta)) / pivot
+    weights = u * alpha[:, None] + _matvec(complement, beta)
+    q = (output_scale2 * rhs_scale)[:, None] * (1.0 + emb_inc)
+    return weights, q, solved, failure
 
 
 class _WeightSystem(NamedTuple):
-    weights: np.ndarray     # (N,) solution of (K + jitter I) W = q
+    """The weight system of a point set, or of each set in a batch; the
+    shapes below gain the batch axes in front."""
+
+    weights: np.ndarray     # (N,) solution of (K + jitter I) W = q, NaN if unsolved
     # (N, N) K + jitter I; the kernel derivatives see the same values as
     # from K alone, since the SE ones scale the diagonal by x_i - x_i = 0
     # and the Hermite ones never read it
     gram: np.ndarray
     embedding: np.ndarray   # (N,) kernel mean embedding q
+    solved: np.ndarray      # () bool, False where the system is not positive definite
+    failure: _Failure | None  # builds the error for an unsolved set
 
     @property
-    def q_dot_w(self) -> float:
-        return float(self.embedding @ self.weights)
+    def q_dot_w(self) -> np.ndarray:
+        return _dot(self.embedding, self.weights)
 
 
-def _solve_weight_system(kernel, points: UnitPointSet, jitter: float) -> _WeightSystem:
-    """Weights together with the Gram matrix and embedding they solve."""
-    pts = points.points
-    if jitter == 0.0 and points.count > 1:
-        increments = kernel.flat_increments(pts)
-        if increments is not None:
-            gram_inc, emb_scale, emb_inc = increments
-            if np.abs(gram_inc).max() < FLAT_INCREMENT_THRESHOLD:
-                s2 = kernel.eval(pts[:1], pts[:1])[0, 0]  # diagonal value s^2
-                weights, q = _flat_deflated_solve(gram_inc, emb_scale, emb_inc, s2)
-                return _WeightSystem(weights, s2 * (1.0 + gram_inc), q)
-    gram = kernel.gram(pts)
-    gram[np.diag_indices_from(gram)] += jitter  # in place: no N x N temporaries
-    q = kernel.mean_embedding(pts)
-    weights = _spd_solve(gram, q, "quadrature weight system", _SINGULAR_ADVICE)
-    return _WeightSystem(weights, gram, q)
+def _solve_weight_system(kernel, points: np.ndarray, jitter: float) -> _WeightSystem:
+    """Weights together with the Gram matrix and embedding they solve.
+
+    ``points`` is one set (N, n) or a batch of sets (..., N, n), each
+    solved as it would be alone.  At zero jitter a set over which the
+    kernel is nearly flat (every Gram increment below
+    ``FLAT_INCREMENT_THRESHOLD``) takes the deflated solve; the embedding
+    increments are computed for those sets only.  A set whose system is
+    not positive definite is marked unsolved; it does not disturb the
+    others.
+    """
+    batch, (count, n) = points.shape[:-2], points.shape[-2:]
+    stack = points.reshape(-1, count, n)
+    flat = np.zeros(len(stack), dtype=bool)
+    if jitter == 0.0 and count > 1:
+        gram_inc = kernel.flat_increments(stack)
+        if gram_inc is not None:
+            flat = np.abs(gram_inc).max(axis=(1, 2)) < FLAT_INCREMENT_THRESHOLD
+    gram = kernel.gram(stack)
+    np.einsum("...ii->...i", gram)[...] += jitter  # in place: no N x N temporaries
+    q = kernel.mean_embedding(stack)
+    weights = np.empty((len(stack), count))
+    solved = np.ones(len(stack), dtype=bool)
+    plain = ~flat
+    weights[plain], solved[plain], failure = _spd_solve_members(
+        _select(gram, plain), _select(q, plain), "quadrature weight system",
+        _SINGULAR_ADVICE)
+    if flat.any():
+        flat_pts = stack[flat]
+        s2 = kernel.eval(flat_pts[:, :1], flat_pts[:, :1])[:, 0, 0]  # diagonal value s^2
+        weights[flat], q[flat], solved[flat], flat_failure = _flat_deflated_solve(
+            gram_inc[flat], *kernel.flat_embedding(flat_pts), s2)
+        gram[flat] = s2[:, None, None] * (1.0 + gram_inc[flat])
+        failure = failure or flat_failure
+    return _WeightSystem(weights.reshape(*batch, count), gram.reshape(*batch, count, count),
+                         q.reshape(*batch, count), solved.reshape(batch), failure)
+
+
+def _single_system(kernel, points: UnitPointSet, jitter: float) -> _WeightSystem:
+    """The weight system of one set; raises where it is not positive definite."""
+    system = _solve_weight_system(kernel, points.points, jitter)
+    if system.failure is not None:
+        raise system.failure()
+    return system
 
 
 def _clamped_variance(kernel, points: UnitPointSet, q_dot_w: float) -> float:
@@ -211,39 +316,59 @@ def gpq_weights(kernel, points: UnitPointSet, jitter: float = 0.0) -> Quadrature
     on the rule.  A singular system at zero jitter raises with the
     offending conditioning rather than regularizing silently.
     """
-    system = _solve_weight_system(kernel, points, jitter)
+    system = _single_system(kernel, points, jitter)
     return QuadratureRule(
         points=points,
         weights=system.weights,
         jitter=jitter,
-        posterior_variance=_clamped_variance(kernel, points, system.q_dot_w),
+        posterior_variance=_clamped_variance(kernel, points, float(system.q_dot_w)),
     )
 
 
 def gpq_variance(kernel, points: UnitPointSet, jitter: float = 0.0) -> float:
     """Posterior variance of the integral estimate for a point set."""
-    system = _solve_weight_system(kernel, points, jitter)
-    return _clamped_variance(kernel, points, system.q_dot_w)
+    system = _single_system(kernel, points, jitter)
+    return _clamped_variance(kernel, points, float(system.q_dot_w))
 
 
-def gpq_variance_and_gradient(kernel, points: UnitPointSet,
-                              jitter: float = 0.0) -> tuple[float, np.ndarray]:
+def _variance_gradient(kernel, points: np.ndarray, system: _WeightSystem) -> np.ndarray:
+    d_gram, d_embedding = kernel.derivatives(points, system.gram, system.embedding)
+    w = system.weights
+    return 2.0 * w[..., None] * (np.einsum("...ikd,...k->...id", d_gram, w) - d_embedding)
+
+
+def gpq_variance_and_gradient(kernel, points, jitter: float = 0.0):
     """Posterior variance and its (N, n) gradient in the points.
 
     With W = (K + jitter I)^{-1} q from the one weight solve,
     dV/dx_i = 2 W_i (sum_k W_k d/dx_i K(x_i, x_k) - d/dx_i q(x_i));
-    the derivatives come from ``kernel.derivatives``.  Fails like
-    ``gpq_variance``; where the variance is clamped to zero the gradient
-    is zero too.
+    the derivatives come from ``kernel.derivatives``.
+
+    ``points`` is a ``UnitPointSet``, or an array (..., N, n) of sets that
+    are evaluated together, each as it would be alone.  A single set fails
+    like ``gpq_variance``, and where its variance is clamped to zero the
+    gradient is zero too; it returns (float, (N, n) array).  A batch
+    returns variances (...,) and gradients (..., N, n) and raises for no
+    member: a member whose system is not positive definite, whose variance
+    is below the -1e-9 clamp, or whose variance or gradient is not finite
+    reads +inf with a zero gradient, and a member clamped to zero reads 0
+    with a zero gradient.
     """
+    if isinstance(points, UnitPointSet):
+        system = _single_system(kernel, points, jitter)
+        variance = _clamped_variance(kernel, points, float(system.q_dot_w))
+        if variance == 0.0:
+            return variance, np.zeros_like(points.points)
+        return variance, _variance_gradient(kernel, points.points, system)
+    points = np.asarray(points, dtype=float)
     system = _solve_weight_system(kernel, points, jitter)
-    variance = _clamped_variance(kernel, points, system.q_dot_w)
-    if variance == 0.0:
-        return variance, np.zeros_like(points.points)
-    d_gram, d_embedding = kernel.derivatives(points.points, system.gram,
-                                             system.embedding)
-    w = system.weights
-    gradient = 2.0 * w[:, None] * (np.einsum("ikd,k->id", d_gram, w) - d_embedding)
+    variance = kernel.double_integral(points.shape[-1]) - system.q_dot_w
+    with np.errstate(invalid="ignore"):
+        gradient = _variance_gradient(kernel, points, system)
+    failed = ~(system.solved & (variance >= -VARIANCE_CLAMP) & np.isfinite(variance)
+               & np.isfinite(gradient).all(axis=(-2, -1)))
+    variance = np.where(failed, np.inf, np.maximum(variance, 0.0))
+    gradient[failed | (variance == 0.0)] = 0.0
     return variance, gradient
 
 

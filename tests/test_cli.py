@@ -515,6 +515,21 @@ class TestCliCommands:
         np.testing.assert_allclose(payload["cov"],
                                    [[2.5, 0.0], [0.0, 1.5]], atol=1e-10)
 
+    def test_transform_command_scalar_noise_is_a_multiple_of_the_identity(
+            self, tmp_path, capsys):
+        config = write_config(tmp_path, {
+            "experiment": "transform",
+            "dimension": 2,
+            "method": {"name": "cubature", "points": {"type": "cubature"},
+                       "kernel": "classical"},
+            "function": "identity",
+            "noise_cov": 0.1,
+        })
+        assert main(["transform", "--config", config, "--format", "json"]) == 0
+        cov = json.loads(capsys.readouterr().out)["cov"]
+        assert cov[0][1] == 0.0 and cov[1][0] == 0.0
+        np.testing.assert_allclose(np.diag(cov), [1.1, 1.1], rtol=0, atol=1e-15)
+
     def test_transform_command_defaults_for_a_scalar_function(self, tmp_path, capsys):
         # y = 1 + |x|^2 under N(0, I) in 2-D: mean 3, variance 4, both exact
         # for the GH-3 rule; with mean, cov and noise_cov left to default
@@ -649,8 +664,8 @@ class TestCliCommands:
         assert not (tmp_path / ".gpq_cache").exists()
 
     def test_import_loads_no_scipy(self):
-        # scipy is imported only inside hammersley_points, optimize_points and
-        # moments_ground_truth
+        # scipy is imported only inside hammersley_points and
+        # moments_ground_truth (scipy.special)
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, gpquad, gpquad.cli; "
@@ -658,6 +673,21 @@ class TestCliCommands:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_no_scipy_optimize_after_every_deferred_import(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\n"
+             "from gpquad import SquaredExponentialKernel, hammersley_points, optimize_points\n"
+             "from gpquad.experiments import moments_ground_truth\n"
+             "optimize_points(SquaredExponentialKernel(1.0, 1.0), 1, 3, 0)\n"
+             "hammersley_points(2, 5)\n"
+             "moments_ground_truth(2, 1, 10, 0)\n"
+             "print('scipy.special' in sys.modules, "
+             "sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True []"
 
     def test_shipped_configs_parse(self):
         for name in ("ungm.json", "moments.json", "bot.json", "ungm_smoke.json",

@@ -500,6 +500,28 @@ class TestNoiseCovariances:
         np.testing.assert_array_equal(timed.q_cov(3), 3 * np.eye(2))
         np.testing.assert_array_equal(timed.r_cov(5), [[5.0]])
 
+    def test_scalar_is_a_multiple_of_the_identity(self):
+        model, *_ = random_linear_model()
+        scalar = AdditiveStateSpaceModel(
+            transition=model.transition, measurement=model.measurement,
+            process_cov=0.1, measurement_cov=lambda k: 0.2,
+            prior=model.prior, state_dim=2, measurement_dim=1)
+        np.testing.assert_array_equal(scalar.q_cov(1), 0.1 * np.eye(2))
+        np.testing.assert_array_equal(scalar.r_cov(1), [[0.2]])
+        rule = cubature_points(2)
+        state = GaussianState(np.zeros(2), np.eye(2))
+        predicted = predict(state, rule, lambda x, k: x, 0.1).cov
+        _, _, innovation_cov, *_ = update(state, rule, lambda x, k: x, 0.5, np.zeros(2))
+        for cov, diagonal in ((predicted, 1.1), (innovation_cov, 1.5)):
+            assert cov[0, 1] == 0.0 and cov[1, 0] == 0.0
+            np.testing.assert_allclose(np.diag(cov), diagonal, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("cov", [np.ones(2), np.eye(3), np.ones((1, 1))])
+    def test_other_shapes_are_rejected(self, cov):
+        with pytest.raises(ValueError, match="noise covariance of shape"):
+            predict(GaussianState(np.zeros(2), np.eye(2)), cubature_points(2),
+                    lambda x, k: x, cov)
+
 
 class TestGaussianStateValidation:
     def test_rejects_asymmetric(self):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import product
 
 import numpy as np
@@ -30,6 +31,7 @@ from gpquad.quadrature import (
     FLAT_INCREMENT_THRESHOLD,
     gpq_variance,
     gpq_variance_and_gradient,
+    gpq_weights,
 )
 
 
@@ -305,6 +307,155 @@ class TestOptimizePoints:
         with pytest.raises(ValueError, match="cap"):
             optimize_points(self.kernel, 10, 500, seed=0)
 
+    def test_without_iterations_the_best_start_wins(self):
+        # one standard_normal(count * n) draw per restart, in order
+        rng = np.random.default_rng(7)
+        starts = [rng.standard_normal(5 * 2).reshape(5, 2) for _ in range(4)]
+        variances = [gpq_variance(self.kernel, UnitPointSet(s, "start")) for s in starts]
+        result = optimize_points(self.kernel, 2, 5, seed=7,
+                                 settings=OptimizerSettings(restarts=4, max_iterations=0))
+        assert np.array_equal(result.points, starts[int(np.argmin(variances))])
+
+    def test_ties_go_to_the_lowest_restart(self):
+        # the constant kernel integrates exactly at any single point, so
+        # every start has variance 0 and a zero gradient
+        kernel = HermitePolynomialKernel([[0]])
+        result = optimize_points(kernel, 1, 1, seed=3, settings=OptimizerSettings(restarts=3))
+        first = np.random.default_rng(3).standard_normal(1)
+        assert np.array_equal(result.points, first.reshape(1, 1))
+
+    def test_all_starts_failing_raises(self):
+        # two points make the constant kernel's Gram matrix singular
+        with pytest.raises(RuntimeError, match=r"all 3 optimizer restarts .*\(3 failed"):
+            optimize_points(HermitePolynomialKernel([[0]]), 1, 2, seed=0,
+                            settings=OptimizerSettings(restarts=3))
+
+    def test_far_points_raise_no_overflow_warning(self):
+        # the flat solve's embedding increments overflow far from the
+        # origin; they are computed only for a set that is flat
+        kernel = SquaredExponentialKernel(1.0, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rule = gpq_weights(kernel, UnitPointSet(np.array([[0.0, 0.0], [100.0, 0.0]]), "far"))
+            optimize_points(kernel, 2, 5, seed=1)
+        assert np.all(np.isfinite(rule.weights))
+
+
+def _scipy_bfgs_variance(kernel, n, count, seed, restarts=5):
+    """The lowest variance scipy's BFGS reaches from ``optimize_points``'
+    starts, each restart kept no worse than its start."""
+    from scipy.optimize import minimize  # the oracle's only; gpquad never imports it
+
+    def objective(flat):
+        try:
+            v, g = gpq_variance_and_gradient(kernel, UnitPointSet(flat.reshape(count, n), "o"))
+        except (np.linalg.LinAlgError, ValueError):
+            return np.inf, np.zeros_like(flat)
+        if not (np.isfinite(v) and np.all(np.isfinite(g))):
+            return np.inf, np.zeros_like(flat)
+        return v, g.ravel()
+
+    rng = np.random.default_rng(seed)
+    best = np.inf
+    for _ in range(restarts):
+        start = rng.standard_normal(count * n)
+        f_start = objective(start)[0]
+        if np.isfinite(f_start):
+            result = minimize(objective, start, jac=True, method="BFGS",
+                              options={"maxiter": 400, "gtol": 1e-10})
+            best = min(best, result.fun if result.fun <= f_start else f_start)
+    return best
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("n, count", [(1, 3), (1, 7), (1, 10), (2, 5), (2, 10), (3, 7)])
+@pytest.mark.parametrize("length_scale", [0.5, 1.0, 3.0])
+def test_optimizer_reaches_scipy_bfgs_variance(length_scale, n, count, seed):
+    kernel = SquaredExponentialKernel(1.0, length_scale)
+    variance = gpq_variance(kernel, optimize_points(kernel, n, count, seed))
+    assert variance <= _scipy_bfgs_variance(kernel, n, count, seed) + 1e-12
+
+
+def _lowered_ut_kernel(shift):
+    """``make_ut_kernel(2, 3)`` with its double integral lowered by
+    ``shift``, so that the UT set, which it resolves exactly, has a
+    slightly negative variance."""
+
+    class Lowered(HermitePolynomialKernel):
+        def double_integral(self, n=None):
+            return super().double_integral(n) - shift
+
+    return Lowered(make_ut_kernel(2, 3).index_set)
+
+
+class TestBatchedVarianceAndGradient:
+    KERNELS = {
+        "se": SquaredExponentialKernel(1.0, 1.0),
+        "se-deflated": SquaredExponentialKernel(1.0, 50.0),
+        "ut-hermite": make_ut_kernel(2, 3),
+    }
+
+    @staticmethod
+    def _single(kernel, pts):
+        try:
+            return gpq_variance_and_gradient(kernel, UnitPointSet(pts, "member"))
+        except np.linalg.LinAlgError:
+            return None
+
+    def _assert_members(self, kernel, batch):
+        variances, gradients = gpq_variance_and_gradient(kernel, batch)
+        assert variances.shape == batch.shape[:-2] and gradients.shape == batch.shape
+        failed = []
+        for index in np.ndindex(batch.shape[:-2]):
+            single = self._single(kernel, batch[index])
+            if single is None:
+                assert variances[index] == np.inf
+                assert np.array_equal(gradients[index], np.zeros(batch.shape[-2:]))
+                failed.append(index)
+                continue
+            assert variances[index] == pytest.approx(single[0], rel=1e-12, abs=0.0)
+            np.testing.assert_allclose(gradients[index], single[1], rtol=1e-12,
+                                       atol=1e-15 * np.abs(single[1]).max())
+        return failed
+
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_each_member_as_alone(self, name):
+        kernel = self.KERNELS[name]
+        batch = np.random.default_rng(4).normal(size=(2, 3, 6, 2))
+        assert self._assert_members(kernel, batch) == []
+        if name == "se-deflated":
+            gram_inc = kernel.flat_increments(batch)
+            assert (np.abs(gram_inc).max(axis=(-2, -1)) < FLAT_INCREMENT_THRESHOLD).all()
+
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_duplicate_points_fail_as_alone(self, name):
+        # rounding decides how a set with a duplicate point fails alone: at
+        # the Cholesky check, in an exactly singular LU solve, at the clamp,
+        # or not at all; in a batch it reads +inf exactly where it fails
+        # alone, and the other members are untouched
+        failures = 0
+        for seed in range(8):
+            batch = np.random.default_rng(seed).normal(size=(4, 6, 2))
+            batch[2, 3] = batch[2, 1]
+            failed = self._assert_members(self.KERNELS[name], batch)
+            assert failed in ([], [(2,)])
+            failures += len(failed)
+        assert failures >= 6
+
+    def test_clamp_reads_zero_or_infinity(self):
+        ut = ut_points(2, 3.0).points.points
+        batch = np.stack([ut, np.random.default_rng(6).normal(size=(5, 2))])
+        # inside the clamp the variance is 0 with a zero gradient
+        kernel = _lowered_ut_kernel(1e-12)
+        variances, gradients = gpq_variance_and_gradient(kernel, batch)
+        assert variances[0] == 0.0 and not gradients[0].any()
+        assert self._assert_members(kernel, batch) == []
+        # below it the member fails, alone and in the batch
+        kernel = _lowered_ut_kernel(1e-8)
+        with pytest.raises(np.linalg.LinAlgError, match="clamp"):
+            gpq_variance_and_gradient(kernel, UnitPointSet(ut, "ut"))
+        assert self._assert_members(kernel, batch) == [(0,)]
+
 
 def central_difference_gradient(kernel, pts, jitter, h):
     grad = np.empty_like(pts)
@@ -361,7 +512,8 @@ class TestVarianceGradient:
 
         kernel = LoweredKernel(make_ut_kernel(2, 3).index_set)
         pts = ut_points(2, 3.0).points
-        raw = kernel.double_integral(2) - quadrature._solve_weight_system(kernel, pts, 0.0).q_dot_w
+        system = quadrature._solve_weight_system(kernel, pts.points, 0.0)
+        raw = kernel.double_integral(2) - system.q_dot_w
         assert -1e-9 < raw < -1e-13
         variance, grad = gpq_variance_and_gradient(kernel, pts)
         assert variance == 0.0

@@ -199,6 +199,11 @@ class TestGpTransform:
         np.testing.assert_allclose(res.cov, noise, atol=1e-14)
         np.testing.assert_allclose(res.cross_cov, 0.0, atol=1e-14)
 
+    def test_scalar_noise_is_a_multiple_of_the_identity(self):
+        res = gp_transform(cubature_points(2), lambda x: x, np.zeros(2), np.eye(2), 0.1)
+        assert res.cov[0, 1] == 0.0 and res.cov[1, 0] == 0.0
+        np.testing.assert_allclose(np.diag(res.cov), [1.1, 1.1], rtol=0, atol=1e-15)
+
     def test_output_cov_dominates_noise_for_nonneg_weights(self):
         rule = gauss_hermite_points(2, 3)
         noise = 0.3 * np.eye(1)
