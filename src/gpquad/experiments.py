@@ -198,7 +198,8 @@ def resolve_point_spec(spec: dict, n: int) -> QuadratureRule:
             spec.get("kernel", {"type": "se", "output_scale": 1.0, "length_scale": 1.0}),
             n)
         settings = OptimizerSettings(
-            restarts=config_int(spec.get("restarts", 5), f"{context}: restarts"),
+            restarts=config_int(spec.get("restarts", 5), f"{context}: restarts",
+                                minimum=1),
             jitter=config_float(spec.get("jitter", 0.0), f"{context}: jitter"),
         )
         seed = config_int(spec.get("seed", 0), f"{context}: seed", minimum=0)

@@ -46,8 +46,22 @@ def _as_points(x, dim: int | None = None) -> np.ndarray:
 
 
 def _squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """||x_i - y_k||^2 over batches (..., N, n) and (..., M, n): (..., N, M)."""
-    return ((x[..., :, None, :] - y[..., None, :, :]) ** 2).sum(axis=-1)
+    """||x_i - y_k||^2 over batches (..., N, n) and (..., M, n): (..., N, M).
+
+    Accumulates (x_d - y_d)^2 one dimension at a time, reusing one
+    (..., N, M) buffer, so no (..., N, M, n) array is built.  Up to
+    n = 7 this rounds as the broadcast ``((x - y)**2).sum(-1)``, whose
+    sum adds the dimensions in the same order.
+    """
+    rows, cols = x[..., :, None, :], y[..., None, :, :]
+    out = np.subtract(rows[..., 0], cols[..., 0])
+    np.multiply(out, out, out=out)
+    buffer = np.empty_like(out) if x.shape[-1] > 1 else None
+    for d in range(1, x.shape[-1]):
+        np.subtract(rows[..., d], cols[..., d], out=buffer)
+        np.multiply(buffer, buffer, out=buffer)
+        out += buffer
+    return out
 
 
 @dataclass(frozen=True)
@@ -65,8 +79,18 @@ class SquaredExponentialKernel:
         """Pairwise kernel matrix between two point batches."""
         x = _as_points(x)
         y = _as_points(y, x.shape[-1])
-        d2 = _squared_distances(x, y)
-        return self.output_scale**2 * np.exp(-d2 / (2.0 * self.length_scale**2))
+        k = self._exponent(x, y)
+        np.exp(k, out=k)
+        k *= self.output_scale**2
+        return k
+
+    def _exponent(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # -||x - y||^2 / (2 l^2), in place on the distances: no further
+        # (..., N, M) temporaries
+        e = _squared_distances(x, y)
+        np.negative(e, out=e)
+        e /= 2.0 * self.length_scale**2
+        return e
 
     def gram(self, points) -> np.ndarray:
         return self.eval(points, points)
@@ -100,8 +124,9 @@ class SquaredExponentialKernel:
         """
         pts = _as_points(points)
         l2 = self.length_scale**2
-        diff = pts[..., :, None, :] - pts[..., None, :, :]
-        d_gram = -gram[..., None] * diff / l2
+        d_gram = pts[..., :, None, :] - pts[..., None, :, :]
+        d_gram *= -gram[..., None]
+        d_gram /= l2
         d_embedding = -embedding[..., None] * pts / (1.0 + l2)
         return d_gram, d_embedding
 
@@ -120,7 +145,8 @@ class SquaredExponentialKernel:
         E, an (N, N) ndarray (with the points' batch axes in front).
         """
         pts = _as_points(points)
-        return np.expm1(-_squared_distances(pts, pts) / (2.0 * self.length_scale**2))
+        e = self._exponent(pts, pts)
+        return np.expm1(e, out=e)
 
     def flat_embedding(self, points):
         """The embedding as ``s^2 c (1 + delta)`` for a nearly-flat set.

@@ -94,24 +94,25 @@ def _eigen_sqrt(matrix: np.ndarray, where: str) -> np.ndarray:
     return eigvecs @ np.diag(np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
 
 
-def _positive_definite(stack: np.ndarray) -> np.ndarray:
-    """Which matrices of a stack (B, m, m) pass Cholesky, as a (B,) mask.
+def _positive_definite(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which matrices of a stack (B, m, m) pass Cholesky, and their factors.
 
-    One batched call decides when every matrix passes; only when it fails
-    is each matrix tried on its own.
+    Returns the (B,) mask and the lower Cholesky factors (B, m, m), NaN
+    for a member that fails.  One batched call decides when every matrix
+    passes; only when it fails is each matrix tried on its own.
     """
     passed = np.ones(len(stack), dtype=bool)
     try:
-        np.linalg.cholesky(stack)
-        return passed
+        return passed, np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
         pass
+    factors = np.full_like(stack, np.nan)
     for index, matrix in enumerate(stack):
         try:
-            np.linalg.cholesky(matrix)
+            factors[index] = np.linalg.cholesky(matrix)
         except np.linalg.LinAlgError:
             passed[index] = False
-    return passed
+    return passed, factors
 
 
 def _not_positive_definite(context: str, matrices: np.ndarray,
@@ -122,11 +123,59 @@ def _not_positive_definite(context: str, matrices: np.ndarray,
     and that member's minimum eigenvalue, then ``advice``.
     """
     stack = matrices.reshape(-1, *matrices.shape[-2:])
-    index = int(np.argmin(_positive_definite(stack)))
+    index = int(np.argmin(_positive_definite(stack)[0]))
     return np.linalg.LinAlgError(
         f"{context} not positive definite{_member(index, len(stack))} "
         f"(min eigenvalue {np.linalg.eigvalsh(stack[index]).min():.3e}){advice}"
     )
+
+
+_SINGULAR_ADVICE = "; numerically singular, raise the jitter to regularize"
+
+
+def _zero_pivot(context: str, index: int, size: int) -> np.linalg.LinAlgError:
+    """The error for member ``index`` of a stack of ``size`` that passed
+    Cholesky and still met an exactly zero pivot in the solve."""
+    return np.linalg.LinAlgError(
+        f"{context} has an exactly zero pivot{_member(index, size)} "
+        f"after passing the Cholesky check{_SINGULAR_ADVICE}")
+
+
+# systems of more unknowns than this reuse their Cholesky factor, solved in
+# blocks of this many; smaller ones take one np.linalg.solve call
+_BLOCK = 128
+
+
+def _cholesky_solve(matrices: np.ndarray, factors: np.ndarray,
+                    rhs: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(matrices, rhs)`` given the lower Cholesky factors.
+
+    ``matrices`` and ``factors`` are (..., m, m), ``rhs`` is (m,) or
+    (..., m, k) as for ``np.linalg.solve``.  Up to ``_BLOCK`` unknowns
+    the LU call is cheaper than a loop and the factors go unused.  Above
+    it, a blocked forward substitution with L and a blocked back
+    substitution with L^T (Golub & Van Loan, *Matrix Computations*,
+    ch. 3) solve each diagonal block with ``np.linalg.solve`` and update
+    the rest by matmul, so the system is factored only once.
+    """
+    m = matrices.shape[-1]
+    if m <= _BLOCK:
+        return np.linalg.solve(matrices, rhs)
+    b = rhs[:, None] if rhs.ndim == 1 else rhs
+    x = np.empty(np.broadcast_shapes(factors.shape[:-2], b.shape[:-2]) + b.shape[-2:])
+    starts = range(0, m, _BLOCK)
+    for j in starts:            # L y = b, into x
+        block = slice(j, j + _BLOCK)
+        x[..., block, :] = np.linalg.solve(
+            factors[..., block, block],
+            b[..., block, :] - factors[..., block, :j] @ x[..., :j, :])
+    upper = np.swapaxes(factors, -1, -2)
+    for j in reversed(starts):  # L^T x = y
+        block, below = slice(j, j + _BLOCK), slice(j + _BLOCK, None)
+        x[..., block, :] = np.linalg.solve(
+            upper[..., block, block],
+            x[..., block, :] - upper[..., block, below] @ x[..., below, :])
+    return x[..., 0] if rhs.ndim == 1 else x
 
 
 def _spd_solve(matrices: np.ndarray, rhs: np.ndarray, context: str,
@@ -135,13 +184,23 @@ def _spd_solve(matrices: np.ndarray, rhs: np.ndarray, context: str,
 
     A batched Cholesky checks that every matrix is positive definite; a
     failure raises ``_not_positive_definite(context, matrices, advice)``.
-    The solve itself is ``np.linalg.solve``.
+    The solve is ``_cholesky_solve`` on the check's factors; an exactly
+    zero pivot in it raises ``_zero_pivot`` for the first such member.
     """
     try:
-        np.linalg.cholesky(matrices)
+        factors = np.linalg.cholesky(matrices)
     except np.linalg.LinAlgError as exc:
         raise _not_positive_definite(context, matrices, advice) from exc
-    return np.linalg.solve(matrices, rhs)
+    try:
+        return _cholesky_solve(matrices, factors, rhs)
+    except np.linalg.LinAlgError as exc:
+        stack = matrices.reshape(-1, *matrices.shape[-2:])
+        for index, factor in enumerate(factors.reshape(stack.shape)):
+            try:  # a pivot does not depend on the right-hand side
+                _cholesky_solve(stack[index], factor, np.zeros(len(factor)))
+            except np.linalg.LinAlgError:
+                raise _zero_pivot(context, index, len(stack)) from exc
+        raise
 
 
 def _select(stack: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -157,27 +216,28 @@ def _spd_solve_members(stack: np.ndarray, rhs: np.ndarray, context: str,
                        advice: str) -> tuple[np.ndarray, np.ndarray, _Failure | None]:
     """Solve ``stack[b] @ x[b] = rhs[b]`` for each SPD member of (B, m, m).
 
-    A member that is not positive definite, or that passes Cholesky and is
-    exactly singular to ``np.linalg.solve``, gets a NaN solution and does
-    not disturb the others.  Returns x (B, m), the (B,) mask of solved
-    members, and None or the builder of the error a lone failed member
-    raises: ``_spd_solve``'s, or ``np.linalg.solve``'s.
+    A member that is not positive definite, or that passes Cholesky and
+    meets an exactly zero pivot in ``_cholesky_solve``, gets a NaN
+    solution and does not disturb the others.  Returns x (B, m), the (B,)
+    mask of solved members, and None or the builder of the error a lone
+    failed member raises: ``_not_positive_definite``'s, or else
+    ``_zero_pivot``'s.
     """
-    solved = _positive_definite(stack)
+    solved, factors = _positive_definite(stack)
     failure = None
     if not solved.all():
         failure = partial(_not_positive_definite, context, stack, advice)
     x = np.full(rhs.shape, np.nan)
     try:
-        x[solved] = np.linalg.solve(_select(stack, solved),
+        x[solved] = _cholesky_solve(_select(stack, solved), _select(factors, solved),
                                     _select(rhs, solved)[..., None])[..., 0]
     except np.linalg.LinAlgError:
         for index in np.flatnonzero(solved):
             try:
-                x[index] = np.linalg.solve(stack[index], rhs[index])
-            except np.linalg.LinAlgError as exc:
+                x[index] = _cholesky_solve(stack[index], factors[index], rhs[index])
+            except np.linalg.LinAlgError:
                 solved[index] = False
-                failure = failure or partial(np.linalg.LinAlgError, *exc.args)
+                failure = failure or partial(_zero_pivot, context, index, len(stack))
     return x, solved, failure
 
 
@@ -190,9 +250,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _matvec(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """matrices @ v for each vector v of a batch (..., m), rounded as the 1-D form."""
     return (matrices @ vectors[..., None])[..., 0]
-
-
-_SINGULAR_ADVICE = "; numerically singular, raise the jitter to regularize"
 
 
 def _flat_deflated_solve(gram_inc, emb_scale, emb_inc, output_scale2):

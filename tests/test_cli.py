@@ -601,6 +601,7 @@ class TestCliCommands:
         (POINTS, {"points": {"type": "gauss-hermite", "order": 0}}, "0"),
         (POINTS, {"points": {"type": "gauss-hermite", "order": 51}}, "0"),
         (POINTS, {"dimension": 5, "points": {"type": "gauss-hermite", "order": 20}}, "0"),
+        (POINTS, {"points": {"type": "optimized", "count": 3, "restarts": 0}}, "0"),
         (TRANSFORM, {"mean": "zero"}, "0"),
         (TRANSFORM, {"cov": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]}, "0"),
         (TRANSFORM, {"cov": [[1.0, 0.0], [0.0]]}, "0"),
@@ -611,7 +612,7 @@ class TestCliCommands:
             "length-scale-negative", "length-scale-string", "ut-order-even",
             "jitter-string", "steps-string", "steps-zero", "seed-string",
             "seed-string-offset", "seed-fraction", "seed-negative", "gh-order-zero",
-            "gh-order-above-max", "gh-grid-above-cap", "mean-string", "cov-3x2", "cov-ragged",
+            "gh-order-above-max", "gh-grid-above-cap", "restarts-zero", "mean-string", "cov-3x2", "cov-ragged",
             "noise-cov-bool", "noise-cov-not-output-shape"])
     def test_bad_config_number_is_exit_1(self, tmp_path, capsys, base, change, offset):
         config = write_config(tmp_path, {**base, **change})
@@ -697,11 +698,12 @@ class TestCliCommands:
 
 
 class TestGoldenOutput:
-    """CSV output of the example and smoke configs, byte for byte."""
+    """CSV output of every shipped config, byte for byte."""
 
     @pytest.mark.parametrize("name", ["points_example", "weights_example",
                                       "weights_gh_hermite", "weights_ut5_hermite",
-                                      "transform_example", "ungm_smoke", "bot_smoke"])
+                                      "transform_example", "ungm_smoke", "bot_smoke",
+                                      "moments", "bot", "ungm"])
     def test_matches_golden_file(self, name, tmp_path):
         config = CONFIG_DIR / f"{name}.json"
         command = json.loads(config.read_text())["experiment"]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -9,6 +10,7 @@ from gpquad.hermite import enumerate_indices, gh_roots_weights
 from gpquad.kernels import (
     HermitePolynomialKernel,
     SquaredExponentialKernel,
+    _squared_distances,
     make_gh_kernel,
     make_ut_kernel,
 )
@@ -86,6 +88,33 @@ class TestSquaredExponential:
             SquaredExponentialKernel(0.0, 1.0)
         with pytest.raises(ValueError):
             SquaredExponentialKernel(1.0, -2.0)
+
+
+class TestSquaredDistances:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_rounds_as_the_broadcast_form(self, n):
+        rng = np.random.default_rng(n)
+        for x, y in [(rng.normal(size=(3, 40, n)), rng.normal(size=(3, 30, n))),
+                     (rng.normal(size=(1, n)), rng.normal(size=(40, n))),
+                     (rng.normal(size=(2, 1, n)), rng.normal(size=(2, 25, n)))]:
+            broadcast = ((x[..., :, None, :] - y[..., None, :, :]) ** 2).sum(axis=-1)
+            d2 = _squared_distances(x, y)
+            assert d2.shape == broadcast.shape
+            assert np.array_equal(d2, broadcast)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_gram_peak_memory_stays_near_two_matrices(self, n):
+        # the distances and one buffer: no (N, N, n) temporary
+        count = 500
+        pts = np.random.default_rng(0).normal(size=(count, n))
+        kernel = SquaredExponentialKernel(1.0, 1.0)
+        tracemalloc.start()
+        try:
+            kernel.gram(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * count**2 * 8
 
 
 class TestHermitePolynomialKernel:

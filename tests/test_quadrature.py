@@ -11,11 +11,30 @@ from gpquad.points import (
 )
 from gpquad.filtering import gp_transform
 from gpquad.quadrature import (
+    _cholesky_solve,
+    _spd_solve,
+    _spd_solve_members,
     gp_regression_mean,
     gpq_variance,
     gpq_weights,
     matrix_sqrt,
 )
+
+
+def well_conditioned_spd(rng, *shape):
+    """SPD matrices (*shape, m) with eigenvalues in about [1.3, 2.7]."""
+    m = shape[-1]
+    r = rng.normal(size=shape + (m,))
+    return 2.0 * np.eye(m) + (r + np.swapaxes(r, -1, -2)) / (4.0 * np.sqrt(m))
+
+
+def duplicate_point_set(seed):
+    """Six 2-D points with point 3 equal to point 1: the SE Gram matrix at
+    l = 1 passes Cholesky and meets an exactly zero pivot in LU for seeds
+    0 and 7."""
+    pts = np.random.default_rng(seed).normal(size=(4, 6, 2))[2]
+    pts[3] = pts[1]
+    return pts
 
 
 class TestGpqWeights:
@@ -94,6 +113,70 @@ class TestGpqWeights:
         pts = UnitPointSet(np.array([[0.0], [0.1], [1.8]]), "clustered")
         rule = gpq_weights(SquaredExponentialKernel(1.0, 0.4), pts, jitter=0.0)
         assert np.all(np.isfinite(rule.weights))
+
+
+class TestCholeskySolve:
+    @pytest.mark.parametrize("m,batch", [(1, ()), (1, (3,)), (128, ()), (128, (3,)),
+                                         (129, ()), (129, (3,)), (300, ()), (300, (2,)),
+                                         (2000, ())])
+    @pytest.mark.parametrize("columns", [None, 3])
+    def test_matches_linalg_solve(self, m, batch, columns):
+        rng = np.random.default_rng(m)
+        matrices = well_conditioned_spd(rng, *batch, m)
+        rhs = rng.normal(size=(m,) if columns is None else batch + (m, columns))
+        x = _cholesky_solve(matrices, np.linalg.cholesky(matrices), rhs)
+        expected = np.linalg.solve(matrices, rhs)
+        assert x.shape == expected.shape
+        if m <= 128:
+            assert np.array_equal(x, expected)
+        else:
+            b = rhs if columns is not None else np.broadcast_to(rhs, batch + (m,))[..., None]
+            xs = x if columns is not None else x[..., None]
+            assert np.abs(matrices @ xs - b).max() <= 1e-12 * np.abs(b).max()
+            np.testing.assert_allclose(x, expected, rtol=1e-12, atol=1e-12)
+
+    def test_non_positive_definite_member_of_a_large_batch(self):
+        rng = np.random.default_rng(3)
+        stack = well_conditioned_spd(rng, 3, 300)
+        rhs = rng.normal(size=(3, 300))
+        x_good, solved, failure = _spd_solve_members(stack, rhs, "big system", "")
+        assert solved.all() and failure is None
+        broken = stack.copy()
+        broken[1] -= 3.0 * np.eye(300)
+        x, solved, failure = _spd_solve_members(broken, rhs, "big system", "")
+        assert solved.tolist() == [True, False, True]
+        assert np.isnan(x[1]).all()
+        assert np.array_equal(x[[0, 2]], x_good[[0, 2]])
+        message = (r"^big system not positive definite for batch member 1 "
+                   r"\(min eigenvalue -\d\.\d{3}e[-+]\d+\)$")
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            raise failure()
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            _spd_solve(broken, rhs[..., None], "big system")
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_zero_pivot_names_the_weight_system(self, seed):
+        pts = UnitPointSet(duplicate_point_set(seed), "duplicate")
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"^quadrature weight system has an exactly zero pivot "
+                                 r"after passing the Cholesky check; numerically "
+                                 r"singular, raise the jitter to regularize$"):
+            gpq_weights(SquaredExponentialKernel(1.0, 1.0), pts)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_zero_pivot_names_the_batch_member(self, seed):
+        kernel = SquaredExponentialKernel(1.0, 1.0)
+        good = np.random.default_rng(1).normal(size=(6, 2))
+        grams = kernel.gram(np.stack([good, duplicate_point_set(seed)]))
+        message = (r"^some system has an exactly zero pivot for batch member 1 "
+                   r"after passing the Cholesky check; numerically singular")
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            _spd_solve(grams, np.ones((2, 6, 1)), "some system")
+        x, solved, failure = _spd_solve_members(grams, np.ones((2, 6)), "some system", "")
+        assert solved.tolist() == [True, False]
+        assert np.array_equal(x[0], np.linalg.solve(grams[0], np.ones(6)))
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            raise failure()
 
 
 class TestGpqVariance:
