@@ -22,6 +22,7 @@ import numpy as np
 from .experiments import (
     ConfigError,
     FLOAT_FORMAT,
+    NUMERICAL_ERRORS,
     Report,
     build_rule,
     config_float,
@@ -203,7 +204,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (np.linalg.LinAlgError, ValueError, FloatingPointError) as exc:
+    except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

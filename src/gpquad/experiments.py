@@ -44,7 +44,7 @@ from .points import (
     ut_points,
     OptimizerSettings,
 )
-from .quadrature import _not_positive_definite, gpq_weights
+from .quadrature import _not_positive_definite, _positive_definite, gpq_weights
 
 __all__ = [
     "ConfigError",
@@ -66,6 +66,11 @@ FLOAT_FORMAT = "%.12g"
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
+
+
+# the failures a study reports in a method's error cell and the CLI exits
+# with code 2 for; a ConfigError is a ValueError, which the CLI catches first
+NUMERICAL_ERRORS = (np.linalg.LinAlgError, ValueError, RuntimeError, FloatingPointError)
 
 
 def config_int(value, what: str, minimum: int | None = None,
@@ -135,10 +140,10 @@ def kl_gauss(p: GaussianState, q: GaussianState) -> float:
     if q.dimension != n:
         raise ValueError("dimension mismatch")
     covs = np.stack([p.cov, q.cov])
-    try:
-        chol = np.linalg.cholesky(covs)
-    except np.linalg.LinAlgError as exc:
-        raise _not_positive_definite("KL divergence covariance", covs) from exc
+    chol, passed = _positive_definite(covs)
+    if passed is not None:
+        raise _not_positive_definite("KL divergence covariance", covs,
+                                     int(np.argmin(passed)))
     dm = q.mean - p.mean
     solved = np.linalg.solve(q.cov, np.column_stack([p.cov, dm]))
     maha = dm @ solved[:, n]
@@ -337,7 +342,7 @@ def run_moments(config: dict) -> Report:
         for method in methods:
             try:
                 rules[method["name"]] = build_rule(method, n)
-            except (ConfigError, np.linalg.LinAlgError, ValueError, RuntimeError) as exc:
+            except NUMERICAL_ERRORS as exc:
                 rules[method["name"]] = exc
         for exponent in exponents:
             truth_mean, truth_var = moments_ground_truth(
@@ -392,11 +397,6 @@ def _rmse(estimates: np.ndarray, truth: np.ndarray, components) -> np.ndarray:
     return np.sqrt(np.mean(np.sum(diff**2, axis=-1), axis=-1))
 
 
-# the failures a method's row reports in its error cell
-_METHOD_ERRORS = (ConfigError, np.linalg.LinAlgError, ValueError,
-                  RuntimeError, FloatingPointError)
-
-
 def _error_row(name: str, exc: Exception) -> list:
     return [name, "", "", "", "", str(exc)]
 
@@ -424,7 +424,7 @@ def _method_row(name, rule, model, measurements, truth, components) -> list:
     """One method's report row, or the error that stopped it."""
     try:
         return _group_rows([name], [rule], model, measurements, truth, components)[0]
-    except _METHOD_ERRORS as exc:
+    except NUMERICAL_ERRORS as exc:
         return _error_row(name, exc)
 
 
@@ -458,7 +458,7 @@ def _filtering_study(experiment: str, config: dict, model,
         name = method["name"]
         try:
             rules[name] = build_rule(method, model.state_dim)
-        except _METHOD_ERRORS as exc:
+        except NUMERICAL_ERRORS as exc:
             rows[name] = _error_row(name, exc)
             continue
         groups.setdefault(rules[name].points.count, []).append(name)
@@ -466,7 +466,7 @@ def _filtering_study(experiment: str, config: dict, model,
         try:
             rows.update(zip(names, _group_rows(names, [rules[name] for name in names],
                                                model, measurements, truth, components)))
-        except _METHOD_ERRORS:
+        except NUMERICAL_ERRORS:
             for name in names:
                 rows[name] = _method_row(name, rules[name], model, measurements,
                                          truth, components)

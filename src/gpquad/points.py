@@ -121,8 +121,9 @@ def symmetric5_points(n: int) -> QuadratureRule:
 
     Generator structure {origin; +-sqrt(3) e_i; (+-sqrt(3), +-sqrt(3)) in
     every coordinate-pair plane}.  The three symmetry-class weights are
-    solved from the moment-matching conditions on {1, x1^2, x1^2 x2^2};
-    exactness on x1^4 then follows and is asserted.
+    the closed form of the moment-matching conditions on
+    {1, x1^2, x1^2 x2^2}: (n^2 - 7n + 18)/18 at the origin, (4 - n)/18 on
+    the axes and 1/36 in the planes; exactness on x1^4 follows.
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
@@ -138,25 +139,13 @@ def symmetric5_points(n: int) -> QuadratureRule:
     pair = np.array(pair)
     pts = np.vstack([origin, axis, pair])
 
-    def class_sums(g):
-        return np.array([g(origin).sum(), g(axis).sum(), g(pair).sum()])
-
-    # exactness conditions: E[1]=1, E[x1^2]=1, E[x1^2 x2^2]=1
-    system = np.array([
-        class_sums(lambda p: np.ones(p.shape[0])),
-        class_sums(lambda p: p[:, 0] ** 2),
-        class_sums(lambda p: p[:, 0] ** 2 * p[:, 1] ** 2),
-    ])
-    moments = np.array([1.0, 1.0, 1.0])
-    if abs(np.linalg.det(system)) < 1e-12:
-        raise AssertionError("degree-5 exactness system is singular")
-    w_class = np.linalg.solve(system, moments)
-    fourth = class_sums(lambda p: p[:, 0] ** 4) @ w_class
-    assert abs(fourth - 3.0) < 1e-10, "degree-5 rule failed the x1^4 moment"
+    # closed form of E[1] = E[x1^2] = E[x1^2 x2^2] = 1 over the three classes:
+    # w0 + 2n w_axis + 2n(n-1) w_pair = 1, 6 w_axis + 12(n-1) w_pair = 1 and
+    # 36 w_pair = 1; E[x1^4] = 18 w_axis + 36(n-1) w_pair = 3 then holds too
     weights = np.concatenate([
-        np.full(1, w_class[0]),
-        np.full(axis.shape[0], w_class[1]),
-        np.full(pair.shape[0], w_class[2]),
+        [(n * n - 7 * n + 18) / 18.0],
+        np.full(axis.shape[0], (4 - n) / 18.0),
+        np.full(pair.shape[0], 1.0 / 36.0),
     ])
     return QuadratureRule(UnitPointSet(pts, "symmetric5"), weights)
 

@@ -11,6 +11,13 @@ classical unscented / cubature / Gauss-Hermite weights drop out.  The
 variance's gradient in the points follows from the same solve; variance
 and gradient are also computed for a batch of point sets at once, each
 set solved as it would be alone.
+
+Every SPD matrix, here and in the filter, is factored by one path:
+``_positive_definite`` factors a stack in one batched Cholesky call, and
+member by member only when that fails.  ``_spd_solve_members`` solves on
+those factors and finds the members that fail; ``_spd_solve`` raises for
+the first of them.  ``matrix_sqrt`` gives a member that fails Cholesky
+the eigendecomposition square root of ``_eigen_sqrt`` and counts it.
 """
 
 from __future__ import annotations
@@ -52,8 +59,8 @@ def _member(index: int, size: int) -> str:
 def matrix_sqrt(cov: np.ndarray) -> MatrixSqrtResult:
     """Lower-triangular Cholesky factor of a symmetric PSD matrix.
 
-    ``cov`` is one (n, n) matrix or a stack (..., n, n), factored by one
-    batched Cholesky call.  A matrix on which Cholesky fails (near
+    ``cov`` is one (n, n) matrix or a stack (..., n, n), factored by
+    ``_positive_definite``.  A matrix on which Cholesky fails (near
     singular) falls back alone to a symmetric eigendecomposition square
     root with negative eigenvalues clipped to zero; ``spd_fallback``
     counts those matrices.  Errors name the failing matrix's position in
@@ -69,19 +76,11 @@ def matrix_sqrt(cov: np.ndarray) -> MatrixSqrtResult:
     if asymmetric.size:
         raise ValueError("matrix is asymmetric beyond 1e-9 relative tolerance"
                          + _member(asymmetric[0], len(stack)))
-    try:
-        return MatrixSqrtResult(np.linalg.cholesky(cov), 0)
-    except np.linalg.LinAlgError:
-        pass
-    factors = np.empty_like(stack)
-    fallbacks = 0
-    for index, matrix in enumerate(stack):
-        try:
-            factors[index] = np.linalg.cholesky(matrix)
-        except np.linalg.LinAlgError:
-            factors[index] = _eigen_sqrt(matrix, _member(index, len(stack)))
-            fallbacks += 1
-    return MatrixSqrtResult(factors.reshape(cov.shape), fallbacks)
+    factors, passed = _positive_definite(stack)
+    failed = () if passed is None else np.flatnonzero(~passed)
+    for index in failed:
+        factors[index] = _eigen_sqrt(stack[index], _member(index, len(stack)))
+    return MatrixSqrtResult(factors.reshape(cov.shape), len(failed))
 
 
 def _eigen_sqrt(matrix: np.ndarray, where: str) -> np.ndarray:
@@ -94,36 +93,33 @@ def _eigen_sqrt(matrix: np.ndarray, where: str) -> np.ndarray:
     return eigvecs @ np.diag(np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
 
 
-def _positive_definite(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Which matrices of a stack (B, m, m) pass Cholesky, and their factors.
+def _positive_definite(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The lower Cholesky factors of a stack (B, m, m), and which passed.
 
-    Returns the (B,) mask and the lower Cholesky factors (B, m, m), NaN
-    for a member that fails.  One batched call decides when every matrix
-    passes; only when it fails is each matrix tried on its own.
+    One batched call factors the stack when every matrix passes; the mask
+    is then None, so the common case builds none.  Only when it fails is
+    each matrix factored on its own: the (B,) mask marks the members that
+    passed, and a member that fails gets NaN factors.
     """
-    passed = np.ones(len(stack), dtype=bool)
     try:
-        return passed, np.linalg.cholesky(stack)
+        return np.linalg.cholesky(stack), None
     except np.linalg.LinAlgError:
         pass
     factors = np.full_like(stack, np.nan)
+    passed = np.ones(len(stack), dtype=bool)
     for index, matrix in enumerate(stack):
         try:
             factors[index] = np.linalg.cholesky(matrix)
         except np.linalg.LinAlgError:
             passed[index] = False
-    return passed, factors
+    return factors, passed
 
 
-def _not_positive_definite(context: str, matrices: np.ndarray,
+def _not_positive_definite(context: str, stack: np.ndarray, index: int,
                            advice: str = "") -> np.linalg.LinAlgError:
-    """The error for a matrix, or a stack (..., m, m), that failed Cholesky.
-
-    Names ``context``, the first member of the stack whose Cholesky fails
-    and that member's minimum eigenvalue, then ``advice``.
-    """
-    stack = matrices.reshape(-1, *matrices.shape[-2:])
-    index = int(np.argmin(_positive_definite(stack)[0]))
+    """The error for member ``index`` of a stack (B, m, m), the first that
+    failed Cholesky: names ``context``, the member and its minimum
+    eigenvalue, then ``advice``."""
     return np.linalg.LinAlgError(
         f"{context} not positive definite{_member(index, len(stack))} "
         f"(min eigenvalue {np.linalg.eigvalsh(stack[index]).min():.3e}){advice}"
@@ -178,31 +174,6 @@ def _cholesky_solve(matrices: np.ndarray, factors: np.ndarray,
     return x[..., 0] if rhs.ndim == 1 else x
 
 
-def _spd_solve(matrices: np.ndarray, rhs: np.ndarray, context: str,
-               advice: str = "") -> np.ndarray:
-    """Solve ``matrices @ x = rhs`` for one SPD matrix or a stack (..., m, m).
-
-    A batched Cholesky checks that every matrix is positive definite; a
-    failure raises ``_not_positive_definite(context, matrices, advice)``.
-    The solve is ``_cholesky_solve`` on the check's factors; an exactly
-    zero pivot in it raises ``_zero_pivot`` for the first such member.
-    """
-    try:
-        factors = np.linalg.cholesky(matrices)
-    except np.linalg.LinAlgError as exc:
-        raise _not_positive_definite(context, matrices, advice) from exc
-    try:
-        return _cholesky_solve(matrices, factors, rhs)
-    except np.linalg.LinAlgError as exc:
-        stack = matrices.reshape(-1, *matrices.shape[-2:])
-        for index, factor in enumerate(factors.reshape(stack.shape)):
-            try:  # a pivot does not depend on the right-hand side
-                _cholesky_solve(stack[index], factor, np.zeros(len(factor)))
-            except np.linalg.LinAlgError:
-                raise _zero_pivot(context, index, len(stack)) from exc
-        raise
-
-
 def _select(stack: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """``stack[mask]``, without copying a stack the mask keeps whole."""
     return stack if mask.all() else stack[mask]
@@ -216,29 +187,43 @@ def _spd_solve_members(stack: np.ndarray, rhs: np.ndarray, context: str,
                        advice: str) -> tuple[np.ndarray, np.ndarray, _Failure | None]:
     """Solve ``stack[b] @ x[b] = rhs[b]`` for each SPD member of (B, m, m).
 
-    A member that is not positive definite, or that passes Cholesky and
-    meets an exactly zero pivot in ``_cholesky_solve``, gets a NaN
-    solution and does not disturb the others.  Returns x (B, m), the (B,)
-    mask of solved members, and None or the builder of the error a lone
-    failed member raises: ``_not_positive_definite``'s, or else
-    ``_zero_pivot``'s.
+    ``rhs`` is (B, m) or (B, m, k).  When every member passes Cholesky,
+    ``_cholesky_solve`` solves the stack on the batched factors.  A member
+    that is not positive definite, or that passes Cholesky and meets an
+    exactly zero pivot in the solve, gets a NaN solution and does not
+    disturb the others.  Returns x shaped as ``rhs``, the (B,) mask of
+    solved members (True, which broadcasts as one, when all are) and None
+    or the builder of the error a lone failed member raises:
+    ``_not_positive_definite``'s, or else ``_zero_pivot``'s for the first
+    member that met one.
     """
-    solved, factors = _positive_definite(stack)
-    failure = None
-    if not solved.all():
-        failure = partial(_not_positive_definite, context, stack, advice)
-    x = np.full(rhs.shape, np.nan)
-    try:
-        x[solved] = _cholesky_solve(_select(stack, solved), _select(factors, solved),
-                                    _select(rhs, solved)[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        for index in np.flatnonzero(solved):
-            try:
-                x[index] = _cholesky_solve(stack[index], factors[index], rhs[index])
-            except np.linalg.LinAlgError:
-                solved[index] = False
-                failure = failure or partial(_zero_pivot, context, index, len(stack))
-    return x, solved, failure
+    b = rhs if rhs.ndim == stack.ndim else rhs[..., None]  # (B, m, k)
+    factors, solved = _positive_definite(stack)
+    if solved is None:
+        try:
+            return _cholesky_solve(stack, factors, b).reshape(rhs.shape), np.True_, None
+        except np.linalg.LinAlgError:
+            solved = np.ones(len(stack), dtype=bool)
+    failure = None if solved.all() else partial(
+        _not_positive_definite, context, stack, int(np.argmin(solved)), advice)
+    x = np.full(b.shape, np.nan)
+    for index in np.flatnonzero(solved):
+        try:
+            x[index] = _cholesky_solve(stack[index], factors[index], b[index])
+        except np.linalg.LinAlgError:
+            solved[index] = False
+            failure = failure or partial(_zero_pivot, context, index, len(stack))
+    return x.reshape(rhs.shape), solved, failure
+
+
+def _spd_solve(stack: np.ndarray, rhs: np.ndarray, context: str,
+               advice: str = "") -> np.ndarray:
+    """``_spd_solve_members``' solution; raises the error it builds when a
+    member failed."""
+    x, _, failure = _spd_solve_members(stack, rhs, context, advice)
+    if failure is not None:
+        raise failure()
+    return x
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -438,6 +423,6 @@ def gp_regression_mean(kernel, train_points, observations,
         raise ValueError("one observation per training point required")
     gram = kernel.gram(train)
     gram[np.diag_indices_from(gram)] += jitter
-    coeffs = _spd_solve(gram, obs, "regression system", _SINGULAR_ADVICE)
+    coeffs = _spd_solve(gram[None], obs[None], "regression system", _SINGULAR_ADVICE)
     cross = kernel.eval(np.atleast_2d(np.asarray(query, dtype=float)), train)
-    return float((cross @ coeffs)[0])
+    return float((cross @ coeffs[0])[0])

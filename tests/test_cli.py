@@ -640,6 +640,16 @@ class TestCliCommands:
             }],
         })
         assert main(["ungm", "--config", config]) == 2
+        assert "every method failed; see the error column" in capsys.readouterr().err
+
+    def test_optimizer_failure_is_exit_2(self, tmp_path, capsys):
+        config = write_config(tmp_path, {
+            "dimension": 1,
+            "points": {"type": "optimized", "count": 8, "restarts": 2,
+                       "kernel": {"type": "ut-hermite", "order": 3}},
+        })
+        assert main(["points", "--config", config]) == 2
+        assert "numerical failure: all 2 optimizer restarts" in capsys.readouterr().err
 
     def test_console_module_entry_point(self, tmp_path):
         config = write_config(tmp_path, {

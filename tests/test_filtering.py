@@ -409,6 +409,10 @@ class TestBatchedRecursion:
         np.testing.assert_array_equal(res.factor[0], np.linalg.cholesky(stack[0]))
         np.testing.assert_array_equal(res.factor[2], np.linalg.cholesky(stack[2]))
         np.testing.assert_allclose(res.factor[1] @ res.factor[1].T, stack[1], atol=1e-12)
+        definite = stack[[0, 2, 2, 0]].reshape(2, 2, 2, 2) + [[0.0, 0.3], [0.3, 0.0]]
+        res = matrix_sqrt(definite)
+        assert res.spd_fallback == 0
+        assert np.array_equal(res.factor, np.linalg.cholesky(definite))
 
     def test_matrix_sqrt_names_the_failing_member(self):
         stack = np.array([np.eye(2), np.eye(2), np.diag([1.0, -1.0])])

@@ -119,12 +119,17 @@ class TestCholeskySolve:
     @pytest.mark.parametrize("m,batch", [(1, ()), (1, (3,)), (128, ()), (128, (3,)),
                                          (129, ()), (129, (3,)), (300, ()), (300, (2,)),
                                          (2000, ())])
-    @pytest.mark.parametrize("columns", [None, 3])
-    def test_matches_linalg_solve(self, m, batch, columns):
+    @pytest.mark.parametrize("columns,spd", [(None, False), (3, False), (3, True)],
+                             ids=["None", "3", "spd-solve"])
+    def test_matches_linalg_solve(self, m, batch, columns, spd):
         rng = np.random.default_rng(m)
         matrices = well_conditioned_spd(rng, *batch, m)
         rhs = rng.normal(size=(m,) if columns is None else batch + (m, columns))
-        x = _cholesky_solve(matrices, np.linalg.cholesky(matrices), rhs)
+        if spd:  # the stack as (B, m, m) with rhs (B, m, k)
+            x = _spd_solve(matrices.reshape(-1, m, m), rhs.reshape(-1, m, columns),
+                           "system").reshape(rhs.shape)
+        else:
+            x = _cholesky_solve(matrices, np.linalg.cholesky(matrices), rhs)
         expected = np.linalg.solve(matrices, rhs)
         assert x.shape == expected.shape
         if m <= 128:
