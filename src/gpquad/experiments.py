@@ -30,7 +30,10 @@ from . import __version__
 from .filtering import GaussianState, run_filter, run_smoother
 from .hermite import MAX_GH_ORDER
 from .kernels import SquaredExponentialKernel, make_gh_kernel, make_ut_kernel
-from .models import BotConfig, bot_model, moment_integrand, simulate, ungm_model
+# the studies call simulate_many; simulate stays importable from here
+# because bench/spans.py wraps experiments.simulate
+from .models import (BotConfig, bot_model, moment_integrand, simulate,  # noqa: F401
+                     simulate_many, ungm_model)
 from .points import (
     MAX_TENSOR_POINTS,
     QuadratureRule,
@@ -450,7 +453,7 @@ def _filtering_study(experiment: str, config: dict, model,
                  "smoother_rmse_mean", "smoother_rmse_std", "error"],
         metadata=_metadata(config),
     )
-    trajectories = [simulate(model, steps, seed) for seed in seeds]
+    trajectories = simulate_many(model, steps, seeds)
     measurements = np.stack([t.measurements for t in trajectories])
     truth = np.stack([t.states[1:] for t in trajectories])
     rows, rules, groups = {}, {}, {}

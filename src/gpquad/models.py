@@ -7,7 +7,9 @@
   integration rules.
 
 Model functions follow the filtering module's vectorized contract:
-states arrive as (N, n) batches.
+states arrive as (N, n) batches.  ``simulate`` draws one seeded
+trajectory; ``simulate_many`` draws a trajectory per seed, all of them
+as one recursion, each bit for bit the one ``simulate`` draws alone.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "bot_model",
     "moment_integrand",
     "simulate",
+    "simulate_many",
 ]
 
 
@@ -205,41 +208,70 @@ def _normal_factor(cov) -> np.ndarray:
     return u * np.sqrt(s)
 
 
-def _normal_factor_fn(cov, cov_at):
-    # one factor for a constant covariance, one per step for a callable
+def _step_factors(cov, cov_at, steps: int) -> np.ndarray:
+    """The noise factor of steps 1..T: one (m, m) factor for a constant
+    covariance, a (T, m, m) stack, one per step, for a callable."""
     if callable(cov):
-        return lambda k: _normal_factor(cov_at(k))
-    fixed = _normal_factor(cov_at(0))
-    return lambda k: fixed
+        return np.stack([_normal_factor(cov_at(k)) for k in range(1, steps + 1)])
+    return _normal_factor(cov_at(0))
 
 
-def _noise(rng: np.random.Generator, factor: np.ndarray) -> np.ndarray:
-    return (rng.standard_normal((1, factor.shape[0])) @ factor.T)[0]
+def _noise(z: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """Draws z (..., m) times the factor's transpose, row by row.
+
+    Each row is its own (1, m) product, which rounds like
+    ``standard_normal((1, m)) @ F.T``; a plain (S, m) @ F.T is one matrix
+    product and rounds differently in several dimensions.
+    """
+    return (z[..., None, :] @ np.swapaxes(factor, -1, -2))[..., 0, :]
+
+
+def simulate_many(model: AdditiveStateSpaceModel, steps: int, seeds) -> list[Trajectory]:
+    """Draw one trajectory per seed, all S of them as one recursion.
+
+    Each step makes one transition and one measurement call on the (S, n)
+    states.  Seed s draws its whole noise stream from
+    ``default_rng(s).standard_normal`` and reads it as the one-trajectory
+    recursion does: the prior's n values, then per step n process and d
+    measurement values.  So every trajectory equals, bit for bit, the one
+    ``rng.multivariate_normal`` draws on the prior, process and
+    measurement covariances; a constant covariance is factored once per
+    call, a callable one once per step for all seeds.  The trajectories
+    come back in seed order.  A non-finite state raises
+    ``FloatingPointError`` naming the earliest step and, of the seeds that
+    diverge there, the first.
+    """
+    seeds = list(seeds)
+    if steps < 1:
+        raise ValueError(f"need steps >= 1, got {steps}")
+    if not seeds:
+        raise ValueError("need at least one seed")
+    n, d = model.state_dim, model.measurement_dim
+    draws = np.stack([np.random.default_rng(seed).standard_normal(n + steps * (n + d))
+                      for seed in seeds])
+    per_step = draws[:, n:].reshape(len(seeds), steps, n + d)
+    process_noise = _noise(per_step[..., :n],
+                           _step_factors(model.process_cov, model.q_cov, steps))
+    measurement_noise = _noise(per_step[..., n:],
+                               _step_factors(model.measurement_cov, model.r_cov, steps))
+    states = np.empty((steps + 1, len(seeds), n))
+    measurements = np.empty((steps, len(seeds), d))
+    states[0] = model.prior.mean + _noise(draws[:, :n], _normal_factor(model.prior.cov))
+    for k in range(1, steps + 1):
+        drift = np.asarray(model.transition(states[k - 1], k), dtype=float)
+        states[k] = drift.reshape(len(seeds), n) + process_noise[:, k - 1]
+        if not np.isfinite(states[k]).all():
+            first = np.flatnonzero(~np.isfinite(states[k]).all(axis=1))[0]
+            raise FloatingPointError(
+                f"simulation diverged at step {k} (seed {seeds[first]})")
+        projected = np.asarray(model.measurement(states[k], k), dtype=float)
+        measurements[k - 1] = projected.reshape(len(seeds), d) + measurement_noise[:, k - 1]
+    states = np.ascontiguousarray(states.swapaxes(0, 1))
+    measurements = np.ascontiguousarray(measurements.swapaxes(0, 1))
+    return [Trajectory(x, y, seed) for x, y, seed in zip(states, measurements, seeds)]
 
 
 def simulate(model: AdditiveStateSpaceModel, steps: int, seed: int) -> Trajectory:
-    """Draw one trajectory of the model, deterministic per seed.
-
-    The draws equal those of ``rng.multivariate_normal`` on the prior,
-    process and measurement covariances, but a constant covariance is
-    factored once per trajectory rather than once per draw.
-    """
-    if steps < 1:
-        raise ValueError(f"need steps >= 1, got {steps}")
-    rng = np.random.default_rng(seed)
-    n, d = model.state_dim, model.measurement_dim
-    states = np.empty((steps + 1, n))
-    measurements = np.empty((steps, d))
-    process_factor = _normal_factor_fn(model.process_cov, model.q_cov)
-    measurement_factor = _normal_factor_fn(model.measurement_cov, model.r_cov)
-    states[0] = model.prior.mean + _noise(rng, _normal_factor(model.prior.cov))
-    for k in range(1, steps + 1):
-        drift = np.asarray(model.transition(states[k - 1][None, :], k),
-                           dtype=float).reshape(n)
-        states[k] = drift + _noise(rng, process_factor(k))
-        if not np.all(np.isfinite(states[k])):
-            raise FloatingPointError(f"simulation diverged at step {k}")
-        projected = np.asarray(model.measurement(states[k][None, :], k),
-                               dtype=float).reshape(d)
-        measurements[k - 1] = projected + _noise(rng, measurement_factor(k))
-    return Trajectory(states, measurements, seed)
+    """Draw one trajectory of the model, deterministic per seed: the batch
+    of one of ``simulate_many``."""
+    return simulate_many(model, steps, [seed])[0]

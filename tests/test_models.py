@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from gpquad.filtering import AdditiveStateSpaceModel, GaussianState
-from gpquad.models import BotConfig, Trajectory, bot_model, moment_integrand, simulate, ungm_model
+from gpquad.models import (BotConfig, Trajectory, bot_model, moment_integrand, simulate,
+                           simulate_many, ungm_model)
 
 
 class TestUngmModel:
@@ -175,15 +178,7 @@ class TestSimulateDraws:
         np.testing.assert_array_equal(trajectory.measurements, measurements)
 
     def test_time_varying_covariance_matches_multivariate_normal(self):
-        model = AdditiveStateSpaceModel(
-            transition=lambda x, k: 0.9 * x,
-            measurement=lambda x, k: x[:, :1],
-            process_cov=lambda k: np.array([[1.0 + k, 0.3], [0.3, 2.0]]),
-            measurement_cov=np.array([[0.5]]),
-            prior=GaussianState(np.zeros(2), np.eye(2)),
-            state_dim=2,
-            measurement_dim=1,
-        )
+        model = time_varying_model()
         states, measurements = multivariate_normal_trajectory(model, 25, 3)
         trajectory = simulate(model, 25, 3)
         np.testing.assert_array_equal(trajectory.states, states)
@@ -202,3 +197,90 @@ class TestSimulateDraws:
         with pytest.warns(RuntimeWarning, match="positive-semidefinite") as record:
             simulate(model, 20, seed=0)
         assert len(record) == 1
+
+
+def time_varying_model():
+    return AdditiveStateSpaceModel(
+        transition=lambda x, k: 0.9 * x,
+        measurement=lambda x, k: x[:, :1],
+        process_cov=lambda k: np.array([[1.0 + k, 0.3], [0.3, 2.0]]),
+        measurement_cov=np.array([[0.5]]),
+        prior=GaussianState(np.zeros(2), np.eye(2)),
+        state_dim=2,
+        measurement_dim=1,
+    )
+
+
+def walk_model(transition):
+    """A 1-D random walk through ``transition``; prior N(0, 1)."""
+    return AdditiveStateSpaceModel(
+        transition=transition,
+        measurement=lambda x, k: x,
+        process_cov=np.eye(1),
+        measurement_cov=np.eye(1),
+        prior=GaussianState(np.zeros(1), np.eye(1)),
+        state_dim=1,
+        measurement_dim=1,
+    )
+
+
+class TestSimulateMany:
+    @pytest.mark.parametrize("make_model, seeds, steps", [
+        (ungm_model, range(8), 200),
+        (bot_model, range(16), 60),
+        (time_varying_model, [3, 0, 11], 25),
+    ])
+    def test_bit_identical_to_each_seed_alone(self, make_model, seeds, steps):
+        model = make_model()
+        batch = simulate_many(model, steps, seeds)
+        assert [t.seed for t in batch] == list(seeds)
+        for seed, trajectory in zip(seeds, batch):
+            alone = simulate(model, steps, seed)
+            states, measurements = multivariate_normal_trajectory(model, steps, seed)
+            for want in (alone.states, states):
+                np.testing.assert_array_equal(trajectory.states, want)
+            for want in (alone.measurements, measurements):
+                np.testing.assert_array_equal(trajectory.measurements, want)
+
+    def test_non_psd_constant_noise_warns_once_per_call(self):
+        model = dataclasses.replace(walk_model(lambda x, k: 0.5 * x),
+                                    process_cov=np.array([[-1.0]]))
+        with pytest.warns(RuntimeWarning, match="positive-semidefinite") as record:
+            simulate_many(model, 20, range(4))
+        assert len(record) == 1
+
+    @pytest.mark.parametrize("steps, seeds", [(0, [0]), (-1, [0, 1]), (5, [])])
+    def test_rejects_no_steps_or_no_seeds(self, steps, seeds):
+        with pytest.raises(ValueError):
+            simulate_many(ungm_model(), steps, seeds)
+
+    def test_divergence_names_earliest_step_and_its_seed(self):
+        # a state beyond 3 makes the next one NaN, at a step that depends
+        # on the seed's draws
+        model = walk_model(lambda x, k: np.where(np.abs(x) > 3.0, np.nan, x))
+        seeds = list(range(8))
+        first = {}
+        for seed in seeds:
+            with pytest.raises(FloatingPointError) as info:
+                simulate(model, 100, seed)
+            step = int(str(info.value).split("step ")[1].split()[0])
+            assert str(info.value) == f"simulation diverged at step {step} (seed {seed})"
+            first[seed] = step
+        assert len(set(first.values())) > 1
+        earliest = min(first.values())
+        seed = next(s for s in seeds if first[s] == earliest)
+        with pytest.raises(FloatingPointError,
+                           match=rf"^simulation diverged at step {earliest} \(seed {seed}\)$"):
+            simulate_many(model, 100, seeds)
+
+    def test_divergence_tie_names_first_seed_in_order(self):
+        model = walk_model(lambda x, k: x if k < 4 else np.full_like(x, np.inf))
+        with pytest.raises(FloatingPointError,
+                           match=r"^simulation diverged at step 4 \(seed 9\)$"):
+            simulate_many(model, 10, [9, 2, 5])
+
+    def test_non_finite_measurement_fails_trajectory_validation(self):
+        model = dataclasses.replace(walk_model(lambda x, k: x),
+                                    measurement=lambda x, k: np.full_like(x, np.nan))
+        with pytest.raises(ValueError, match="non-finite"):
+            simulate_many(model, 5, [0, 1])

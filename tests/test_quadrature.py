@@ -380,6 +380,16 @@ class TestMatrixSqrt:
         with pytest.raises(ValueError, match="asymmetric"):
             matrix_sqrt(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    def test_asymmetry_within_tolerance_accepted(self):
+        # not exactly symmetric, so the tolerance check decides
+        res = matrix_sqrt(np.array([[2.0, 1.0 + 1e-12], [1.0, 2.0]]))
+        np.testing.assert_array_equal(res.factor,
+                                      matrix_sqrt(np.array([[2.0, 1.0], [1.0, 2.0]])).factor)
+
+    def test_nan_reaches_cholesky_not_symmetry_error(self):
+        res = matrix_sqrt(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        assert np.isnan(res.factor[1]).all()
+
     def test_indefinite_rejected(self):
         with pytest.raises(ValueError, match="not PSD"):
             matrix_sqrt(np.array([[1.0, 0.0], [0.0, -1.0]]))
