@@ -47,7 +47,8 @@ from .points import (
     ut_points,
     OptimizerSettings,
 )
-from .quadrature import _not_positive_definite, _positive_definite, gpq_weights
+from .quadrature import (_cholesky_solve, _not_positive_definite, _positive_definite,
+                         gpq_weights)
 
 __all__ = [
     "ConfigError",
@@ -148,7 +149,7 @@ def kl_gauss(p: GaussianState, q: GaussianState) -> float:
         raise _not_positive_definite("KL divergence covariance", covs,
                                      int(np.argmin(passed)))
     dm = q.mean - p.mean
-    solved = np.linalg.solve(q.cov, np.column_stack([p.cov, dm]))
+    solved = _cholesky_solve(q.cov, chol[1], np.column_stack([p.cov, dm]))
     maha = dm @ solved[:, n]
     logdet_p, logdet_q = np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
     logdet = 2.0 * (logdet_q - logdet_p)

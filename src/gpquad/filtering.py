@@ -188,8 +188,8 @@ def _transform(points, weights, fn, means, covs, noise_cov, k: int):
     batch, count, n = deviations.shape
     sigma_pts = (means[:, None, :] + deviations).reshape(batch * count, n)
     values = np.asarray(fn(sigma_pts, k), dtype=float).reshape(batch, count, -1)
-    finite = np.isfinite(values).all(axis=(1, 2))
-    if not finite.all():
+    if not np.isfinite(values).all():
+        finite = np.isfinite(values).all(axis=(1, 2))
         raise ValueError("function returned non-finite values at the sigma-points"
                          + _member(int(np.argmin(finite)), batch))
     return _match_moments(weights, deviations, values, noise_cov)

@@ -14,10 +14,15 @@ set solved as it would be alone.
 
 Every SPD matrix, here and in the filter, is factored by one path:
 ``_positive_definite`` factors a stack in one batched Cholesky call, and
-member by member only when that fails.  ``_spd_solve_members`` solves on
-those factors and finds the members that fail; ``_spd_solve`` raises for
-the first of them.  ``matrix_sqrt`` gives a member that fails Cholesky
-the eigendecomposition square root of ``_eigen_sqrt`` and counts it.
+member by member only when that fails.  A stack of 1x1 matrices (the
+scalar filter's covariances) skips LAPACK: its Cholesky factors are the
+square roots, and a 1x1 solve with one right-hand side is a division,
+which are the operations LAPACK itself performs there, so the numbers
+are bit-identical at a fraction of the dispatch cost.
+``_spd_solve_members`` solves on those factors and finds the members that
+fail; ``_spd_solve`` raises for the first of them.  ``matrix_sqrt`` gives
+a member that fails Cholesky the eigendecomposition square root of
+``_eigen_sqrt`` and counts it.
 """
 
 from __future__ import annotations
@@ -71,8 +76,9 @@ def matrix_sqrt(cov: np.ndarray) -> MatrixSqrtResult:
         raise ValueError(f"expected a square matrix, got shape {cov.shape}")
     stack = cov.reshape(-1, *cov.shape[-2:])
     # the filter symmetrizes every covariance it builds exactly, so the
-    # exact test spares its per-step calls the tolerance check
-    if not (stack == stack.transpose(0, 2, 1)).all():
+    # exact test spares its per-step calls the tolerance check; a 1x1
+    # stack cannot fail either
+    if stack.shape[-1] > 1 and not (stack == stack.transpose(0, 2, 1)).all():
         scale = np.maximum(np.abs(stack).max(axis=(1, 2)), 1.0)
         asymmetry = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
         asymmetric = np.flatnonzero(asymmetry > 1e-9 * scale)
@@ -103,7 +109,18 @@ def _positive_definite(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray | None
     is then None, so the common case builds none.  Only when it fails is
     each matrix factored on its own: the (B,) mask marks the members that
     passed, and a member that fails gets NaN factors.
+
+    A 1x1 stack is factored as ``np.sqrt(stack)`` with LAPACK potrf's own
+    pass test, ``~(a <= 0)``: 0.0, -0.0, negatives and -inf fail, while NaN
+    and +inf pass, as in ``np.linalg.cholesky``, whose factor is that same
+    correctly rounded square root.
     """
+    if stack.shape[-1] == 1:
+        fails = stack <= 0.0
+        # count_nonzero skips the ufunc reduction that .any() dispatches
+        if not np.count_nonzero(fails):
+            return np.sqrt(stack), None
+        return np.sqrt(np.where(fails, np.nan, stack)), ~fails[:, 0, 0]
     try:
         return np.linalg.cholesky(stack), None
     except np.linalg.LinAlgError:
@@ -150,7 +167,12 @@ def _cholesky_solve(matrices: np.ndarray, factors: np.ndarray,
     """``np.linalg.solve(matrices, rhs)`` given the lower Cholesky factors.
 
     ``matrices`` and ``factors`` are (..., m, m), ``rhs`` is (m,) or
-    (..., m, k) as for ``np.linalg.solve``.  Up to ``_BLOCK`` unknowns
+    (..., m, k) as for ``np.linalg.solve``; the matrices have passed
+    Cholesky.  A 1x1 system with one right-hand side (a vector or one
+    column) is ``rhs / a``: LAPACK's LU solve divides there too (OpenBLAS
+    trsv), so the quotient is bit-identical.  With more columns OpenBLAS
+    multiplies by the reciprocal instead, so those stay on
+    ``np.linalg.solve``.  Up to ``_BLOCK`` unknowns
     the LU call is cheaper than a loop and the factors go unused.  Above
     it, a blocked forward substitution with L and a blocked back
     substitution with L^T (Golub & Van Loan, *Matrix Computations*,
@@ -158,6 +180,8 @@ def _cholesky_solve(matrices: np.ndarray, factors: np.ndarray,
     the rest by matmul, so the system is factored only once.
     """
     m = matrices.shape[-1]
+    if m == 1 and (rhs.ndim == 1 or rhs.shape[-1] == 1):
+        return rhs / (matrices[..., 0] if rhs.ndim == 1 else matrices)
     if m <= _BLOCK:
         return np.linalg.solve(matrices, rhs)
     b = rhs[:, None] if rhs.ndim == 1 else rhs

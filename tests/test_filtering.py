@@ -450,8 +450,8 @@ def bot_group():
 class TestRuleGroups:
     @pytest.mark.parametrize("make_group", [ungm_group, bot_group], ids=["ungm", "bot"])
     def test_group_equals_its_members_run_alone(self, make_group):
-        # each member's slice against its solo run, with the convention of
-        # test_ungm_batch_matches_single_calls
+        # each member's slice bit for bit against its solo run: batching
+        # changes no member's arithmetic, 1x1 or not
         model, rules = make_group()
         ys = np.stack([simulate(model, 60, seed=s).measurements for s in range(3)])
         out = run_filter(model, rules, ys)
@@ -464,10 +464,10 @@ class TestRuleGroups:
             single = run_filter(model, rule, ys)
             single_means, single_covs = run_smoother(model, rule, single)
             for field in fields(FilterOutput):
-                np.testing.assert_allclose(getattr(out, field.name)[index],
-                                           getattr(single, field.name), rtol=0, atol=1e-7)
-            np.testing.assert_allclose(means[index], single_means, rtol=0, atol=1e-7)
-            np.testing.assert_allclose(covs[index], single_covs, rtol=0, atol=1e-7)
+                assert np.array_equal(getattr(out, field.name)[index],
+                                      getattr(single, field.name))
+            assert np.array_equal(means[index], single_means)
+            assert np.array_equal(covs[index], single_covs)
 
     def test_sequence_of_rules_on_one_trajectory_adds_only_the_method_axis(self):
         model, rules = ungm_group()
@@ -480,8 +480,7 @@ class TestRuleGroups:
         one = run_filter(model, rules[1:2], y)
         assert one.filtered_means.shape == (1, 30, 1)
         for group, index in ((out, 1), (one, 0)):
-            np.testing.assert_allclose(group.filtered_means[index], single.filtered_means,
-                                       rtol=0, atol=1e-7)
+            assert np.array_equal(group.filtered_means[index], single.filtered_means)
 
     def test_rules_of_different_point_counts_are_rejected(self):
         model = ungm_model()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from gpquad.points import (
 from gpquad.filtering import gp_transform
 from gpquad.quadrature import (
     _cholesky_solve,
+    _positive_definite,
     _spd_solve,
     _spd_solve_members,
     gp_regression_mean,
@@ -119,8 +122,9 @@ class TestCholeskySolve:
     @pytest.mark.parametrize("m,batch", [(1, ()), (1, (3,)), (128, ()), (128, (3,)),
                                          (129, ()), (129, (3,)), (300, ()), (300, (2,)),
                                          (2000, ())])
-    @pytest.mark.parametrize("columns,spd", [(None, False), (3, False), (3, True)],
-                             ids=["None", "3", "spd-solve"])
+    @pytest.mark.parametrize("columns,spd", [(None, False), (3, False), (3, True),
+                                             (1, False), (1, True)],
+                             ids=["None", "3", "spd-solve", "1", "spd-solve-1"])
     def test_matches_linalg_solve(self, m, batch, columns, spd):
         rng = np.random.default_rng(m)
         matrices = well_conditioned_spd(rng, *batch, m)
@@ -139,6 +143,22 @@ class TestCholeskySolve:
             xs = x if columns is not None else x[..., None]
             assert np.abs(matrices @ xs - b).max() <= 1e-12 * np.abs(b).max()
             np.testing.assert_allclose(x, expected, rtol=1e-12, atol=1e-12)
+
+    def test_one_unknown_divides_as_lapack_does(self):
+        # LAPACK solves a 1x1 system with one right-hand side by a division,
+        # so the quotient matches np.linalg.solve bit for bit; with more
+        # columns OpenBLAS multiplies by the reciprocal instead
+        rng = np.random.default_rng(11)
+        a = 10.0 ** rng.uniform(-100, 100, size=(10**5, 1, 1))
+        b = rng.normal(size=a.shape) * 10.0 ** rng.uniform(-100, 100, size=a.shape)
+        assert np.array_equal(_cholesky_solve(a, np.sqrt(a), b), np.linalg.solve(a, b))
+        vector = b[0, 0]  # (1,), broadcast over the stack
+        assert np.array_equal(_cholesky_solve(a, np.sqrt(a), vector), np.linalg.solve(a, vector))
+        for matrix, vector in zip(a[:1000], b[:1000, 0]):
+            assert np.array_equal(_cholesky_solve(matrix, np.sqrt(matrix), vector),
+                                  np.linalg.solve(matrix, vector))
+        wide = rng.normal(size=(10**5, 1, 3))
+        assert np.array_equal(_cholesky_solve(a, np.sqrt(a), wide), np.linalg.solve(a, wide))
 
     def test_non_positive_definite_member_of_a_large_batch(self):
         rng = np.random.default_rng(3)
@@ -355,6 +375,42 @@ class TestGpTransform:
             assert rule.weights @ vals == pytest.approx(expected, abs=1e-8)
 
 
+class TestPositiveDefinite:
+    EDGES = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e308, -1e308,
+             1e-308, -1e-308]
+
+    @staticmethod
+    def member_by_member(stack):
+        factors = np.full_like(stack, np.nan)
+        passed = np.ones(len(stack), dtype=bool)
+        for index, matrix in enumerate(stack):
+            try:
+                factors[index] = np.linalg.cholesky(matrix)
+            except np.linalg.LinAlgError:
+                passed[index] = False
+        return factors, passed
+
+    def test_one_by_one_stack_matches_lapack_on_edge_values(self):
+        rng = np.random.default_rng(5)
+        spread = rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(-150, 150, 2000)
+        stack = np.concatenate([self.EDGES, spread])[:, None, None]
+        expected, expected_passed = self.member_by_member(stack)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            factors, passed = _positive_definite(stack)
+        assert np.array_equal(factors, expected, equal_nan=True)
+        assert np.array_equal(passed, expected_passed)
+        # 0.0, -0.0, the negatives and -inf fail; NaN and +inf pass
+        assert passed[:len(self.EDGES)].tolist() == [False, False, True, True, False, True,
+                                                     False, True, False, True, False]
+
+    def test_one_by_one_stack_that_passes_builds_no_mask(self):
+        stack = np.array([2.0, np.nan, np.inf, 5e-324, 1e308])[:, None, None]
+        factors, passed = _positive_definite(stack)
+        assert passed is None
+        assert np.array_equal(factors, np.linalg.cholesky(stack), equal_nan=True)
+
+
 class TestMatrixSqrt:
     def test_identity(self):
         res = matrix_sqrt(np.eye(3))
@@ -393,6 +449,18 @@ class TestMatrixSqrt:
     def test_indefinite_rejected(self):
         with pytest.raises(ValueError, match="not PSD"):
             matrix_sqrt(np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+    def test_one_by_one_zero_member_falls_back(self):
+        stack = np.array([4.0, 0.0, 9.0])[:, None, None]
+        res = matrix_sqrt(stack)
+        assert res.spd_fallback == 1
+        assert res.factor.ravel().tolist() == [2.0, 0.0, 3.0]
+
+    def test_one_by_one_negative_member_rejected(self):
+        stack = np.array([4.0, 1.0, -2.0])[:, None, None]
+        with pytest.raises(ValueError, match=r"^matrix is not PSD for batch member 2: "
+                                             r"smallest eigenvalue -2\.000e\+00$"):
+            matrix_sqrt(stack)
 
 
 class TestGpRegressionMean:
