@@ -25,17 +25,15 @@ from .experiments import (
     NUMERICAL_ERRORS,
     Report,
     build_rule,
-    config_float,
+    config_array,
     config_int,
-    resolve_kernel_spec,
-    resolve_point_spec,
+    config_list,
     run_bot,
     run_moments,
     run_ungm,
 )
 from .filtering import gp_transform
 from .models import moment_integrand, ungm_model
-from .quadrature import gpq_weights
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -60,10 +58,9 @@ def _load_config(path: str) -> dict:
 
 
 def _apply_seed_offset(config: dict, offset: int) -> dict:
-    if offset and isinstance(config.get("seeds"), list):
-        config = dict(config)
-        config["seeds"] = [config_int(s, "config: each of 'seeds'") + offset
-                           for s in config["seeds"]]
+    if offset and "seeds" in config:
+        seeds = config_list(config["seeds"], "config: 'seeds'", config_int)
+        config = {**config, "seeds": [seed + offset for seed in seeds]}
     return config
 
 
@@ -75,11 +72,13 @@ def _emit(text: str, out: str | None):
 
 
 def _points_command(config: dict, n: int, fmt: str) -> str:
-    # CSV in either format: one column per dimension, then the weights
-    spec = config.get("points")
-    if spec is None:
-        raise ConfigError("config: missing 'points' spec")
-    rule = resolve_point_spec(spec, n)
+    # the point set with its own weights: a kernel in the config is not applied
+    rule = build_rule({"name": "points", "points": config.get("points")}, n)
+    if fmt == "json":
+        return json.dumps({
+            "points": rule.points.points.tolist(),
+            "weights": rule.weights.tolist(),
+        }, indent=2) + "\n"
     rows = np.column_stack([rule.points.points, rule.weights])
     lines = [",".join([f"xi{i + 1}" for i in range(n)] + ["weight"])]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
@@ -87,16 +86,10 @@ def _points_command(config: dict, n: int, fmt: str) -> str:
 
 
 def _weights_command(config: dict, n: int, fmt: str) -> str:
-    point_spec = config.get("points")
-    kernel_spec = config.get("kernel")
-    if point_spec is None or kernel_spec is None:
-        raise ConfigError("config: 'points' and 'kernel' are both required")
-    points = resolve_point_spec(point_spec, n).points
-    kernel = resolve_kernel_spec(kernel_spec, n)
-    if kernel is None:
+    # the config is the method: its points, kernel and jitter
+    if config.get("kernel", "classical") == "classical":
         raise ConfigError("config: the weights command needs an explicit kernel")
-    rule = gpq_weights(kernel, points,
-                       config_float(config.get("jitter", 0.0), "config: 'jitter'"))
+    rule = build_rule({**config, "name": "weights"}, n)
     if fmt == "json":
         return json.dumps({
             "weights": [float(w) for w in rule.weights],
@@ -122,21 +115,6 @@ _TRANSFORM_FUNCTIONS = {
 }
 
 
-def _config_array(config: dict, key: str, default, *shapes) -> np.ndarray:
-    """``config[key]`` (or ``default``) as a float array of one of
-    ``shapes``; anything else is a ConfigError."""
-    value = config.get(key, default)
-    try:
-        array = np.asarray(value)
-    except ValueError:  # a ragged nesting of lists
-        array = np.asarray(None)
-    if (array.dtype.kind not in "iuf" or array.shape not in shapes
-            or not np.isfinite(array).all()):
-        raise ConfigError(f"config: '{key}' must be finite numbers of shape "
-                          f"{' or '.join(map(str, shapes))}, got {value!r}")
-    return array.astype(float)
-
-
 def _transform_command(config: dict, n: int, fmt: str) -> str:
     method = config.get("method")
     if not isinstance(method, dict):
@@ -144,15 +122,16 @@ def _transform_command(config: dict, n: int, fmt: str) -> str:
     fn_spec = config.get("function", {"name": "identity"})
     if isinstance(fn_spec, str):
         fn_spec = {"name": fn_spec}
-    name = fn_spec.get("name")
-    if name not in _TRANSFORM_FUNCTIONS:
+    name = fn_spec.get("name") if isinstance(fn_spec, dict) else None
+    if not isinstance(name, str) or name not in _TRANSFORM_FUNCTIONS:
         raise ConfigError(
             f"config: unknown function '{name}'; "
             f"choose from {sorted(_TRANSFORM_FUNCTIONS)}")
     g, d = _TRANSFORM_FUNCTIONS[name](fn_spec, n)
-    mean = _config_array(config, "mean", np.zeros(n), (n,))
-    cov = _config_array(config, "cov", np.eye(n), (n, n))
-    noise_cov = _config_array(config, "noise_cov", 0.0, (), (d, d))
+    mean = config_array(config.get("mean", np.zeros(n)), "config: 'mean'", (n,))
+    cov = config_array(config.get("cov", np.eye(n)), "config: 'cov'", (n, n))
+    noise_cov = config_array(config.get("noise_cov", 0.0), "config: 'noise_cov'",
+                             (), (d, d))
     rule = build_rule(method, n)
     result = gp_transform(rule, g, mean, cov, noise_cov)
     if fmt == "json":

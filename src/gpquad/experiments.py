@@ -22,20 +22,19 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .filtering import GaussianState, run_filter, run_smoother
-from .hermite import MAX_GH_ORDER
 from .kernels import SquaredExponentialKernel, make_gh_kernel, make_ut_kernel
 # the studies call simulate_many; simulate stays importable from here
 # because bench/spans.py wraps experiments.simulate
 from .models import (BotConfig, bot_model, moment_integrand, simulate,  # noqa: F401
                      simulate_many, ungm_model)
 from .points import (
-    MAX_TENSOR_POINTS,
     QuadratureRule,
     UnitPointSet,
     cubature_points,
@@ -54,10 +53,10 @@ __all__ = [
     "ConfigError",
     "config_int",
     "config_float",
+    "config_array",
+    "config_list",
     "Report",
     "kl_gauss",
-    "resolve_point_spec",
-    "resolve_kernel_spec",
     "build_rule",
     "run_moments",
     "run_ungm",
@@ -68,12 +67,13 @@ __all__ = [
 FLOAT_FORMAT = "%.12g"
 
 
-class ConfigError(ValueError):
-    """Invalid experiment configuration."""
+class ConfigError(Exception):
+    """Invalid experiment configuration: the CLI exits with code 1, and a
+    study never turns it into an error cell."""
 
 
 # the failures a study reports in a method's error cell and the CLI exits
-# with code 2 for; a ConfigError is a ValueError, which the CLI catches first
+# with code 2 for
 NUMERICAL_ERRORS = (np.linalg.LinAlgError, ValueError, RuntimeError, FloatingPointError)
 
 
@@ -100,6 +100,30 @@ def config_float(value, what: str) -> float:
             or not math.isfinite(value)):
         raise ConfigError(f"{what} must be a finite number, got {value!r}")
     return float(value)
+
+
+def config_array(value, what: str, *shapes) -> np.ndarray:
+    """A config value read as a float array of one of ``shapes``; a
+    non-number, a bool, a ragged nesting, a non-finite entry or another
+    shape raises ConfigError naming ``what``."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged nesting of lists
+        array = np.asarray(None)
+    if (array.dtype.kind not in "iuf" or array.shape not in shapes
+            or not np.isfinite(array).all()):
+        raise ConfigError(f"{what} must be finite numbers of shape "
+                          f"{' or '.join(map(str, shapes))}, got {value!r}")
+    return array.astype(float)
+
+
+def config_list(value, what: str, read) -> list:
+    """A config value read as a non-empty list, item i through
+    ``read(item, f"{what} item {i}")``; anything else raises ConfigError
+    naming ``what``."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{what} must be a non-empty list, got {value!r}")
+    return [read(item, f"{what} item {i}") for i, item in enumerate(value)]
 
 
 @dataclass
@@ -175,10 +199,10 @@ def _point_count(spec, n: int, context: str) -> int:
     raise ConfigError(f"{context}: count must be a positive integer or '2n'")
 
 
-def resolve_point_spec(spec: dict, n: int) -> QuadratureRule:
-    """Build a rule from its JSON spec; a generator without classical
-    weights gets uniform 1/N ones (plain (quasi) Monte Carlo).  A ``csv``
-    file holds one column per dimension under a header line, optionally
+def _point_rule(spec: dict, n: int) -> QuadratureRule:
+    """A rule from its point spec; a generator without classical weights
+    gets uniform 1/N ones (plain (quasi) Monte Carlo).  A ``csv`` file
+    holds one column per dimension under a header line, optionally
     followed by a ``weight`` column whose values become the weights."""
     context = f"point spec {spec!r}"
     if not isinstance(spec, dict) or "type" not in spec:
@@ -191,32 +215,28 @@ def resolve_point_spec(spec: dict, n: int) -> QuadratureRule:
     if kind == "symmetric5":
         return symmetric5_points(n)
     if kind == "gauss-hermite":
-        order = config_int(_require(spec, "order", context), f"{context}: order",
-                           minimum=1, maximum=MAX_GH_ORDER)
-        if order**n > MAX_TENSOR_POINTS:
-            raise ConfigError(f"{context}: a tensor grid of {order}^{n} points "
-                              f"exceeds the cap {MAX_TENSOR_POINTS}")
-        return gauss_hermite_points(n, order)
+        return gauss_hermite_points(
+            n, config_int(_require(spec, "order", context), f"{context}: order"))
     if kind == "hammersley":
         points = hammersley_points(n, _point_count(spec, n, context))
     elif kind == "random":
         seed = config_int(spec.get("seed", 0), f"{context}: seed", minimum=0)
         points = random_points(n, _point_count(spec, n, context), seed)
     elif kind == "optimized":
-        kernel = resolve_kernel_spec(
+        kernel = _kernel(
             spec.get("kernel", {"type": "se", "output_scale": 1.0, "length_scale": 1.0}),
             n)
         settings = OptimizerSettings(
-            restarts=config_int(spec.get("restarts", 5), f"{context}: restarts",
-                                minimum=1),
+            restarts=config_int(spec.get("restarts", 5), f"{context}: restarts"),
             jitter=config_float(spec.get("jitter", 0.0), f"{context}: jitter"),
         )
         seed = config_int(spec.get("seed", 0), f"{context}: seed", minimum=0)
         points = optimize_points(kernel, n, _point_count(spec, n, context), seed, settings)
     elif kind == "csv":
-        path = Path(_require(spec, "path", context))
-        if not path.exists():
-            raise ConfigError(f"{context}: no such file {path}")
+        path = _require(spec, "path", context)
+        if not isinstance(path, str) or not Path(path).is_file():
+            raise ConfigError(f"{context}: no such file {path!r}")
+        path = Path(path)
         with path.open() as handle:
             last_column = handle.readline().strip().split(",")[-1]
             table = np.loadtxt(handle, delimiter=",", ndmin=2)
@@ -234,57 +254,57 @@ def resolve_point_spec(spec: dict, n: int) -> QuadratureRule:
     return QuadratureRule(points, np.full(points.count, 1.0 / points.count))
 
 
-def resolve_kernel_spec(spec, n: int):
-    """Build a kernel from its JSON spec ('classical' returns None); a
-    value the kernel's constructor rejects is a ConfigError."""
+def _kernel(spec, n: int):
+    """A kernel from its spec; None for 'classical'."""
     if spec == "classical":
         return None
     context = f"kernel spec {spec!r}"
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError(f"{context}: expected 'classical' or an object with 'type'")
     kind = spec["type"]
-    try:
-        if kind == "se":
-            return SquaredExponentialKernel(
-                output_scale=config_float(spec.get("output_scale", 1.0), "output_scale"),
-                length_scale=config_float(spec.get("length_scale", 1.0), "length_scale"),
-            )
-        if kind == "ut-hermite":
-            return make_ut_kernel(n, config_int(spec.get("order", 3), "order"))
-        if kind == "gh-hermite":
-            return make_gh_kernel(n, config_int(spec.get("order"), "order"))
-    except ValueError as exc:  # a reader's ConfigError too, given its context here
-        raise ConfigError(f"{context}: {exc}") from exc
+    if kind == "se":
+        return SquaredExponentialKernel(**{
+            key: config_float(spec.get(key, 1.0), f"{context}: {key}")
+            for key in ("output_scale", "length_scale")})
+    if kind == "ut-hermite":
+        return make_ut_kernel(n, config_int(spec.get("order", 3), f"{context}: order"))
+    if kind == "gh-hermite":
+        return make_gh_kernel(n, config_int(spec.get("order"), f"{context}: order"))
     raise ConfigError(f"{context}: unknown kernel type '{kind}'")
 
 
 def build_rule(method: dict, n: int) -> QuadratureRule:
-    """Resolve one method spec into a quadrature rule for dimension n."""
+    """Resolve one method spec into a quadrature rule for dimension n.
+
+    A spec that cannot be resolved (a bad value, an unknown type, a value
+    a generator or kernel rejects with ``ValueError``, a missing or
+    malformed CSV file) raises ConfigError naming the method; the weight
+    solve's failures are numerical and raise as they are."""
     context = f"method {method.get('name', '?')!r}"
-    rule = resolve_point_spec(_require(method, "points", context), n)
-    kernel = resolve_kernel_spec(method.get("kernel", "classical"), n)
+    try:
+        rule = _point_rule(method.get("points"), n)
+        kernel = _kernel(method.get("kernel", "classical"), n)
+    except (ConfigError, ValueError) as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
     jitter = config_float(method.get("jitter", 0.0), f"{context}: jitter")
+    if jitter < 0:
+        raise ConfigError(f"{context}: jitter must be >= 0, got {jitter!r}")
     return rule if kernel is None else gpq_weights(kernel, rule.points, jitter)
 
 
+def _method_spec(value, what: str) -> dict:
+    if not isinstance(value, dict) or not isinstance(value.get("name"), str):
+        raise ConfigError(f"{what} must be an object with a string 'name', "
+                          f"got {value!r}")
+    return value
+
+
 def _validated_methods(config) -> list[dict]:
-    methods = _require(config, "methods", "config")
-    if not isinstance(methods, list) or not methods:
-        raise ConfigError("config: 'methods' must be a non-empty list")
-    for m in methods:
-        if "name" not in m:
-            raise ConfigError(f"method {m!r} has no 'name'")
+    methods = config_list(config.get("methods"), "config: 'methods'", _method_spec)
     names = [m["name"] for m in methods]
     if len(set(names)) != len(names):
         raise ConfigError("method names must be unique")
     return methods
-
-
-def _validated_seeds(config) -> list[int]:
-    seeds = _require(config, "seeds", "config")
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError("config: 'seeds' must be a non-empty list")
-    return [config_int(s, "config: each of 'seeds'", minimum=0) for s in seeds]
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +345,11 @@ def _rounding_bound(weights: np.ndarray, values: np.ndarray) -> float:
 def run_moments(config: dict) -> Report:
     """Per-method KL divergence of moment estimates across (n, p) cells."""
     methods = _validated_methods(config)
-    dims = [config_int(d, "config: each of 'dimensions'", minimum=1)
-            for d in _require(config, "dimensions", "config")]
-    exponents = [config_int(p, "config: each of 'exponents'")
-                 for p in _require(config, "exponents", "config")]
+    dims = config_list(config.get("dimensions"), "config: 'dimensions'",
+                       partial(config_int, minimum=1))
+    exponents = config_list(config.get("exponents"), "config: 'exponents'", config_int)
+    if 0 in exponents:  # y = 1 has variance zero: no KL divergence to it
+        raise ConfigError("config: 'exponents' must be non-zero")
     # accepted and ignored; passed on as moments_ground_truth's ignored arguments
     samples = config.get("mc_samples", 10**7)
     mc_seed = config.get("mc_seed", 0)
@@ -436,15 +457,16 @@ def _filtering_study(experiment: str, config: dict, model,
                      components, default_steps: int = 500) -> Report:
     """Filter/smoother RMSE rows, one per method in config order.
 
-    Every method's rule is built first; a build failure is that method's
-    error row.  The built rules are grouped by point count and each group
-    runs as one recursion over all trajectories.  When a group's
-    recursion fails, its methods run again one at a time, so the failing
-    method's error cell reads as it would alone and the others' rows are
-    unchanged.
+    Every method's rule is built first; a numerical build failure is that
+    method's error row, a ConfigError ends the study.  The built rules are
+    grouped by point count and each group runs as one recursion over all
+    trajectories.  When a group's recursion fails, its methods run again
+    one at a time, so the failing method's error cell reads as it would
+    alone and the others' rows are unchanged.
     """
     methods = _validated_methods(config)
-    seeds = _validated_seeds(config)
+    seeds = config_list(config.get("seeds"), "config: 'seeds'",
+                        partial(config_int, minimum=0))
     steps = config_int(config.get("steps", default_steps), "config: 'steps'", minimum=1)
 
     start = time.time()
@@ -496,16 +518,12 @@ def run_bot(config: dict) -> Report:
 def _bot_config(spec: dict) -> BotConfig:
     if not isinstance(spec, dict):
         raise ConfigError("config: 'model' must be an object")
-    kwargs = {}
-    if "sensors" in spec:
-        kwargs["sensors"] = np.asarray(spec["sensors"], dtype=float)
+    kwargs = {key: config_array(spec[key], f"config: model '{key}'", shape)
+              for key, shape in (("sensors", (4, 2)), ("prior_mean", (5,)),
+                                 ("prior_cov", (5, 5))) if key in spec}
     for key in ("bearing_noise_std", "dt", "q1", "q2"):
         if key in spec:
             kwargs[key] = config_float(spec[key], f"config: model '{key}'")
-    if "prior_mean" in spec:
-        kwargs["prior_mean"] = np.asarray(spec["prior_mean"], dtype=float)
-    if "prior_cov" in spec:
-        kwargs["prior_cov"] = np.asarray(spec["prior_cov"], dtype=float)
     try:
         return BotConfig(**kwargs)
     except ValueError as exc:

@@ -110,19 +110,24 @@ class BotConfig:
             raise ValueError(f"exactly four 2-D sensors required, got {sensors.shape}")
         if self.bearing_noise_std <= 0 or self.dt <= 0:
             raise ValueError("bearing_noise_std and dt must be positive")
+        if self.q1 < 0 or self.q2 < 0:
+            raise ValueError("q1 and q2 must be non-negative")
+        GaussianState(self.prior_mean, self.prior_cov)  # raises for a bad prior
         object.__setattr__(self, "sensors", sensors)
 
 
 def _turn_factors(omega: np.ndarray, dt: float):
-    # sin(w dt)/w and (1 - cos(w dt))/w with series limits at w ~ 0
+    # sin(w dt), cos(w dt), and sin(w dt)/w and (1 - cos(w dt))/w with
+    # series limits at w ~ 0; where the quotients are taken, w_safe == w
     w = np.asarray(omega, dtype=float)
-    small = np.abs(w * dt) < _OMEGA_EPS
+    wt = w * dt
+    sin_wt, cos_wt = np.sin(wt), np.cos(wt)
+    small = np.abs(wt) < _OMEGA_EPS
     w_safe = np.where(small, 1.0, w)
-    sin_f = np.where(small, dt * (1.0 - (w * dt) ** 2 / 6.0),
-                     np.sin(w_safe * dt) / w_safe)
-    cos_f = np.where(small, w * dt**2 / 2.0 * (1.0 - (w * dt) ** 2 / 12.0),
-                     (1.0 - np.cos(w_safe * dt)) / w_safe)
-    return sin_f, cos_f
+    sin_f = np.where(small, dt * (1.0 - wt**2 / 6.0), sin_wt / w_safe)
+    cos_f = np.where(small, w * dt**2 / 2.0 * (1.0 - wt**2 / 12.0),
+                     (1.0 - cos_wt) / w_safe)
+    return sin_wt, cos_wt, sin_f, cos_f
 
 
 def bot_model(config: BotConfig | None = None) -> AdditiveStateSpaceModel:
@@ -140,9 +145,7 @@ def bot_model(config: BotConfig | None = None) -> AdditiveStateSpaceModel:
     def transition(x, k):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         pos1, vel1, pos2, vel2, omega = x.T
-        sin_f, cos_f = _turn_factors(omega, dt)
-        sin_wt = np.sin(omega * dt)
-        cos_wt = np.cos(omega * dt)
+        sin_wt, cos_wt, sin_f, cos_f = _turn_factors(omega, dt)
         return np.column_stack([
             pos1 + sin_f * vel1 - cos_f * vel2,
             cos_wt * vel1 - sin_wt * vel2,

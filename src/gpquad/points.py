@@ -220,6 +220,11 @@ class OptimizerSettings:
     max_iterations: int = 400
     jitter: float = 0.0
 
+    def __post_init__(self):
+        if self.restarts < 1 or self.max_iterations < 0 or self.jitter < 0:
+            raise ValueError("need restarts >= 1, max_iterations >= 0 and jitter >= 0, "
+                             f"got {self.restarts}, {self.max_iterations}, {self.jitter}")
+
 
 # BFGS constants: stop at a gradient this small (max norm); Armijo's
 # sufficient-decrease factor and the halvings one line search may take

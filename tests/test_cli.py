@@ -202,6 +202,13 @@ class TestRunMoments:
             assert row[error_col] != "" or np.isfinite(row[kl_col])
 
 
+# a method that fails numerically on the growth model: the 7-point
+# Hammersley set's SE weights drive the predicted covariance negative
+BROKEN_METHOD = {"name": "broken", "points": {"type": "hammersley", "count": 7},
+                 "kernel": {"type": "se", "output_scale": 1.0, "length_scale": 3.0},
+                 "jitter": 1e-8}
+
+
 class TestRunUngm:
     def smoke_config(self):
         return json.loads((CONFIG_DIR / "ungm_smoke.json").read_text())
@@ -220,14 +227,11 @@ class TestRunUngm:
 
     def test_method_failure_recorded_and_run_continues(self):
         config = self.smoke_config()
-        config["methods"].append({
-            "name": "broken",
-            "points": {"type": "csv", "path": "/nonexistent/points.csv"},
-            "kernel": "classical",
-        })
+        config["methods"].append(BROKEN_METHOD)
         report = run_ungm(config)
         broken = next(r for r in report.rows if r[0] == "broken")
-        assert "no such file" in broken[5]
+        assert broken[5].startswith("filter failed at time index ")
+        assert "matrix is not PSD" in broken[5]
         healthy = next(r for r in report.rows if r[0] == "ukf")
         assert healthy[5] == ""
 
@@ -440,10 +444,33 @@ class TestBuildRule:
             build_rule({"name": "x", "points": {"type": "hammersley", "count": True},
                         "kernel": "classical"}, n=2)
 
+    def test_config_error_is_not_a_numerical_error(self):
+        assert not issubclass(ConfigError, experiments.NUMERICAL_ERRORS)
+
+    def test_weight_solve_failure_is_not_a_config_error(self, tmp_path):
+        # a duplicated point makes the SE Gram matrix singular at zero jitter
+        path = tmp_path / "pts.csv"
+        path.write_text("xi1\n0.5\n0.5\n-1.0\n")
+        with pytest.raises(np.linalg.LinAlgError, match="raise the jitter"):
+            build_rule({"name": "dup", "points": {"type": "csv", "path": str(path)},
+                        "kernel": {"type": "se"}}, n=1)
+
     def test_unknown_point_type(self):
         with pytest.raises(ConfigError, match="unknown point set type"):
             build_rule({"name": "x", "points": {"type": "sobol"},
                         "kernel": "classical"}, n=2)
+
+
+UKF = {"name": "ukf", "points": {"type": "ut"}, "kernel": "classical"}
+
+
+def next_to_ukf(method):
+    """A study's methods: a good one, then ``method`` named 'bad'."""
+    return {"methods": [UKF, {"name": "bad", **method}]}
+
+
+def csv_points(path):
+    return {"points": {"type": "csv", "path": path}}
 
 
 class TestCliCommands:
@@ -471,6 +498,20 @@ class TestCliCommands:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "xi1,xi2,weight"
         assert [line.split(",")[2] for line in lines[1:]] == ["0.125"] * 8
+
+    def test_points_command_json_holds_the_csv_values(self, tmp_path, capsys):
+        spec = {"type": "hammersley", "count": 5}
+        config = write_config(tmp_path, {"experiment": "points", "dimension": 2,
+                                         "points": spec})
+        assert main(["points", "--config", config, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        rule = build_rule({"name": "h", "points": spec}, n=2)
+        assert payload == {"points": rule.points.points.tolist(),
+                           "weights": rule.weights.tolist()}
+        assert main(["points", "--config", config]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert rows == [[FLOAT_FORMAT % v for v in [*point, weight]]
+                        for point, weight in zip(payload["points"], payload["weights"])]
 
     def test_weights_command_recovers_ut_weights(self, tmp_path, capsys):
         config = write_config(tmp_path, {
@@ -575,13 +616,15 @@ class TestCliCommands:
     WEIGHTS = {"experiment": "weights", "dimension": 2,
                "points": {"type": "ut", "kappa": 1.0},
                "kernel": {"type": "se", "output_scale": 1.0, "length_scale": 1.0}}
-    UNGM = {"experiment": "ungm", "seeds": [0], "steps": 5,
-            "methods": [{"name": "ukf", "points": {"type": "ut"}, "kernel": "classical"}]}
+    UNGM = {"experiment": "ungm", "seeds": [0], "steps": 5, "methods": [UKF]}
     POINTS = {"experiment": "points", "dimension": 1,
               "points": {"type": "gauss-hermite", "order": 3}}
     TRANSFORM = {"experiment": "transform", "dimension": 2,
                  "method": {"name": "ut", "points": {"type": "ut"}, "kernel": "classical"},
                  "function": "identity"}
+    BOT = {"experiment": "bot", "seeds": [0], "steps": 5, "model": {}, "methods": [UKF]}
+    MOMENTS = {"experiment": "moments", "dimensions": [1], "exponents": [1],
+               "methods": [UKF]}
 
     @pytest.mark.parametrize("base,change,offset", [
         (WEIGHTS, {"dimension": "two"}, "0"),
@@ -608,17 +651,64 @@ class TestCliCommands:
         (TRANSFORM, {"noise_cov": [[True, False], [False, True]]}, "0"),
         (TRANSFORM, {"function": {"name": "radial-power"}, "noise_cov": np.eye(2).tolist()},
          "0"),
+        # a method spec that cannot be resolved is exit 1 in a study too
+        (UNGM, next_to_ukf({"points": {"type": "ut"}, "kernel": {"type": "sqexp"}}), "0"),
+        (UNGM, next_to_ukf({"points": {"type": "hamersley", "count": 3}}), "0"),
+        (UNGM, next_to_ukf({"points": {"type": "csv", "path": "missing.csv"}}), "0"),
+        (MOMENTS, next_to_ukf({"points": {"type": "symmetric5"}}), "0"),
+        # values a generator rejects
+        (POINTS, {"dimension": 2, "points": {"type": "ut", "kappa": -5}}, "0"),
+        (POINTS, {"points": {"type": "symmetric5"}}, "0"),
+        (POINTS, csv_points("abc.csv"), "0"),
+        (POINTS, csv_points("missing.csv"), "0"),
+        (POINTS, csv_points(5), "0"),
+        (POINTS, {"points": {"type": "optimized", "count": 2001}}, "0"),
+        # the bearings-only model
+        (BOT, {"model": {"sensors": "abc"}}, "0"),
+        (BOT, {"model": {"prior_cov": [[1.0]]}}, "0"),
+        (BOT, {"model": {"prior_mean": [[0.0, 10.0], [0.0, -10.0, 0.05]]}}, "0"),
+        (BOT, {"model": {"q1": -1}}, "0"),
+        (BOT, {"model": {"prior_cov": (np.eye(5) + np.eye(5, k=1)).tolist()}}, "0"),
+        # lists and their items
+        (UNGM, {"methods": [1]}, "0"),
+        (MOMENTS, {"dimensions": 2}, "0"),
+        (MOMENTS, {"exponents": 1}, "0"),
+        (MOMENTS, {"exponents": [1, 0]}, "0"),
+        (WEIGHTS, {"jitter": -1e-8}, "0"),
+        (POINTS, {"points": {"type": "optimized", "count": 3, "jitter": -1.0}}, "0"),
+        (TRANSFORM, {"function": 5}, "0"),
+        (TRANSFORM, {"function": {"name": ["identity"]}}, "0"),
     ], ids=["dimension-string", "dimension-fraction", "dimension-bool", "kappa-string",
             "length-scale-negative", "length-scale-string", "ut-order-even",
             "jitter-string", "steps-string", "steps-zero", "seed-string",
             "seed-string-offset", "seed-fraction", "seed-negative", "gh-order-zero",
             "gh-order-above-max", "gh-grid-above-cap", "restarts-zero", "mean-string", "cov-3x2", "cov-ragged",
-            "noise-cov-bool", "noise-cov-not-output-shape"])
-    def test_bad_config_number_is_exit_1(self, tmp_path, capsys, base, change, offset):
+            "noise-cov-bool", "noise-cov-not-output-shape",
+            "study-kernel-type-unknown", "study-point-type-unknown", "study-csv-missing",
+            "study-generator-rejects", "ut-kappa-below-minus-n", "symmetric5-in-1d",
+            "csv-not-numbers", "csv-missing", "csv-path-number", "optimizer-above-cap",
+            "bot-sensors-string", "bot-prior-cov-shape", "bot-prior-mean-ragged",
+            "bot-q1-negative", "bot-prior-cov-asymmetric", "method-not-object",
+            "dimensions-not-list", "exponents-not-list", "exponent-zero",
+            "jitter-negative", "optimizer-jitter-negative", "function-number",
+            "function-name-list"])
+    def test_bad_config_number_is_exit_1(self, tmp_path, capsys, monkeypatch,
+                                         base, change, offset):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "abc.csv").write_text("xi1\nabc\n")
         config = write_config(tmp_path, {**base, **change})
-        command = base["experiment"]
-        assert main([command, "--config", config, "--seed-offset", offset]) == 1
-        assert "config error" in capsys.readouterr().err
+        out = tmp_path / "out.csv"
+        assert main([base["experiment"], "--config", config, "--out", str(out),
+                     "--seed-offset", offset]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
+    def test_config_error_names_the_method(self, tmp_path, capsys):
+        config = write_config(tmp_path, {**self.UNGM, **next_to_ukf(
+            {"points": {"type": "ut"}, "kernel": {"type": "se", "length_scale": -1}})})
+        assert main(["ungm", "--config", config]) == 1
+        assert capsys.readouterr().err == (
+            "config error: method 'bad': output_scale and length_scale must be positive\n")
 
     @pytest.mark.parametrize("dimension,order", [(1, 100), (2, 50)])
     def test_hermite_factorial_overflow_is_exit_1(self, tmp_path, capsys, dimension, order):
@@ -633,14 +723,14 @@ class TestCliCommands:
             "experiment": "ungm",
             "seeds": [0],
             "steps": 5,
-            "methods": [{
-                "name": "broken",
-                "points": {"type": "csv", "path": "/nonexistent/points.csv"},
-                "kernel": "classical",
-            }],
+            "methods": [BROKEN_METHOD],
         })
-        assert main(["ungm", "--config", config]) == 2
+        out = tmp_path / "report.csv"
+        assert main(["ungm", "--config", config, "--out", str(out)]) == 2
         assert "every method failed; see the error column" in capsys.readouterr().err
+        assert out.read_text().splitlines()[1] == (
+            "broken,,,,,filter failed at time index 2: matrix is not PSD: "
+            "smallest eigenvalue -4.120e+01")
 
     def test_optimizer_failure_is_exit_2(self, tmp_path, capsys):
         config = write_config(tmp_path, {

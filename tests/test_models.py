@@ -90,6 +90,39 @@ class TestBotModel:
             BotConfig(sensors=np.zeros((3, 2)))
         with pytest.raises(ValueError):
             BotConfig(bearing_noise_std=0.0)
+        with pytest.raises(ValueError, match="q1 and q2 must be non-negative"):
+            BotConfig(q1=-1.0)
+        with pytest.raises(ValueError, match="q1 and q2 must be non-negative"):
+            BotConfig(q2=-1e-9)
+        with pytest.raises(ValueError, match="asymmetric"):
+            BotConfig(prior_cov=np.eye(5) + np.eye(5, k=1))
+        with pytest.raises(ValueError, match="does not match mean"):
+            BotConfig(prior_cov=np.eye(4))
+        BotConfig(q1=0.0, q2=0.0)
+
+    def test_transition_is_the_turn_map_bit_for_bit(self):
+        # the coordinated-turn map written out with its own sines and
+        # cosines, over turn rates on both sides of the series cutoff
+        dt = 0.7
+        model = bot_model(BotConfig(dt=dt))
+        rng = np.random.default_rng(2)
+        states = rng.normal(size=(3000, 5))
+        states[:, 4] = np.concatenate([rng.normal(size=1500),
+                                       rng.uniform(-3e-6, 3e-6, size=1496),
+                                       [0.0, -0.0, 1e-6 / dt, -1e-6 / dt]])
+        x1, v1, x2, v2, w = states.T
+        small = np.abs(w * dt) < 1e-6
+        w_safe = np.where(small, 1.0, w)
+        sin_f = np.where(small, dt * (1.0 - (w * dt) ** 2 / 6.0),
+                         np.sin(w_safe * dt) / w_safe)
+        cos_f = np.where(small, w * dt**2 / 2.0 * (1.0 - (w * dt) ** 2 / 12.0),
+                         (1.0 - np.cos(w_safe * dt)) / w_safe)
+        sin_wt, cos_wt = np.sin(w * dt), np.cos(w * dt)
+        expected = np.column_stack([x1 + sin_f * v1 - cos_f * v2,
+                                    cos_wt * v1 - sin_wt * v2,
+                                    x2 + cos_f * v1 + sin_f * v2,
+                                    sin_wt * v1 + cos_wt * v2, w])
+        assert np.array_equal(model.transition(states, 1), expected)
 
 
 class TestMomentIntegrand:
