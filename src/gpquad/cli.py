@@ -26,6 +26,7 @@ from .experiments import (
     Report,
     build_rule,
     config_array,
+    config_cov,
     config_int,
     config_list,
     run_bot,
@@ -129,7 +130,7 @@ def _transform_command(config: dict, n: int, fmt: str) -> str:
             f"choose from {sorted(_TRANSFORM_FUNCTIONS)}")
     g, d = _TRANSFORM_FUNCTIONS[name](fn_spec, n)
     mean = config_array(config.get("mean", np.zeros(n)), "config: 'mean'", (n,))
-    cov = config_array(config.get("cov", np.eye(n)), "config: 'cov'", (n, n))
+    cov = config_cov(config.get("cov", np.eye(n)), "config: 'cov'", n)
     noise_cov = config_array(config.get("noise_cov", 0.0), "config: 'noise_cov'",
                              (), (d, d))
     rule = build_rule(method, n)

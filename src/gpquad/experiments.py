@@ -47,13 +47,14 @@ from .points import (
     OptimizerSettings,
 )
 from .quadrature import (_cholesky_solve, _not_positive_definite, _positive_definite,
-                         gpq_weights)
+                         gpq_weights, matrix_sqrt)
 
 __all__ = [
     "ConfigError",
     "config_int",
     "config_float",
     "config_array",
+    "config_cov",
     "config_list",
     "Report",
     "kl_gauss",
@@ -115,6 +116,17 @@ def config_array(value, what: str, *shapes) -> np.ndarray:
         raise ConfigError(f"{what} must be finite numbers of shape "
                           f"{' or '.join(map(str, shapes))}, got {value!r}")
     return array.astype(float)
+
+
+def config_cov(value, what: str, n: int) -> np.ndarray:
+    """A config value read as an (n, n) covariance: ``config_array``'s checks,
+    then ``matrix_sqrt``'s, which pass a singular PSD matrix, or ConfigError."""
+    cov = config_array(value, what, (n, n))
+    try:
+        matrix_sqrt(cov)
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+    return cov
 
 
 def config_list(value, what: str, read) -> list:
@@ -422,18 +434,22 @@ def _rmse(estimates: np.ndarray, truth: np.ndarray, components) -> np.ndarray:
     return np.sqrt(np.mean(np.sum(diff**2, axis=-1), axis=-1))
 
 
-def _error_row(name: str, exc: Exception) -> list:
-    return [name, "", "", "", "", str(exc)]
+def _error_row(name: str, error: Exception | str) -> list:
+    return [name, "", "", "", "", str(error)]
 
 
 def _group_rows(names, rules, model, measurements, truth, components) -> list:
-    """Report rows of methods whose rules share a point count: RMSE
-    statistics over all trajectories, every method and trajectory
-    filtered and smoothed as one batch."""
+    """Report rows of methods whose rules share a point count, filtered and
+    smoothed as one batch over all trajectories: RMSE statistics, or the
+    error that stopped a method's filter."""
     out = run_filter(model, rules, measurements)
     smoothed_means, _ = run_smoother(model, rules, out)
     rows = []
-    for name, filtered, smoothed in zip(names, out.filtered_means, smoothed_means):
+    for name, error, filtered, smoothed in zip(names, out.errors, out.filtered_means,
+                                               smoothed_means):
+        if error:
+            rows.append(_error_row(name, error))
+            continue
         filter_rmses = _rmse(filtered, truth, components)
         smoother_rmses = _rmse(smoothed, truth, components)
         rows.append([
@@ -445,24 +461,17 @@ def _group_rows(names, rules, model, measurements, truth, components) -> list:
     return rows
 
 
-def _method_row(name, rule, model, measurements, truth, components) -> list:
-    """One method's report row, or the error that stopped it."""
-    try:
-        return _group_rows([name], [rule], model, measurements, truth, components)[0]
-    except NUMERICAL_ERRORS as exc:
-        return _error_row(name, exc)
-
-
 def _filtering_study(experiment: str, config: dict, model,
                      components, default_steps: int = 500) -> Report:
     """Filter/smoother RMSE rows, one per method in config order.
 
     Every method's rule is built first; a numerical build failure is that
     method's error row, a ConfigError ends the study.  The built rules are
-    grouped by point count and each group runs as one recursion over all
-    trajectories.  When a group's recursion fails, its methods run again
-    one at a time, so the failing method's error cell reads as it would
-    alone and the others' rows are unchanged.
+    grouped by point count and each group runs once, as one recursion over
+    all trajectories; a method whose filter fails stops alone, its error
+    cell as it reads alone.  A smoother failure ends the study: it needs a
+    predicted covariance that passed the filter only by the eigen square
+    root, which no shipped config reaches (both models have Q > 0).
     """
     methods = _validated_methods(config)
     seeds = config_list(config.get("seeds"), "config: 'seeds'",
@@ -489,13 +498,8 @@ def _filtering_study(experiment: str, config: dict, model,
             continue
         groups.setdefault(rules[name].points.count, []).append(name)
     for names in groups.values():
-        try:
-            rows.update(zip(names, _group_rows(names, [rules[name] for name in names],
-                                               model, measurements, truth, components)))
-        except NUMERICAL_ERRORS:
-            for name in names:
-                rows[name] = _method_row(name, rules[name], model, measurements,
-                                         truth, components)
+        rows.update(zip(names, _group_rows(names, [rules[name] for name in names],
+                                           model, measurements, truth, components)))
     report.rows = [rows[method["name"]] for method in methods]
     report.metadata["wall_time_s"] = time.time() - start
     report.metadata["seeds"] = seeds
@@ -519,8 +523,9 @@ def _bot_config(spec: dict) -> BotConfig:
     if not isinstance(spec, dict):
         raise ConfigError("config: 'model' must be an object")
     kwargs = {key: config_array(spec[key], f"config: model '{key}'", shape)
-              for key, shape in (("sensors", (4, 2)), ("prior_mean", (5,)),
-                                 ("prior_cov", (5, 5))) if key in spec}
+              for key, shape in (("sensors", (4, 2)), ("prior_mean", (5,))) if key in spec}
+    if "prior_cov" in spec:
+        kwargs["prior_cov"] = config_cov(spec["prior_cov"], "config: model 'prior_cov'", 5)
     for key in ("bearing_noise_std", "dt", "q1", "q2"):
         if key in spec:
             kwargs[key] = config_float(spec[key], f"config: model '{key}'")

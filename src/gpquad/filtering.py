@@ -26,7 +26,7 @@ the same way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -122,7 +122,8 @@ class FilterOutput:
     so a group of rules on a batch gives (M, S, T, n).  ``cross_covs`` holds
     the cross covariance of x_{k-1} given y_{1:k-1} (the previous
     filtered state) with the predicted x_k, which the RTS smoother's gain
-    needs.
+    needs.  ``errors`` has one entry per rule: None, or the error that
+    stopped it, after which its arrays are NaN.
     """
 
     predicted_means: np.ndarray      # (T, n)
@@ -132,13 +133,10 @@ class FilterOutput:
     innovation_means: np.ndarray     # (T, d)
     innovation_covs: np.ndarray      # (T, d, d)
     cross_covs: np.ndarray           # (T, n, n)
+    errors: tuple[str | None, ...]   # (M,)
 
     def __len__(self) -> int:
         return self.filtered_means.shape[-2]
-
-
-def _map_arrays(out: FilterOutput, fn) -> FilterOutput:
-    return FilterOutput(*(fn(getattr(out, f.name)) for f in fields(FilterOutput)))
 
 
 def _gain(cross: np.ndarray, cov: np.ndarray, context: str) -> np.ndarray:
@@ -251,6 +249,17 @@ def update(pred: GaussianState, rule: QuadratureRule, measurement,
     return (GaussianState(mean[0], cov[0]), *(value[0] for value in rest))
 
 
+def _filter_step(model, k: int, means, covs, points, weights, observations):
+    """Predict and update a batch to time index k: the step's seven
+    ``FilterOutput`` arrays in field order."""
+    pred_means, pred_covs, cross = _transform(
+        points, weights, model.transition, means, covs, model.q_cov(k), k)
+    means, covs, mu, s_cov, _, _ = _update(
+        points, weights, pred_means, pred_covs, model.measurement, model.r_cov(k),
+        observations, k)
+    return pred_means, pred_covs, means, covs, mu, s_cov, cross
+
+
 def run_filter(model: AdditiveStateSpaceModel,
                rule: QuadratureRule | Sequence[QuadratureRule],
                observations) -> FilterOutput:
@@ -266,8 +275,10 @@ def run_filter(model: AdditiveStateSpaceModel,
     alone.  A length-T vector is accepted for scalar measurements.  The
     output's arrays carry the method axis only for a sequence of rules
     and the trajectory axis only for a batch: (M, S, T, ...) for both.
-    An error names the time index and the failing member's position in
-    the flattened (M*S) batch.
+    A single rule raises its error, naming the time index and trajectory.
+    In a sequence, a step that raises is taken by each rule alone: a rule
+    that raises alone stops, its ``errors`` entry that error's text, and
+    the others step on with unchanged numbers.
     """
     single = isinstance(rule, QuadratureRule)
     rules = [rule] if single else list(rule)
@@ -296,35 +307,39 @@ def run_filter(model: AdditiveStateSpaceModel,
     weights = np.repeat(np.stack([member.weights for member in rules]), size, axis=0)
     observations = np.tile(observations, (len(rules), 1, 1))
     n, d = model.state_dim, model.measurement_dim
-    out = FilterOutput(
-        predicted_means=np.empty((batch, steps, n)),
-        predicted_covs=np.empty((batch, steps, n, n)),
-        filtered_means=np.empty((batch, steps, n)),
-        filtered_covs=np.empty((batch, steps, n, n)),
-        innovation_means=np.empty((batch, steps, d)),
-        innovation_covs=np.empty((batch, steps, d, d)),
-        cross_covs=np.empty((batch, steps, n, n)),
-    )
+    arrays = [np.full((batch, steps) + shape, np.nan)
+              for shape in ((n,), (n, n), (n,), (n, n), (d,), (d, d), (n, n))]
     means = np.broadcast_to(model.prior.mean, (batch, n))
     covs = np.broadcast_to(model.prior.cov, (batch, n, n))
+    errors, rows = [None] * len(rules), slice(None)  # output rows of the rules stepping
     for k in range(1, steps + 1):
         try:
-            pred_means, pred_covs, cross = _transform(
-                points, weights, model.transition, means, covs, model.q_cov(k), k)
-            means, covs, mu, s_cov, _, _ = _update(
-                points, weights, pred_means, pred_covs, model.measurement,
-                model.r_cov(k), observations[:, k - 1], k)
+            step = _filter_step(model, k, means, covs, points, weights,
+                                observations[:, k - 1])
         except (ValueError, np.linalg.LinAlgError) as exc:
-            raise type(exc)(f"filter failed at time index {k}: {exc}") from exc
-        out.predicted_means[:, k - 1] = pred_means
-        out.predicted_covs[:, k - 1] = pred_covs
-        out.filtered_means[:, k - 1] = means
-        out.filtered_covs[:, k - 1] = covs
-        out.innovation_means[:, k - 1] = mu
-        out.innovation_covs[:, k - 1] = s_cov
-        out.cross_covs[:, k - 1] = cross
+            if single:
+                raise type(exc)(f"filter failed at time index {k}: {exc}") from exc
+            stepping = [m for m, error in enumerate(errors) if error is None]
+            alone = {}
+            for j, m in enumerate(stepping):
+                mine = slice(j * size, (j + 1) * size)
+                try:
+                    alone[m] = _filter_step(model, k, *(array[mine] for array in (
+                        means, covs, points, weights, observations[:, k - 1])))
+                except (ValueError, np.linalg.LinAlgError) as lone:
+                    errors[m] = f"filter failed at time index {k}: {lone}"
+            keep = np.repeat([m in alone for m in stepping], size)
+            points, weights, observations = points[keep], weights[keep], observations[keep]
+            rows = np.flatnonzero(np.repeat([error is None for error in errors], size))
+            if not alone:
+                break
+            step = [np.concatenate(parts) for parts in zip(*alone.values())]
+        for array, value in zip(arrays, step):
+            array[rows, k - 1] = value
+        means, covs = step[2], step[3]
     lead = ((len(rules),) if not single else ()) + ((size,) if batched else ())
-    return _map_arrays(out, lambda array: array.reshape(lead + array.shape[1:]))
+    return FilterOutput(*(array.reshape(lead + array.shape[1:]) for array in arrays),
+                        tuple(errors))
 
 
 def run_smoother(model: AdditiveStateSpaceModel,
@@ -338,24 +353,29 @@ def run_smoother(model: AdditiveStateSpaceModel,
     (one rule or the filter's sequence of rules) are those of the filter
     run.  All members, (M, S) for a group of rules on a batch, run as one
     recursion.  The recursion starts from the last filtered state, which
-    it leaves untouched.  Returns (means, covs) arrays shaped like the
-    filtered ones; an error names the failing member's position in the
-    flattened batch.
+    it leaves untouched; a rule the filter stopped has none, so its members
+    stay NaN.  Returns (means, covs) arrays shaped like the filtered ones;
+    an error names the failing member's position among those smoothed.
     """
     lead = filter_out.filtered_means.shape[:-2]
-    out = _map_arrays(filter_out, lambda array: array.reshape(
-        (math.prod(lead),) + array.shape[len(lead):]))
-    means = out.filtered_means.copy()
-    covs = out.filtered_covs.copy()
-    for k in range(len(out) - 1, 0, -1):
+    pred_means, pred_covs, filtered_means, filtered_covs, cross_covs = (
+        array.reshape((math.prod(lead),) + array.shape[len(lead):]) for array in (
+            filter_out.predicted_means, filter_out.predicted_covs,
+            filter_out.filtered_means, filter_out.filtered_covs, filter_out.cross_covs))
+    means, covs, errors = filtered_means.copy(), filtered_covs.copy(), filter_out.errors
+    live = slice(None)
+    if any(errors):
+        live = np.repeat([error is None for error in errors], len(means) // len(errors))
+        means[~live] = covs[~live] = np.nan
+    for k in range(len(filter_out) - 1, 0, -1):
         # arrays are 0-based: position k holds the prediction of time
         # index k+1, whose moments give the gain at time index k
-        pred_cov = out.predicted_covs[:, k]
-        gain = _gain(out.cross_covs[:, k], pred_cov,
+        pred_cov = pred_covs[live, k]
+        gain = _gain(cross_covs[live, k], pred_cov,
                      f"smoother predicted covariance at time index {k}")
-        step = means[:, k] - out.predicted_means[:, k]
-        means[:, k - 1] += (gain @ step[:, :, None])[:, :, 0]
-        smoothed_cov = (out.filtered_covs[:, k - 1]
-                        + gain @ (covs[:, k] - pred_cov) @ gain.transpose(0, 2, 1))
-        covs[:, k - 1] = 0.5 * (smoothed_cov + smoothed_cov.transpose(0, 2, 1))
+        step = means[live, k] - pred_means[live, k]
+        means[live, k - 1] += (gain @ step[:, :, None])[:, :, 0]
+        smoothed_cov = (filtered_covs[live, k - 1]
+                        + gain @ (covs[live, k] - pred_cov) @ gain.transpose(0, 2, 1))
+        covs[live, k - 1] = 0.5 * (smoothed_cov + smoothed_cov.transpose(0, 2, 1))
     return means.reshape(lead + means.shape[1:]), covs.reshape(lead + covs.shape[1:])

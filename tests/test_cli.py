@@ -11,7 +11,7 @@ from scipy.integrate import quad
 
 import gpquad
 from gpquad.cli import main
-from gpquad import experiments
+from gpquad import experiments, filtering
 from gpquad.experiments import (
     FLOAT_FORMAT,
     ConfigError,
@@ -312,7 +312,7 @@ def _method(name, points, length_scale=None):
 
 UT, CUBATURE = {"type": "ut", "kappa": 2.0}, {"type": "cubature"}
 # groups of 3 (five methods), 2 and 7 points; gpq-hammersley-7 fails at
-# time index 2, so its group runs again one method at a time
+# time index 2 and stops alone, while ghkf-7 of its group runs through
 UNGM_METHODS = [
     _method("ukf", UT), _method("ckf", CUBATURE),
     _method("ghkf-3", {"type": "gauss-hermite", "order": 3}),
@@ -352,6 +352,24 @@ class TestMethodGroups:
         if study is run_ungm:
             failed = [row[0] for row in rows if row[5]]
             assert failed == ["gpq-hammersley-7"]
+
+    def test_each_group_is_filtered_and_smoothed_once(self, monkeypatch):
+        # one call of each per point count, also for the 7-point group
+        # whose gpq-hammersley-7 fails: nothing runs again
+        calls = {"run_filter": [], "run_smoother": []}
+
+        def counted(name):
+            def wrapper(model, rules, *args):
+                calls[name].append([rule.points.count for rule in rules])
+                return getattr(filtering, name)(model, rules, *args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(experiments, name, counted(name))
+        methods = [UNGM_METHODS[i] for i in (0, 1, 3, 6)]
+        rows = run_ungm({"seeds": [0, 1], "steps": 10, "methods": methods}).rows
+        assert [row[0] for row in rows if row[5]] == ["gpq-hammersley-7"]
+        assert calls["run_filter"] == calls["run_smoother"] == [[3], [2], [7, 7]]
 
     def test_failing_method_does_not_disturb_its_group(self):
         # x_k = x_{k-1}^2 from a prior mean of 0: the UT with kappa = -1/2
@@ -669,6 +687,9 @@ class TestCliCommands:
         (BOT, {"model": {"prior_mean": [[0.0, 10.0], [0.0, -10.0, 0.05]]}}, "0"),
         (BOT, {"model": {"q1": -1}}, "0"),
         (BOT, {"model": {"prior_cov": (np.eye(5) + np.eye(5, k=1)).tolist()}}, "0"),
+        # covariances that are symmetric but indefinite
+        (BOT, {"model": {"prior_cov": np.diag([-1.0, 1, 1, 1, 1]).tolist()}}, "0"),
+        (TRANSFORM, {"dimension": 1, "cov": [[-1.0]]}, "0"),
         # lists and their items
         (UNGM, {"methods": [1]}, "0"),
         (MOMENTS, {"dimensions": 2}, "0"),
@@ -688,7 +709,8 @@ class TestCliCommands:
             "study-generator-rejects", "ut-kappa-below-minus-n", "symmetric5-in-1d",
             "csv-not-numbers", "csv-missing", "csv-path-number", "optimizer-above-cap",
             "bot-sensors-string", "bot-prior-cov-shape", "bot-prior-mean-ragged",
-            "bot-q1-negative", "bot-prior-cov-asymmetric", "method-not-object",
+            "bot-q1-negative", "bot-prior-cov-asymmetric", "bot-prior-cov-indefinite",
+            "cov-indefinite", "method-not-object",
             "dimensions-not-list", "exponents-not-list", "exponent-zero",
             "jitter-negative", "optimizer-jitter-negative", "function-number",
             "function-name-list"])
@@ -702,6 +724,15 @@ class TestCliCommands:
                      "--seed-offset", offset]) == 1
         assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("base,change", [
+        (BOT, {"model": {"prior_cov": np.diag([0.0, 1, 1, 1, 1]).tolist()}}),
+        (TRANSFORM, {"cov": [[1.0, 0.0], [0.0, 0.0]]}),
+    ], ids=["bot-prior-cov-singular", "cov-singular"])
+    def test_singular_covariance_is_accepted(self, tmp_path, capsys, base, change):
+        config = write_config(tmp_path, {**base, **change})
+        assert main([base["experiment"], "--config", config]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_config_error_names_the_method(self, tmp_path, capsys):
         config = write_config(tmp_path, {**self.UNGM, **next_to_ukf(

@@ -367,13 +367,14 @@ class TestBatchedRecursion:
         run_filter(model, rule, healthy)
         ys = np.array([[[3.0], [1.0]], [[0.0], [1.0]], [[5.0], [1.0]]])
         with pytest.raises(ValueError, match="time index 2: matrix is not PSD "
-                                             "for batch member 1"):
+                                             "for batch member 1") as alone:
             run_filter(model, rule, ys)
-        # in a group the UT's three members follow Gauss-Hermite's three
-        run_filter(model, gauss_hermite_points(1, 3), ys)
-        with pytest.raises(ValueError, match="time index 2: matrix is not PSD "
-                                             "for batch member 4"):
-            run_filter(model, [gauss_hermite_points(1, 3), rule], ys)
+        # in a group the UT stops alone, with the error it raises alone,
+        # and Gauss-Hermite runs through
+        out = run_filter(model, [gauss_hermite_points(1, 3), rule], ys)
+        assert out.errors == (None, str(alone.value))
+        assert np.isfinite(out.filtered_means[0]).all()
+        assert np.isnan(out.filtered_means[1, :, 1:]).all()
 
     def test_smoother_makes_no_model_call_and_no_square_root(self, monkeypatch):
         calls = {"transition": 0, "measurement": 0, "matrix_sqrt": 0}
@@ -463,7 +464,7 @@ class TestRuleGroups:
         for index, rule in enumerate(rules):
             single = run_filter(model, rule, ys)
             single_means, single_covs = run_smoother(model, rule, single)
-            for field in fields(FilterOutput):
+            for field in fields(FilterOutput)[:-1]:  # the seven arrays, not errors
                 assert np.array_equal(getattr(out, field.name)[index],
                                       getattr(single, field.name))
             assert np.array_equal(means[index], single_means)
@@ -489,6 +490,102 @@ class TestRuleGroups:
             run_filter(model, [ut_points(1, 2.0), cubature_points(1)], y)
         with pytest.raises(ValueError, match="one point count, got no rule"):
             run_filter(model, [], y)
+
+
+def squares_model(n, mean):
+    # x_k = x_{k-1}^2 componentwise, observed directly: a UT with
+    # kappa < 1 - n weighs the centre point so negatively that the
+    # predicted variance 4 m^2 P + (n + kappa - 1) P^2 goes negative once
+    # the filtered mean m is near 0
+    return AdditiveStateSpaceModel(
+        transition=lambda x, k: x**2, measurement=lambda x, k: x,
+        process_cov=np.zeros((n, n)), measurement_cov=np.eye(n),
+        prior=GaussianState(np.full(n, mean), np.eye(n)), state_dim=n, measurement_dim=n)
+
+
+def solo_error(model, rule, ys):
+    with pytest.raises(ValueError) as failure:
+        run_filter(model, rule, ys)
+    return str(failure.value)
+
+
+ARRAY_FIELDS = [field.name for field in fields(FilterOutput)[:-1]]
+
+
+def failing_5d_group():
+    # 5x5 covariances take the LAPACK Cholesky path; an observation of 0
+    # at time index 1 sends trajectory 1's filtered mean near 0, and the
+    # middle rule, the UT with kappa = -4.5, fails at time index 2
+    ys = np.ones((3, 6, 5))
+    ys[:, 0] = np.array([3.0, 0.0, 5.0])[:, None]
+    rules = [ut_points(5, 2.0), ut_points(5, -4.5), ut_points(5, 1.0)]
+    return squares_model(5, 3.0), rules, ys
+
+
+class TestFailingRules:
+    def test_failing_rule_stops_alone_in_a_5d_group(self):
+        model, rules, ys = failing_5d_group()
+        out = run_filter(model, rules, ys)
+        error = solo_error(model, rules[1], ys)
+        assert error.startswith("filter failed at time index 2: matrix is not PSD "
+                                "for batch member 1")
+        assert out.errors == (None, error, None)
+        for index in (0, 2):
+            single = run_filter(model, rules[index], ys)
+            for name in ARRAY_FIELDS:
+                assert np.array_equal(getattr(out, name)[index], getattr(single, name))
+        for name in ARRAY_FIELDS:
+            failed = getattr(out, name)[1]
+            assert np.isfinite(failed[:, 0]).all() and np.isnan(failed[:, 1:]).all()
+
+    def test_rules_failing_in_different_phases_at_one_step(self):
+        # f(x) = x, h(x) = x^2: the UT with kappa = -1/2 updates to a
+        # negative filtered variance at time index 1, whose square root the
+        # prediction at time index 2 cannot take; with kappa = -1/5 the
+        # filtered variance stays positive, but once the noise drops to 0
+        # the innovation variance 4 m^2 P - P^2 / 5 at time index 2 goes
+        # negative for the trajectory whose filtered mean is near 0
+        model = AdditiveStateSpaceModel(
+            transition=lambda x, k: x, measurement=lambda x, k: x**2,
+            process_cov=0.0, measurement_cov=lambda k: 0.3 if k == 1 else 0.0,
+            prior=GaussianState(np.ones(1), np.eye(1)), state_dim=1, measurement_dim=1)
+        ys = np.array([[-0.05, 1.0, 1.0, 1.0], [2.0, 1.0, 1.0, 1.0]])[..., None]
+        rules = [gauss_hermite_points(1, 3), ut_points(1, -0.5), ut_points(1, -0.2)]
+        out = run_filter(model, rules, ys)
+        errors = [solo_error(model, rule, ys) for rule in rules[1:]]
+        assert errors[0].startswith("filter failed at time index 2: matrix is not PSD")
+        assert errors[1].startswith("filter failed at time index 2: innovation covariance "
+                                    "at step 2 not positive definite for batch member 0")
+        assert out.errors == (None, *errors)
+        assert (out.filtered_covs[1, :, 0] < 0).all()
+        single = run_filter(model, rules[0], ys)
+        for name in ARRAY_FIELDS:
+            assert np.array_equal(getattr(out, name)[0], getattr(single, name))
+            assert np.isnan(getattr(out, name)[1:, :, 1:]).all()
+
+    def test_every_rule_failing_leaves_all_nan_and_raises_nothing(self):
+        # from a prior mean of 0 a UT with kappa < 0 predicts the variance
+        # kappa P^2 of x^2 at time index 1 on every trajectory
+        model = squares_model(1, 0.0)
+        rules = [ut_points(1, -0.5), ut_points(1, -0.2)]
+        ys = np.ones((2, 5, 1))
+        out = run_filter(model, rules, ys)
+        assert out.errors == tuple(solo_error(model, rule, ys) for rule in rules)
+        assert all(error.startswith("filter failed at time index 1: ")
+                   for error in out.errors)
+        means, covs = run_smoother(model, rules, out)
+        for array in [getattr(out, name) for name in ARRAY_FIELDS] + [means, covs]:
+            assert np.isnan(array).all()
+
+    def test_smoother_smooths_the_rules_that_ran_through(self):
+        model, rules, ys = failing_5d_group()
+        means, covs = run_smoother(model, rules, run_filter(model, rules, ys))
+        for index in (0, 2):
+            single_means, single_covs = run_smoother(
+                model, rules[index], run_filter(model, rules[index], ys))
+            assert np.array_equal(means[index], single_means)
+            assert np.array_equal(covs[index], single_covs)
+        assert np.isnan(means[1]).all() and np.isnan(covs[1]).all()
 
 
 class TestNoiseCovariances:
