@@ -131,8 +131,8 @@ def _transform_command(config: dict, n: int, fmt: str) -> str:
     g, d = _TRANSFORM_FUNCTIONS[name](fn_spec, n)
     mean = config_array(config.get("mean", np.zeros(n)), "config: 'mean'", (n,))
     cov = config_cov(config.get("cov", np.eye(n)), "config: 'cov'", n)
-    noise_cov = config_array(config.get("noise_cov", 0.0), "config: 'noise_cov'",
-                             (), (d, d))
+    noise_cov = config_cov(config.get("noise_cov", 0.0), "config: 'noise_cov'", d,
+                           scalar=True)
     rule = build_rule(method, n)
     result = gp_transform(rule, g, mean, cov, noise_cov)
     if fmt == "json":

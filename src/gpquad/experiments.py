@@ -118,10 +118,13 @@ def config_array(value, what: str, *shapes) -> np.ndarray:
     return array.astype(float)
 
 
-def config_cov(value, what: str, n: int) -> np.ndarray:
-    """A config value read as an (n, n) covariance: ``config_array``'s checks,
-    then ``matrix_sqrt``'s, which pass a singular PSD matrix, or ConfigError."""
-    cov = config_array(value, what, (n, n))
+def config_cov(value, what: str, n: int, scalar: bool = False) -> np.ndarray:
+    """A config value read as an (n, n) covariance, or with ``scalar`` also
+    as a number s standing for s I: ``config_array``'s checks, then
+    ``matrix_sqrt``'s, which pass a singular PSD matrix, or ConfigError."""
+    cov = config_array(value, what, *([()] if scalar else []), (n, n))
+    if cov.shape == ():
+        cov = cov * np.eye(n)
     try:
         matrix_sqrt(cov)
     except ValueError as exc:
@@ -439,9 +442,9 @@ def _error_row(name: str, error: Exception | str) -> list:
 
 
 def _group_rows(names, rules, model, measurements, truth, components) -> list:
-    """Report rows of methods whose rules share a point count, filtered and
-    smoothed as one batch over all trajectories: RMSE statistics, or the
-    error that stopped a method's filter."""
+    """Report rows of a group of methods, filtered and smoothed as one batch
+    over all trajectories: RMSE statistics, or the error that stopped a
+    method's filter."""
     out = run_filter(model, rules, measurements)
     smoothed_means, _ = run_smoother(model, rules, out)
     rows = []
@@ -466,9 +469,13 @@ def _filtering_study(experiment: str, config: dict, model,
     """Filter/smoother RMSE rows, one per method in config order.
 
     Every method's rule is built first; a numerical build failure is that
-    method's error row, a ConfigError ends the study.  The built rules are
-    grouped by point count and each group runs once, as one recursion over
-    all trajectories; a method whose filter fails stops alone, its error
+    method's error row, a ConfigError ends the study.  The built rules run
+    as one group when padding every rule to the largest point count
+    N_max at most doubles the sigma points (M N_max <= 2 sum N, M rules),
+    and otherwise in groups of one point count, so a few large rules do
+    not make many small ones evaluate the model at padding points.  Each
+    group runs once, as one recursion over all trajectories (see
+    ``run_filter``); a method whose filter fails stops alone, its error
     cell as it reads alone.  A smoother failure ends the study: it needs a
     predicted covariance that passed the filter only by the eigen square
     root, which no shipped config reaches (both models have Q > 0).
@@ -488,15 +495,18 @@ def _filtering_study(experiment: str, config: dict, model,
     trajectories = simulate_many(model, steps, seeds)
     measurements = np.stack([t.measurements for t in trajectories])
     truth = np.stack([t.states[1:] for t in trajectories])
-    rows, rules, groups = {}, {}, {}
+    rows, rules = {}, {}
     for method in methods:
         name = method["name"]
         try:
             rules[name] = build_rule(method, model.state_dim)
         except NUMERICAL_ERRORS as exc:
             rows[name] = _error_row(name, exc)
-            continue
-        groups.setdefault(rules[name].points.count, []).append(name)
+    counts = {name: rule.points.count for name, rule in rules.items()}
+    merged = len(counts) * max(counts.values(), default=0) <= 2 * sum(counts.values())
+    groups = {}
+    for name, count in counts.items():
+        groups.setdefault(None if merged else count, []).append(name)
     for names in groups.values():
         rows.update(zip(names, _group_rows(names, [rules[name] for name in names],
                                            model, measurements, truth, components)))

@@ -7,13 +7,17 @@ smoother.  The unit sigma-points and weights are fixed once per run; the
 points are re-centered through m + sqrt(P) xi at every prediction and
 update step.  The smoother reuses the filter's prediction moments.
 
-The recursion runs over a batch at once: every rule of a group that
-shares a point count N, on every trajectory (a single rule on a single
-trajectory is a batch of one).  With M rules and S trajectories there
-are B = M*S members; means are (B, n), covariances (B, n, n), each member
-re-centers its own rule's unit points (B, N, n) and weighs them with its
-own weights (B, N), and each model function sees the (B*N, n) sigma
-points of a whole step.
+The recursion runs over a batch at once: every rule of a group on every
+trajectory (a single rule on a single trajectory is a batch of one).
+With M rules and S trajectories there are B = M*S members; means are
+(B, n), covariances (B, n, n), each member re-centers its own rule's unit
+points (B, N, n) and weighs them with its own weights (B, N), and each
+model function sees the (B*N, n) sigma points of a whole step.  Rules of
+fewer points than the group's largest count N are padded to N with unit
+points at the origin of weight 0: a padded point sits at its member's
+mean and adds exact zeros to every weighted sum, so the member's numbers
+are those of its rule run alone, and the padded values never decide a
+failure.
 
 Model functions are vectorized over the leading axis: ``f(X, k)`` maps an
 (N, n) batch of states at destination index k to (N, n), ``h(X, k)`` maps
@@ -172,14 +176,16 @@ def _match_moments(weights, deviations, values, noise_cov) -> TransformResult:
     return TransformResult(out_mean, out_cov, cross)
 
 
-def _transform(points, weights, fn, means, covs, noise_cov, k: int):
+def _transform(points, weights, fn, means, covs, noise_cov, k: int, padded=None):
     """Moment-match fn(x) + noise for a batch of Gaussians (B, n), (B, n, n).
 
     Member b re-centers the unit points ``points[b]`` (N, n) and weighs
     them with ``weights[b]`` (N,); a single (N, n) and (N,) rule serves
     every member.  The sigma points of all B members go through ``fn`` in
-    one (B*N, n) call; a (B*N,) result is read as d = 1.  Returns the
-    batched ``TransformResult`` of ``_match_moments``.
+    one (B*N, n) call; a (B*N,) result is read as d = 1.  ``padded`` (B, N)
+    marks zero-weight padding points, whose values are zeroed before a
+    non-finite check would count them.  Returns the batched
+    ``TransformResult`` of ``_match_moments``.
     """
     root = matrix_sqrt(covs).factor
     deviations = points @ root.transpose(0, 2, 1)
@@ -187,21 +193,24 @@ def _transform(points, weights, fn, means, covs, noise_cov, k: int):
     sigma_pts = (means[:, None, :] + deviations).reshape(batch * count, n)
     values = np.asarray(fn(sigma_pts, k), dtype=float).reshape(batch, count, -1)
     if not np.isfinite(values).all():
+        if padded is not None:
+            values = np.where(padded[:, :, None], 0.0, values)
         finite = np.isfinite(values).all(axis=(1, 2))
-        raise ValueError("function returned non-finite values at the sigma-points"
-                         + _member(int(np.argmin(finite)), batch))
+        if not finite.all():
+            raise ValueError("function returned non-finite values at the sigma-points"
+                             + _member(int(np.argmin(finite)), batch))
     return _match_moments(weights, deviations, values, noise_cov)
 
 
 def _update(points, weights, means, covs, measurement, measurement_cov,
-            observations, k: int):
+            observations, k: int, padded=None):
     """Measurement update of a batch: predicted (B, n), (B, n, n) and
     observations (B, d) to filtered means and covariances, plus the
     innovation means, innovation covariances, cross covariances and gains;
-    ``points`` and ``weights`` are those of ``_transform``.
+    ``points``, ``weights`` and ``padded`` are those of ``_transform``.
     """
     innovation_means, innovation_covs, cross = _transform(
-        points, weights, measurement, means, covs, measurement_cov, k)
+        points, weights, measurement, means, covs, measurement_cov, k, padded)
     gain = _gain(cross, innovation_covs, f"innovation covariance at step {k}")
     means = means + (gain @ (observations - innovation_means)[:, :, None])[:, :, 0]
     covs = covs - gain @ innovation_covs @ gain.transpose(0, 2, 1)
@@ -249,14 +258,14 @@ def update(pred: GaussianState, rule: QuadratureRule, measurement,
     return (GaussianState(mean[0], cov[0]), *(value[0] for value in rest))
 
 
-def _filter_step(model, k: int, means, covs, points, weights, observations):
+def _filter_step(model, k: int, means, covs, points, weights, padded, observations):
     """Predict and update a batch to time index k: the step's seven
     ``FilterOutput`` arrays in field order."""
     pred_means, pred_covs, cross = _transform(
-        points, weights, model.transition, means, covs, model.q_cov(k), k)
+        points, weights, model.transition, means, covs, model.q_cov(k), k, padded)
     means, covs, mu, s_cov, _, _ = _update(
         points, weights, pred_means, pred_covs, model.measurement, model.r_cov(k),
-        observations, k)
+        observations, k, padded)
     return pred_means, pred_covs, means, covs, mu, s_cov, cross
 
 
@@ -267,14 +276,20 @@ def run_filter(model: AdditiveStateSpaceModel,
 
     ``observations`` is (T, d) for one trajectory or (S, T, d) for a
     batch of S trajectories of equal length.  ``rule`` is one rule, or a
-    sequence of M rules with one point count, every one of which filters
+    sequence of M rules of any point counts, every one of which filters
     every trajectory.  All M*S members run as one recursion: each step
     factors their covariances in one call and evaluates the model once on
     all their sigma points; member (m, s) uses rule m's points and
     weights, so its numbers are those of rule m run on trajectory s
-    alone.  A length-T vector is accepted for scalar measurements.  The
-    output's arrays carry the method axis only for a sequence of rules
-    and the trajectory axis only for a batch: (M, S, T, ...) for both.
+    alone.  A rule of N < N_max points is padded with N_max - N unit
+    points at the origin of weight 0; the model is evaluated there too,
+    at the member's mean, but a padded value adds exact zeros to the
+    sums and never counts as a non-finite value.  The caller decides
+    whether that extra work pays (``_filtering_study`` pads only when it
+    at most doubles the sigma points).  A length-T vector is accepted
+    for scalar measurements.  The output's arrays carry the method axis
+    only for a sequence of rules and the trajectory axis only for a
+    batch: (M, S, T, ...) for both.
     A single rule raises its error, naming the time index and trajectory.
     In a sequence, a step that raises is taken by each rule alone: a rule
     that raises alone stops, its ``errors`` entry that error's text, and
@@ -282,10 +297,8 @@ def run_filter(model: AdditiveStateSpaceModel,
     """
     single = isinstance(rule, QuadratureRule)
     rules = [rule] if single else list(rule)
-    counts = sorted({member.points.count for member in rules})
-    if len(counts) != 1:
-        raise ValueError("rules filtered together need one point count, "
-                         f"got {counts or 'no rule'}")
+    if not rules:
+        raise ValueError("run_filter needs at least one rule")
     observations = np.asarray(observations, dtype=float)
     if observations.ndim == 1 and model.measurement_dim == 1:
         observations = observations[:, None]
@@ -302,9 +315,15 @@ def run_filter(model: AdditiveStateSpaceModel,
         )
     size, steps = observations.shape[:2]
     batch = len(rules) * size
-    # member m*S + s: rule m on trajectory s
-    points = np.repeat(np.stack([member.points.points for member in rules]), size, axis=0)
-    weights = np.repeat(np.stack([member.weights for member in rules]), size, axis=0)
+    # member m*S + s: rule m on trajectory s, its points padded to the
+    # largest count with zero-weight points at the origin
+    counts = np.array([member.points.count for member in rules])
+    pad = [(0, counts.max() - count) for count in counts]
+    points = np.repeat(np.stack([np.pad(member.points.points, (width, (0, 0)))
+                                 for member, width in zip(rules, pad)]), size, axis=0)
+    weights = np.repeat(np.stack([np.pad(member.weights, width)
+                                  for member, width in zip(rules, pad)]), size, axis=0)
+    padded = np.repeat(np.arange(counts.max()) >= counts[:, None], size, axis=0)
     observations = np.tile(observations, (len(rules), 1, 1))
     n, d = model.state_dim, model.measurement_dim
     arrays = [np.full((batch, steps) + shape, np.nan)
@@ -314,7 +333,7 @@ def run_filter(model: AdditiveStateSpaceModel,
     errors, rows = [None] * len(rules), slice(None)  # output rows of the rules stepping
     for k in range(1, steps + 1):
         try:
-            step = _filter_step(model, k, means, covs, points, weights,
+            step = _filter_step(model, k, means, covs, points, weights, padded,
                                 observations[:, k - 1])
         except (ValueError, np.linalg.LinAlgError) as exc:
             if single:
@@ -325,11 +344,12 @@ def run_filter(model: AdditiveStateSpaceModel,
                 mine = slice(j * size, (j + 1) * size)
                 try:
                     alone[m] = _filter_step(model, k, *(array[mine] for array in (
-                        means, covs, points, weights, observations[:, k - 1])))
+                        means, covs, points, weights, padded, observations[:, k - 1])))
                 except (ValueError, np.linalg.LinAlgError) as lone:
                     errors[m] = f"filter failed at time index {k}: {lone}"
             keep = np.repeat([m in alone for m in stepping], size)
-            points, weights, observations = points[keep], weights[keep], observations[keep]
+            points, weights, padded, observations = (
+                array[keep] for array in (points, weights, padded, observations))
             rows = np.flatnonzero(np.repeat([error is None for error in errors], size))
             if not alone:
                 break
@@ -354,28 +374,42 @@ def run_smoother(model: AdditiveStateSpaceModel,
     run.  All members, (M, S) for a group of rules on a batch, run as one
     recursion.  The recursion starts from the last filtered state, which
     it leaves untouched; a rule the filter stopped has none, so its members
-    stay NaN.  Returns (means, covs) arrays shaped like the filtered ones;
-    an error names the failing member's position among those smoothed.
+    stay NaN: the members of the rules that ran through are selected once,
+    smoothed, and scattered back once.  Returns (means, covs) arrays shaped
+    like the filtered ones; an error names the failing member's position
+    among those smoothed.
     """
     lead = filter_out.filtered_means.shape[:-2]
-    pred_means, pred_covs, filtered_means, filtered_covs, cross_covs = (
-        array.reshape((math.prod(lead),) + array.shape[len(lead):]) for array in (
-            filter_out.predicted_means, filter_out.predicted_covs,
-            filter_out.filtered_means, filter_out.filtered_covs, filter_out.cross_covs))
-    means, covs, errors = filtered_means.copy(), filtered_covs.copy(), filter_out.errors
-    live = slice(None)
-    if any(errors):
-        live = np.repeat([error is None for error in errors], len(means) // len(errors))
-        means[~live] = covs[~live] = np.nan
+    arrays = [array.reshape((math.prod(lead),) + array.shape[len(lead):]) for array in (
+        filter_out.predicted_means, filter_out.predicted_covs, filter_out.cross_covs,
+        filter_out.filtered_means, filter_out.filtered_covs)]
+    errors, live = filter_out.errors, None
+    if any(errors):  # the members of the rules that ran through, as copies
+        live = np.repeat([error is None for error in errors], len(arrays[0]) // len(errors))
+        arrays = [array[live] for array in arrays]
+    else:
+        arrays[3:] = [array.copy() for array in arrays[3:]]
+    # means and covs hold the filtered moments at k - 1 until step k smooths them
+    pred_means, pred_covs, cross_covs, means, covs = arrays
     for k in range(len(filter_out) - 1, 0, -1):
         # arrays are 0-based: position k holds the prediction of time
         # index k+1, whose moments give the gain at time index k
-        pred_cov = pred_covs[live, k]
-        gain = _gain(cross_covs[live, k], pred_cov,
+        pred_cov = pred_covs[:, k]
+        gain = _gain(cross_covs[:, k], pred_cov,
                      f"smoother predicted covariance at time index {k}")
-        step = means[live, k] - pred_means[live, k]
-        means[live, k - 1] += (gain @ step[:, :, None])[:, :, 0]
-        smoothed_cov = (filtered_covs[live, k - 1]
-                        + gain @ (covs[live, k] - pred_cov) @ gain.transpose(0, 2, 1))
-        covs[live, k - 1] = 0.5 * (smoothed_cov + smoothed_cov.transpose(0, 2, 1))
+        step = means[:, k] - pred_means[:, k]
+        means[:, k - 1] += (gain @ step[:, :, None])[:, :, 0]
+        smoothed_cov = (covs[:, k - 1]
+                        + gain @ (covs[:, k] - pred_cov) @ gain.transpose(0, 2, 1))
+        covs[:, k - 1] = 0.5 * (smoothed_cov + smoothed_cov.transpose(0, 2, 1))
+    if live is not None:
+        means, covs = (_scatter(array, live) for array in (means, covs))
     return means.reshape(lead + means.shape[1:]), covs.reshape(lead + covs.shape[1:])
+
+
+def _scatter(array: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """The members ``array`` holds, at the True positions of ``live``, NaN
+    elsewhere."""
+    full = np.full((len(live),) + array.shape[1:], np.nan)
+    full[live] = array
+    return full

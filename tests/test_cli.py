@@ -311,8 +311,9 @@ def _method(name, points, length_scale=None):
 
 
 UT, CUBATURE = {"type": "ut", "kappa": 2.0}, {"type": "cubature"}
-# groups of 3 (five methods), 2 and 7 points; gpq-hammersley-7 fails at
-# time index 2 and stops alone, while ghkf-7 of its group runs through
+# 3 (five methods), 2 and 7 points, one group padded to 7 points;
+# gpq-hammersley-7 fails at time index 2 and stops alone, while the
+# others run through
 UNGM_METHODS = [
     _method("ukf", UT), _method("ckf", CUBATURE),
     _method("ghkf-3", {"type": "gauss-hermite", "order": 3}),
@@ -353,9 +354,10 @@ class TestMethodGroups:
             failed = [row[0] for row in rows if row[5]]
             assert failed == ["gpq-hammersley-7"]
 
-    def test_each_group_is_filtered_and_smoothed_once(self, monkeypatch):
-        # one call of each per point count, also for the 7-point group
-        # whose gpq-hammersley-7 fails: nothing runs again
+    @staticmethod
+    def group_calls(monkeypatch, study, methods):
+        # the point counts of each run_filter and run_smoother call, and
+        # the names of the methods that failed
         calls = {"run_filter": [], "run_smoother": []}
 
         def counted(name):
@@ -366,10 +368,21 @@ class TestMethodGroups:
 
         for name in calls:
             monkeypatch.setattr(experiments, name, counted(name))
+        rows = study({"seeds": [0, 1], "steps": 10, "methods": methods}).rows
+        assert calls["run_filter"] == calls["run_smoother"]
+        return calls["run_filter"], [row[0] for row in rows if row[5]]
+
+    def test_each_group_is_filtered_and_smoothed_once(self, monkeypatch):
+        # 4 rules padded to 7 points are 28 <= 2 * 19 sigma points: one
+        # group, also with gpq-hammersley-7 failing, and nothing runs again
         methods = [UNGM_METHODS[i] for i in (0, 1, 3, 6)]
-        rows = run_ungm({"seeds": [0, 1], "steps": 10, "methods": methods}).rows
-        assert [row[0] for row in rows if row[5]] == ["gpq-hammersley-7"]
-        assert calls["run_filter"] == calls["run_smoother"] == [[3], [2], [7, 7]]
+        assert self.group_calls(monkeypatch, run_ungm, methods) == (
+            [[3, 2, 7, 7]], ["gpq-hammersley-7"])
+
+    def test_rules_padded_beyond_double_keep_one_group_per_point_count(self, monkeypatch):
+        # 5 rules padded to 243 points would be 1215 > 2 * 285 sigma points
+        assert self.group_calls(monkeypatch, run_bot, BOT_METHODS) == (
+            [[11, 11], [10, 10], [243]], [])
 
     def test_failing_method_does_not_disturb_its_group(self):
         # x_k = x_{k-1}^2 from a prior mean of 0: the UT with kappa = -1/2
@@ -690,6 +703,7 @@ class TestCliCommands:
         # covariances that are symmetric but indefinite
         (BOT, {"model": {"prior_cov": np.diag([-1.0, 1, 1, 1, 1]).tolist()}}, "0"),
         (TRANSFORM, {"dimension": 1, "cov": [[-1.0]]}, "0"),
+        (TRANSFORM, {"dimension": 1, "noise_cov": -5.0}, "0"),
         # lists and their items
         (UNGM, {"methods": [1]}, "0"),
         (MOMENTS, {"dimensions": 2}, "0"),
@@ -710,7 +724,7 @@ class TestCliCommands:
             "csv-not-numbers", "csv-missing", "csv-path-number", "optimizer-above-cap",
             "bot-sensors-string", "bot-prior-cov-shape", "bot-prior-mean-ragged",
             "bot-q1-negative", "bot-prior-cov-asymmetric", "bot-prior-cov-indefinite",
-            "cov-indefinite", "method-not-object",
+            "cov-indefinite", "noise-cov-negative", "method-not-object",
             "dimensions-not-list", "exponents-not-list", "exponent-zero",
             "jitter-negative", "optimizer-jitter-negative", "function-number",
             "function-name-list"])

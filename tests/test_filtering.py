@@ -19,6 +19,7 @@ from gpquad.points import (
     cubature_points,
     gauss_hermite_points,
     hammersley_points,
+    optimize_points,
     symmetric5_points,
     ut_points,
 )
@@ -483,13 +484,90 @@ class TestRuleGroups:
         for group, index in ((out, 1), (one, 0)):
             assert np.array_equal(group.filtered_means[index], single.filtered_means)
 
-    def test_rules_of_different_point_counts_are_rejected(self):
-        model = ungm_model()
-        y = simulate(model, 5, seed=0).measurements
-        with pytest.raises(ValueError, match=r"one point count, got \[2, 3\]"):
-            run_filter(model, [ut_points(1, 2.0), cubature_points(1)], y)
-        with pytest.raises(ValueError, match="one point count, got no rule"):
-            run_filter(model, [], y)
+    def test_no_rule_is_rejected(self):
+        y = simulate(ungm_model(), 5, seed=0).measurements
+        with pytest.raises(ValueError, match="at least one rule"):
+            run_filter(ungm_model(), [], y)
+
+
+def assert_rule_equals_solo(model, out, smoothed, index, rule, ys):
+    # rule ``index`` of a group, bit for bit against its solo run
+    single = run_filter(model, rule, ys)
+    for name in ARRAY_FIELDS:
+        assert np.array_equal(getattr(out, name)[index], getattr(single, name))
+    single_smoothed = run_smoother(model, rule, single)
+    for array, solo in zip(smoothed, single_smoothed):
+        assert np.array_equal(array[index], solo)
+
+
+def ungm_mixed_rules():
+    # the 1-D benchmark's methods, 2, 3, 7 and 10 points, and the
+    # 7-point GPQ-Hammersley rule, which fails on this model
+    se = SquaredExponentialKernel(output_scale=1.0, length_scale=3.0)
+    optimized = [gpq_weights(se, optimize_points(SquaredExponentialKernel(1.0, 1.0),
+                                                 1, count, 0), 1e-8)
+                 for count in (3, 7, 10)]
+    ut = ut_points(1, 2.0)
+    return [ut, cubature_points(1), *(gauss_hermite_points(1, order) for order in (3, 7, 10)),
+            gpq_weights(se, ut.points, 1e-8),
+            gpq_weights(se, hammersley_points(1, 3), 1e-8), *optimized,
+            gpq_weights(se, hammersley_points(1, 7), 1e-8)]
+
+
+class TestMixedPointCounts:
+    """Rules of different point counts in one recursion, each padded with
+    zero-weight points at the origin to the largest count."""
+
+    def test_1d_benchmark_rules_equal_their_solo_runs(self):
+        model, rules = ungm_model(), ungm_mixed_rules()
+        assert sorted({rule.points.count for rule in rules}) == [2, 3, 7, 10]
+        ys = np.stack([simulate(model, 60, seed=s).measurements for s in range(3)])
+        out = run_filter(model, rules, ys)
+        smoothed = run_smoother(model, rules, out)
+        failing = len(rules) - 1
+        error = solo_error(model, rules[failing], ys)
+        assert out.errors == (None,) * failing + (error,)
+        for index, rule in enumerate(rules[:failing]):
+            assert_rule_equals_solo(model, out, smoothed, index, rule, ys)
+        # the failing rule's arrays up to its failure are those of a solo
+        # run that stops just before it, NaN from there on
+        stop = int(error.split("time index ")[1].split(":")[0]) - 1
+        before = run_filter(model, rules[failing], ys[:, :stop])
+        for name in ARRAY_FIELDS:
+            array = getattr(out, name)[failing]
+            assert np.array_equal(array[:, :stop], getattr(before, name))
+            assert np.isnan(array[:, stop:]).all()
+
+    def test_5d_cubature_and_ut_equal_their_solo_runs(self):
+        # 10 and 11 points on the LAPACK path
+        model, rules = bot_model(), [cubature_points(5), ut_points(5, 2.0)]
+        ys = np.stack([simulate(model, 40, seed=s).measurements for s in range(8)])
+        out = run_filter(model, rules, ys)
+        smoothed = run_smoother(model, rules, out)
+        assert out.errors == (None, None)
+        for index, rule in enumerate(rules):
+            assert_rule_equals_solo(model, out, smoothed, index, rule, ys)
+
+    def test_padding_non_finite_only_at_the_mean_runs_through(self):
+        # f = 0 puts every predicted mean at 0, where h is NaN: the padded
+        # cubature rule evaluates h there at every step and runs through,
+        # while the UT, whose own centre point lies there, fails as alone
+        model = AdditiveStateSpaceModel(
+            transition=lambda x, k: np.zeros_like(x),
+            measurement=lambda x, k: np.where(x == 0.0, np.nan, x),
+            process_cov=0.5, measurement_cov=0.1,
+            prior=GaussianState(np.zeros(1), np.eye(1)), state_dim=1, measurement_dim=1)
+        rules = [cubature_points(1), ut_points(1, 2.0), gauss_hermite_points(1, 4)]
+        ys = np.array([[0.3, -0.2, 0.5], [1.0, 0.4, -0.1]])[..., None]
+        out = run_filter(model, rules, ys)
+        smoothed = run_smoother(model, rules, out)
+        error = solo_error(model, rules[1], ys)
+        assert error == ("filter failed at time index 1: function returned non-finite "
+                         "values at the sigma-points for batch member 0")
+        assert out.errors == (None, error, None)
+        for index in (0, 2):
+            assert_rule_equals_solo(model, out, smoothed, index, rules[index], ys)
+        assert np.isfinite(out.filtered_means[0]).all()
 
 
 def squares_model(n, mean):
