@@ -37,6 +37,7 @@ from .models import (BotConfig, bot_model, moment_integrand, simulate,  # noqa: 
 from .points import (
     QuadratureRule,
     UnitPointSet,
+    _check_optimizer_size,
     cubature_points,
     gauss_hermite_points,
     hammersley_points,
@@ -214,11 +215,17 @@ def _point_count(spec, n: int, context: str) -> int:
     raise ConfigError(f"{context}: count must be a positive integer or '2n'")
 
 
-def _point_rule(spec: dict, n: int) -> QuadratureRule:
-    """A rule from its point spec; a generator without classical weights
-    gets uniform 1/N ones (plain (quasi) Monte Carlo).  A ``csv`` file
-    holds one column per dimension under a header line, optionally
-    followed by a ``weight`` column whose values become the weights."""
+def _uniform(points: UnitPointSet) -> QuadratureRule:
+    return QuadratureRule(points, np.full(points.count, 1.0 / points.count))
+
+
+def _point_rule(spec: dict, n: int):
+    """A rule from its point spec, with its generator's classical weights;
+    for a set without them (Hammersley, random, optimized) the builder of
+    a rule with uniform 1/N weights (plain (quasi) Monte Carlo), which
+    runs the generator.  A ``csv`` file holds one column per dimension
+    under a header line, optionally followed by a ``weight`` column whose
+    values become the weights, else uniform ones."""
     context = f"point spec {spec!r}"
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError(f"{context}: expected an object with a 'type' field")
@@ -233,10 +240,10 @@ def _point_rule(spec: dict, n: int) -> QuadratureRule:
         return gauss_hermite_points(
             n, config_int(_require(spec, "order", context), f"{context}: order"))
     if kind == "hammersley":
-        points = hammersley_points(n, _point_count(spec, n, context))
+        generate = partial(hammersley_points, n, _point_count(spec, n, context))
     elif kind == "random":
         seed = config_int(spec.get("seed", 0), f"{context}: seed", minimum=0)
-        points = random_points(n, _point_count(spec, n, context), seed)
+        generate = partial(random_points, n, _point_count(spec, n, context), seed)
     elif kind == "optimized":
         kernel = _kernel(
             spec.get("kernel", {"type": "se", "output_scale": 1.0, "length_scale": 1.0}),
@@ -246,7 +253,9 @@ def _point_rule(spec: dict, n: int) -> QuadratureRule:
             jitter=config_float(spec.get("jitter", 0.0), f"{context}: jitter"),
         )
         seed = config_int(spec.get("seed", 0), f"{context}: seed", minimum=0)
-        points = optimize_points(kernel, n, _point_count(spec, n, context), seed, settings)
+        count = _point_count(spec, n, context)
+        _check_optimizer_size(n, count)
+        generate = partial(optimize_points, kernel, n, count, seed, settings)
     elif kind == "csv":
         path = _require(spec, "path", context)
         if not isinstance(path, str) or not Path(path).is_file():
@@ -262,11 +271,10 @@ def _point_rule(spec: dict, n: int) -> QuadratureRule:
                               f"expected one per dimension ({n}), "
                               "optionally followed by 'weight'")
         points = UnitPointSet(table[:, :n], f"csv({path.name})")
-        if weighted:
-            return QuadratureRule(points, table[:, n])
+        return QuadratureRule(points, table[:, n]) if weighted else _uniform(points)
     else:
         raise ConfigError(f"{context}: unknown point set type '{kind}'")
-    return QuadratureRule(points, np.full(points.count, 1.0 / points.count))
+    return lambda: _uniform(generate())
 
 
 def _kernel(spec, n: int):
@@ -288,13 +296,11 @@ def _kernel(spec, n: int):
     raise ConfigError(f"{context}: unknown kernel type '{kind}'")
 
 
-def build_rule(method: dict, n: int) -> QuadratureRule:
-    """Resolve one method spec into a quadrature rule for dimension n.
-
-    A spec that cannot be resolved (a bad value, an unknown type, a value
-    a generator or kernel rejects with ``ValueError``, a missing or
-    malformed CSV file) raises ConfigError naming the method; the weight
-    solve's failures are numerical and raise as they are."""
+def _resolve(method: dict, n: int) -> tuple:
+    """A method spec for dimension n checked without numerics, as the
+    (rule, kernel, jitter) triple ``build_rule`` takes, a generated set's
+    rule as its builder.  A spec that cannot be resolved, a generator's or
+    kernel's ``ValueError`` included, raises ConfigError naming the method."""
     context = f"method {method.get('name', '?')!r}"
     try:
         rule = _point_rule(method.get("points"), n)
@@ -304,6 +310,15 @@ def build_rule(method: dict, n: int) -> QuadratureRule:
     jitter = config_float(method.get("jitter", 0.0), f"{context}: jitter")
     if jitter < 0:
         raise ConfigError(f"{context}: jitter must be >= 0, got {jitter!r}")
+    return rule, kernel, jitter
+
+
+def build_rule(method: dict | tuple, n: int) -> QuadratureRule:
+    """The rule of a method spec for dimension n, or of the triple a study
+    resolved it into before any numerics; the optimizer's and the weight
+    solve's failures are numerical and raise as they are."""
+    rule, kernel, jitter = method if isinstance(method, tuple) else _resolve(method, n)
+    rule = rule() if callable(rule) else rule
     return rule if kernel is None else gpq_weights(kernel, rule.points, jitter)
 
 
@@ -365,6 +380,7 @@ def run_moments(config: dict) -> Report:
     exponents = config_list(config.get("exponents"), "config: 'exponents'", config_int)
     if 0 in exponents:  # y = 1 has variance zero: no KL divergence to it
         raise ConfigError("config: 'exponents' must be non-zero")
+    resolved = {n: {m["name"]: _resolve(m, n) for m in methods} for n in dims}
     # accepted and ignored; passed on as moments_ground_truth's ignored arguments
     samples = config.get("mc_samples", 10**7)
     mc_seed = config.get("mc_seed", 0)
@@ -379,11 +395,11 @@ def run_moments(config: dict) -> Report:
     relative_errors = []
     for n in dims:
         rules = {}
-        for method in methods:
+        for name, method in resolved[n].items():
             try:
-                rules[method["name"]] = build_rule(method, n)
+                rules[name] = build_rule(method, n)
             except NUMERICAL_ERRORS as exc:
-                rules[method["name"]] = exc
+                rules[name] = exc
         for exponent in exponents:
             truth_mean, truth_var = moments_ground_truth(
                 n, exponent, samples, mc_seed, cache_dir)
@@ -468,22 +484,23 @@ def _filtering_study(experiment: str, config: dict, model,
                      components, default_steps: int = 500) -> Report:
     """Filter/smoother RMSE rows, one per method in config order.
 
-    Every method's rule is built first; a numerical build failure is that
-    method's error row, a ConfigError ends the study.  The built rules run
-    as one group when padding every rule to the largest point count
-    N_max at most doubles the sigma points (M N_max <= 2 sum N, M rules),
-    and otherwise in groups of one point count, so a few large rules do
-    not make many small ones evaluate the model at padding points.  Each
-    group runs once, as one recursion over all trajectories (see
-    ``run_filter``); a method whose filter fails stops alone, its error
-    cell as it reads alone.  A smoother failure ends the study: it needs a
-    predicted covariance that passed the filter only by the eigen square
-    root, which no shipped config reaches (both models have Q > 0).
+    Every method spec is resolved before any numerics, a ConfigError ending
+    the study; a numerical build failure is that method's error row.  The
+    built rules run as one group when padding every rule to the largest
+    point count N_max at most doubles the sigma points (M N_max <= 2 sum N,
+    M rules), and otherwise in groups of one point count, so a few large
+    rules do not make many small ones evaluate the model at padding
+    points.  Each group runs once, as one recursion over all trajectories
+    (see ``run_filter``); a method whose filter fails stops alone, its
+    error cell as it reads alone.  A smoother failure ends the study: it
+    needs a predicted covariance that passed the filter only by the eigen
+    square root, which no shipped config reaches (both models have Q > 0).
     """
     methods = _validated_methods(config)
     seeds = config_list(config.get("seeds"), "config: 'seeds'",
                         partial(config_int, minimum=0))
     steps = config_int(config.get("steps", default_steps), "config: 'steps'", minimum=1)
+    resolved = {m["name"]: _resolve(m, model.state_dim) for m in methods}
 
     start = time.time()
     report = Report(
@@ -496,8 +513,7 @@ def _filtering_study(experiment: str, config: dict, model,
     measurements = np.stack([t.measurements for t in trajectories])
     truth = np.stack([t.states[1:] for t in trajectories])
     rows, rules = {}, {}
-    for method in methods:
-        name = method["name"]
+    for name, method in resolved.items():
         try:
             rules[name] = build_rule(method, model.state_dim)
         except NUMERICAL_ERRORS as exc:

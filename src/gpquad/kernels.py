@@ -11,11 +11,12 @@ Two families are supported on the standardized N(0, I) domain:
   integrals reduce to the zero-index row/entry of the coefficients.
 
 Both expose ``eval`` / ``gram`` / ``mean_embedding`` / ``double_integral``,
-the three quantities the quadrature weight and variance formulas consume,
-and ``derivatives``, their gradients in the points, which the
-minimum-variance optimizer consumes.  Points are an (N, n) set or a batch
-of sets (..., N, n); every per-set quantity then gains the leading batch
-axes, each set computed as it would be alone.
+the three quantities the weight and variance formulas consume (the weight
+solve takes the first two from one ``gram_and_embedding`` call), and
+``derivatives``, their gradients in the points, which the optimizer
+consumes.  Points are an (N, n) set or a batch of sets (..., N, n); every
+per-set quantity then gains the leading batch axes, each set computed as
+it would be alone.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ MAX_GH_KERNEL_TERMS = 20_000
 
 
 def _as_points(x, dim: int | None = None) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    pts = np.asarray(x, dtype=float)
+    pts = pts if pts.ndim > 1 else np.atleast_2d(pts)
     if dim is not None and pts.shape[-1] != dim:
         raise ValueError(f"points of dimension {pts.shape[-1]}, kernel expects {dim}")
     return pts
@@ -88,12 +90,14 @@ class SquaredExponentialKernel:
         # -||x - y||^2 / (2 l^2), in place on the distances: no further
         # (..., N, M) temporaries
         e = _squared_distances(x, y)
-        np.negative(e, out=e)
-        e /= 2.0 * self.length_scale**2
+        e /= -2.0 * self.length_scale**2
         return e
 
     def gram(self, points) -> np.ndarray:
         return self.eval(points, points)
+
+    def gram_and_embedding(self, points) -> tuple[np.ndarray, np.ndarray]:
+        return self.gram(points), self.mean_embedding(points)
 
     def mean_embedding(self, points) -> np.ndarray:
         """integral K(x, x_i) N(x | 0, I) dx for each point x_i."""
@@ -101,7 +105,7 @@ class SquaredExponentialKernel:
         n = pts.shape[-1]
         l2 = self.length_scale**2
         scale = self.output_scale**2 * (l2 / (1.0 + l2)) ** (n / 2.0)
-        return scale * np.exp(-(pts**2).sum(axis=-1) / (2.0 * (1.0 + l2)))
+        return scale * np.exp((pts**2).sum(axis=-1) / (-2.0 * (1.0 + l2)))
 
     def double_integral(self, n: int) -> float:
         """double integral K(x, x') N(x|0,I) N(x'|0,I) dx dx'."""
@@ -125,9 +129,9 @@ class SquaredExponentialKernel:
         pts = _as_points(points)
         l2 = self.length_scale**2
         d_gram = pts[..., :, None, :] - pts[..., None, :, :]
-        d_gram *= -gram[..., None]
-        d_gram /= l2
-        d_embedding = -embedding[..., None] * pts / (1.0 + l2)
+        d_gram *= gram[..., None]
+        d_gram /= -l2
+        d_embedding = embedding[..., None] * pts / -(1.0 + l2)
         return d_gram, d_embedding
 
     def flat_increments(self, points):
@@ -262,15 +266,21 @@ class HermitePolynomialKernel:
         return self._weighted(self._features(x)) @ np.swapaxes(self._features(y), -1, -2)
 
     def gram(self, points) -> np.ndarray:
+        return self.gram_and_embedding(points)[0]
+
+    def gram_and_embedding(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """Both from one feature matrix, which the weight solve needs once."""
         f = self._features(points)
         gram = self._weighted(f) @ np.swapaxes(f, -1, -2)
-        return 0.5 * (gram + np.swapaxes(gram, -1, -2))
+        return 0.5 * (gram + np.swapaxes(gram, -1, -2)), self._embedding(f)
 
     def mean_embedding(self, points) -> np.ndarray:
+        return self._embedding(self._features(points))
+
+    def _embedding(self, features: np.ndarray) -> np.ndarray:
         # integrating H_I against N(0, I) kills every row except I = 0. The
         # identity's column of ones stays a strided view: on a contiguous
         # vector BLAS rounds the weight solve's q @ w differently
-        features = self._features(points)
         if self.coefficients is None:
             return features[..., self._zero_row]
         return features @ self.coefficients[self._zero_row]

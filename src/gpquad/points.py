@@ -233,6 +233,14 @@ ARMIJO_C1 = 1e-4
 MAX_HALVINGS = 12
 
 
+def _check_optimizer_size(n: int, count: int) -> None:
+    """``optimize_points``' checks of its arguments, which need no numerics."""
+    if n < 1 or count < 1:
+        raise ValueError("need n >= 1 and count >= 1")
+    if count * n > 2000:
+        raise ValueError(f"{count * n} coordinates exceed the optimizer cap of 2000")
+
+
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
@@ -263,10 +271,7 @@ def optimize_points(kernel, n: int, count: int, seed: int,
     # deferred: quadrature imports this module
     from .quadrature import gpq_variance_and_gradient
 
-    if n < 1 or count < 1:
-        raise ValueError("need n >= 1 and count >= 1")
-    if count * n > 2000:
-        raise ValueError(f"{count * n} coordinates exceed the optimizer cap of 2000")
+    _check_optimizer_size(n, count)
     settings = settings or OptimizerSettings()
     size = count * n
 
@@ -280,36 +285,46 @@ def optimize_points(kernel, n: int, count: int, seed: int,
     x = np.array(starts).reshape(len(starts), size)
     f, g = evaluate(x)
     failures = int(np.sum(~np.isfinite(f)))
+    # x, f, g and the Hessians hold the live restarts only; one that stops
+    # leaves its last point and variance in x_all, f_all and never runs again
+    x_all, f_all, live = x, f, np.arange(len(x))
     inverse_hessian = np.tile(np.eye(size), (len(starts), 1, 1))
     unscaled = np.ones(len(starts), dtype=bool)
     running = np.isfinite(f) & (np.abs(g).max(axis=1) > GRADIENT_TOLERANCE)
     for _ in range(settings.max_iterations):
-        if not running.any():
+        if np.count_nonzero(running) < len(live):
+            x_all[live], f_all[live] = x, f
+            live, x, f, g = live[running], x[running], f[running], g[running]
+            inverse_hessian, unscaled = inverse_hessian[running], unscaled[running]
+        if not len(live):
             break
         direction = -(inverse_hessian @ g[:, :, None])[:, :, 0]
         slope = _rowdot(direction, g)
         uphill = ~(slope < 0.0)
-        direction[uphill] = -g[uphill]
-        slope[uphill] = -_rowdot(g[uphill], g[uphill])
-        # backtracking: every running restart still searching tries its
-        # step in one evaluation; an accepted step strictly lowers f
-        step = np.ones(len(x))
-        searching = running.copy()
-        x_next, f_next, g_next = x.copy(), f.copy(), g.copy()
-        for _ in range(MAX_HALVINGS + 1):
-            trial = np.flatnonzero(searching)
-            x_trial = x[trial] + step[trial, None] * direction[trial]
+        if np.count_nonzero(uphill):
+            direction[uphill] = -g[uphill]
+            slope[uphill] = -_rowdot(g[uphill], g[uphill])
+        # backtracking: every restart still searching tries its step in one
+        # evaluation, the full step first; an accepted step strictly lowers f
+        x_next = x + direction
+        f_next, g_next = evaluate(x_next)
+        accepted = (f_next <= f + ARMIJO_C1 * slope) & (f_next < f)
+        searching, step = (), 1.0
+        if np.count_nonzero(accepted) < len(x):  # a restart that finds no step keeps its point
+            searching = np.flatnonzero(~accepted)
+            x_next[searching], f_next[searching], g_next[searching] = (
+                x[searching], f[searching], g[searching])
+        while len(searching) and step > 0.5 ** MAX_HALVINGS:
+            step *= 0.5
+            x_trial = x[searching] + step * direction[searching]
             f_trial, g_trial = evaluate(x_trial)
-            accepted = ((f_trial <= f[trial] + ARMIJO_C1 * step[trial] * slope[trial])
-                        & (f_trial < f[trial]))
-            done = trial[accepted]
+            accepted = ((f_trial <= f[searching] + ARMIJO_C1 * step * slope[searching])
+                        & (f_trial < f[searching]))
+            done = searching[accepted]
             x_next[done], f_next[done], g_next[done] = (
                 x_trial[accepted], f_trial[accepted], g_trial[accepted])
-            searching[done] = False
-            step[trial[~accepted]] *= 0.5
-            if not searching.any():
-                break
-        moved = running & ~searching
+            searching = searching[~accepted]
+        moved = f_next < f
         # BFGS: H <- (I - r s y^T) H (I - r y s^T) + r s s^T with r = 1 / s^T y,
         # where s^T y > 0; r = 0 leaves H exactly as it is
         s = x_next - x
@@ -318,10 +333,12 @@ def optimize_points(kernel, n: int, count: int, seed: int,
         update = moved & (sy > 0.0)
         # the first update starts from H = (s^T y / y^T y) I instead of I
         first = update & unscaled
-        inverse_hessian[first] = (np.eye(size)
-                                  * (sy[first] / _rowdot(y[first], y[first]))[:, None, None])
+        if np.count_nonzero(first):
+            inverse_hessian[first] = (np.eye(size)
+                                      * (sy[first] / _rowdot(y[first], y[first]))[:, None, None])
         unscaled &= ~update
-        r = np.divide(1.0, sy, out=np.zeros_like(sy), where=update)
+        r = (1.0 / sy if np.count_nonzero(update) == len(sy)
+             else np.divide(1.0, sy, out=np.zeros_like(sy), where=update))
         rs = r[:, None] * s
         hy = (inverse_hessian @ y[:, :, None])[:, :, 0]
         curvature = (1.0 + r * _rowdot(y, hy))[:, None, None]
@@ -329,9 +346,10 @@ def optimize_points(kernel, n: int, count: int, seed: int,
                             - hy[:, :, None] * rs[:, None, :] - rs[:, :, None] * hy[:, None, :])
         x, f, g = x_next, f_next, g_next
         running = moved & (np.abs(g).max(axis=1) > GRADIENT_TOLERANCE)
-    if not np.isfinite(f).any():
+    x_all[live], f_all[live] = x, f
+    if not np.isfinite(f_all).any():
         raise RuntimeError(
             f"all {settings.restarts} optimizer restarts produced non-finite "
             f"variances ({failures} failed initializations)"
         )
-    return UnitPointSet(x[int(np.argmin(f))].reshape(count, n), "optimized")
+    return UnitPointSet(x_all[int(np.argmin(f_all))].reshape(count, n), "optimized")

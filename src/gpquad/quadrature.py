@@ -201,11 +201,6 @@ def _cholesky_solve(matrices: np.ndarray, factors: np.ndarray,
     return x[..., 0] if rhs.ndim == 1 else x
 
 
-def _select(stack: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``stack[mask]``, without copying a stack the mask keeps whole."""
-    return stack if mask.all() else stack[mask]
-
-
 # builds the error of a failed solve when a caller raises it
 _Failure = Callable[[], np.linalg.LinAlgError]
 
@@ -274,8 +269,8 @@ def _flat_deflated_solve(gram_inc, emb_scale, emb_inc, output_scale2):
     per member by ``_spd_solve_members``.  Every argument carries a
     leading batch axis of F sets of one size N: E (F, N, N), c (F,),
     delta (F, N) and the diagonal value s^2 (F,).  Returns (weights, q,
-    solved, failure), with q the mean embedding and the last two as from
-    ``_spd_solve_members``.
+    failure), with q the mean embedding and the weights of a member that
+    fails NaN, as from ``_spd_solve_members``.
     """
     n_pts = gram_inc.shape[-1]
     # Householder basis: column 0 is 1/sqrt(N), the rest span its complement
@@ -294,13 +289,13 @@ def _flat_deflated_solve(gram_inc, emb_scale, emb_inc, output_scale2):
     rhs_scale = emb_scale  # the s^2 factor cancels between K and q
     b_u = rhs_scale * (np.sqrt(n_pts) + _dot(u, emb_inc))
     b_c = rhs_scale[:, None] * _matvec(complement.T, emb_inc)
-    beta, solved, failure = _spd_solve_members(
+    beta, _, failure = _spd_solve_members(
         schur, b_c - coupling * (b_u / pivot)[:, None],
         "deflated weight system", _SINGULAR_ADVICE)
     alpha = (b_u - _dot(coupling, beta)) / pivot
     weights = u * alpha[:, None] + _matvec(complement, beta)
     q = (output_scale2 * rhs_scale)[:, None] * (1.0 + emb_inc)
-    return weights, q, solved, failure
+    return weights, q, failure
 
 
 class _WeightSystem(NamedTuple):
@@ -313,7 +308,6 @@ class _WeightSystem(NamedTuple):
     # and the Hermite ones never read it
     gram: np.ndarray
     embedding: np.ndarray   # (N,) kernel mean embedding q
-    solved: np.ndarray      # () bool, False where the system is not positive definite
     failure: _Failure | None  # builds the error for an unsolved set
 
     @property
@@ -327,36 +321,40 @@ def _solve_weight_system(kernel, points: np.ndarray, jitter: float) -> _WeightSy
     ``points`` is one set (N, n) or a batch of sets (..., N, n), each
     solved as it would be alone.  At zero jitter a set over which the
     kernel is nearly flat (every Gram increment below
-    ``FLAT_INCREMENT_THRESHOLD``) takes the deflated solve; the embedding
-    increments are computed for those sets only.  A set whose system is
-    not positive definite is marked unsolved; it does not disturb the
-    others.
+    ``FLAT_INCREMENT_THRESHOLD``) takes the deflated solve.  Such a set has
+    K_ij > 0.9 K_ii everywhere, so the increments are computed only for
+    sets whose Gram matrix has min K_ij > 0.8 K_ii; when no set is flat,
+    the batch goes straight to one solve.  A set whose system is not
+    positive definite gets NaN weights; it does not disturb the others.
     """
     batch, (count, n) = points.shape[:-2], points.shape[-2:]
     stack = points.reshape(-1, count, n)
-    flat = np.zeros(len(stack), dtype=bool)
+    gram, q = kernel.gram_and_embedding(stack)
+    if jitter:
+        np.einsum("...ii->...i", gram)[...] += jitter  # in place: no N x N temporaries
+    flat = ()
     if jitter == 0.0 and count > 1:
-        gram_inc = kernel.flat_increments(stack)
+        # a kernel with flat increments has one diagonal value s^2
+        near = gram.min(axis=(1, 2)) > 0.8 * gram[:, 0, 0]
+        gram_inc = kernel.flat_increments(stack[near]) if np.count_nonzero(near) else None
         if gram_inc is not None:
-            flat = np.abs(gram_inc).max(axis=(1, 2)) < FLAT_INCREMENT_THRESHOLD
-    gram = kernel.gram(stack)
-    np.einsum("...ii->...i", gram)[...] += jitter  # in place: no N x N temporaries
-    q = kernel.mean_embedding(stack)
-    weights = np.empty((len(stack), count))
-    solved = np.ones(len(stack), dtype=bool)
-    plain = ~flat
-    weights[plain], solved[plain], failure = _spd_solve_members(
-        _select(gram, plain), _select(q, plain), "quadrature weight system",
-        _SINGULAR_ADVICE)
-    if flat.any():
-        flat_pts = stack[flat]
-        s2 = kernel.eval(flat_pts[:, :1], flat_pts[:, :1])[:, 0, 0]  # diagonal value s^2
-        weights[flat], q[flat], solved[flat], flat_failure = _flat_deflated_solve(
-            gram_inc[flat], *kernel.flat_embedding(flat_pts), s2)
-        gram[flat] = s2[:, None, None] * (1.0 + gram_inc[flat])
+            is_flat = np.abs(gram_inc).max(axis=(1, 2)) < FLAT_INCREMENT_THRESHOLD
+            flat, gram_inc = np.flatnonzero(near)[is_flat], gram_inc[is_flat]
+    if not len(flat):
+        weights, _, failure = _spd_solve_members(
+            gram, q, "quadrature weight system", _SINGULAR_ADVICE)
+    else:
+        weights = np.empty((len(stack), count))
+        plain = np.delete(np.arange(len(stack)), flat)
+        weights[plain], _, failure = _spd_solve_members(
+            gram[plain], q[plain], "quadrature weight system", _SINGULAR_ADVICE)
+        s2 = gram[flat, 0, 0]  # the diagonal value s^2
+        weights[flat], q[flat], flat_failure = _flat_deflated_solve(
+            gram_inc, *kernel.flat_embedding(stack[flat]), s2)
+        gram[flat] = s2[:, None, None] * (1.0 + gram_inc)
         failure = failure or flat_failure
     return _WeightSystem(weights.reshape(*batch, count), gram.reshape(*batch, count, count),
-                         q.reshape(*batch, count), solved.reshape(batch), failure)
+                         q.reshape(*batch, count), failure)
 
 
 def _single_system(kernel, points: UnitPointSet, jitter: float) -> _WeightSystem:
@@ -434,7 +432,12 @@ def gpq_variance_and_gradient(kernel, points, jitter: float = 0.0):
     variance = kernel.double_integral(points.shape[-1]) - system.q_dot_w
     with np.errstate(invalid="ignore"):
         gradient = _variance_gradient(kernel, points, system)
-    failed = ~(system.solved & (variance >= -VARIANCE_CLAMP) & np.isfinite(variance)
+    # every member solved, positive and finite, the common case: no masks
+    if (system.failure is None and np.count_nonzero(np.isfinite(gradient)) == gradient.size
+            and np.count_nonzero((variance > 0.0) & np.isfinite(variance)) == variance.size):
+        return variance, gradient
+    # an unsolved member's NaN weights make its variance NaN
+    failed = ~((variance >= -VARIANCE_CLAMP) & np.isfinite(variance)
                & np.isfinite(gradient).all(axis=(-2, -1)))
     variance = np.where(failed, np.inf, np.maximum(variance, 0.0))
     gradient[failed | (variance == 0.0)] = 0.0

@@ -504,6 +504,11 @@ def csv_points(path):
     return {"points": {"type": "csv", "path": path}}
 
 
+def _numerics(*args, **kwargs):
+    """Stands in for a numerical step a config error must come before."""
+    raise AssertionError("numerics ran before the config was checked")
+
+
 class TestCliCommands:
     def test_points_command_emits_weights_column(self, tmp_path, capsys):
         config = write_config(tmp_path, {
@@ -754,6 +759,30 @@ class TestCliCommands:
         assert main(["ungm", "--config", config]) == 1
         assert capsys.readouterr().err == (
             "config error: method 'bad': output_scale and length_scale must be positive\n")
+
+    def test_study_resolves_every_method_before_any_numerics(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # configs/ungm.json with its last method misspelt: the Hammersley and
+        # optimized sets before it are never generated and no trajectory is
+        # simulated
+        config = json.loads((CONFIG_DIR / "ungm.json").read_text())
+        config["methods"][-1]["points"]["type"] = "optimised"
+        for name in ("hammersley_points", "optimize_points", "simulate_many"):
+            monkeypatch.setattr(experiments, name, _numerics)
+        assert main(["ungm", "--config", write_config(tmp_path, config)]) == 1
+        assert "unknown point set type 'optimised'" in capsys.readouterr().err
+
+    def test_moments_resolves_every_dimension_before_any_numerics(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        # symmetric5 resolves in 2-D and not in 1-D, the second dimension
+        monkeypatch.setattr(experiments, "gpq_weights", _numerics)
+        monkeypatch.setattr(experiments, "moments_ground_truth", _numerics)
+        config = write_config(tmp_path, {
+            **self.MOMENTS, "dimensions": [2, 1],
+            "methods": [{"name": "gpq", "points": {"type": "symmetric5"},
+                         "kernel": {"type": "se"}}]})
+        assert main(["moments", "--config", config]) == 1
+        assert capsys.readouterr().err.startswith("config error: method 'gpq'")
 
     @pytest.mark.parametrize("dimension,order", [(1, 100), (2, 50)])
     def test_hermite_factorial_overflow_is_exit_1(self, tmp_path, capsys, dimension, order):

@@ -303,6 +303,51 @@ class TestOptimizePoints:
         assert counts["derivatives"] > 2
         assert counts["solves"] == counts["derivatives"]
 
+    # the points optimize_points returns at SE(1, 1), seed 0, as float.hex,
+    # and the batched evaluations it takes to reach them
+    PINNED_PATHS = {
+        (1, 3): (145, ["0x1.979097545ed4cp-27", "-0x1.4ba9b0086a0f8p+0",
+                       "0x1.4ba9b05811aa2p+0"]),
+        (1, 7): (226, ["0x1.6a81960c4765ap+1", "-0x1.be87e475084a8p-1",
+                       "-0x1.c9aca0ba4c908p+0", "0x1.76359acd7d8d0p-20",
+                       "0x1.c9accfe2c7c20p+0", "-0x1.6a817e6fb8c55p+1",
+                       "0x1.be8840f03a99ep-1"]),
+        (1, 10): (333, ["-0x1.0020fe01699bcp-2", "0x1.e5012489a255cp+1",
+                        "-0x1.c4dfc5eb12427p+0", "0x1.ff2db5234c9dbp+0",
+                        "0x1.6994693762034p+1", "0x1.f0c5047feb538p-2",
+                        "-0x1.4d4a78af8f8c6p+1", "-0x1.c9b286146b8e5p+1",
+                        "-0x1.fd6f1f9cb5aefp-1", "0x1.3a3f909e06e6ap+0"]),
+        (2, 10): (236, ["0x1.00a87fe1fb9b0p-3", "-0x1.880dba38a4fdep-1",
+                        "0x1.699aec8eddce5p+0", "-0x1.64820ae6336bcp-1",
+                        "-0x1.b108abe953760p-1", "0x1.54140745795a4p+0",
+                        "0x1.b85122faf5d07p+0", "0x1.6e06c04a76042p-1",
+                        "0x1.820843073ab5ap-2", "-0x1.03420845e1b3bp+1",
+                        "0x1.9b5a7c80586bap-2", "0x1.cacda59af1e05p-2",
+                        "-0x1.06f7b9f336a81p+1", "0x1.3c6e689b7e4e7p-3",
+                        "-0x1.27cda15c969bep+0", "-0x1.49ec9ef9ff8c6p+0",
+                        "-0x1.8cb4bd8fe30eep-1", "0x1.527408450df95p-5",
+                        "0x1.0c1934ba8b7e2p-1", "0x1.c99b3f33c6447p+0"]),
+    }
+
+    @pytest.mark.parametrize("n, count", PINNED_PATHS)
+    def test_pinned_path(self, monkeypatch, n, count):
+        # a faster optimizer must take the same path to the same bits: as
+        # many batched evaluations (one weight solve each) and the same points
+        solves = 0
+        solve = quadrature._solve_weight_system
+
+        def counting_solve(*args):
+            nonlocal solves
+            solves += 1
+            return solve(*args)
+
+        monkeypatch.setattr(quadrature, "_solve_weight_system", counting_solve)
+        result = optimize_points(self.kernel, n, count, seed=0)
+        evaluations, hexes = self.PINNED_PATHS[n, count]
+        assert solves == evaluations
+        expected = np.array([float.fromhex(h) for h in hexes]).reshape(count, n)
+        assert np.array_equal(result.points, expected)
+
     def test_coordinate_cap(self):
         with pytest.raises(ValueError, match="cap"):
             optimize_points(self.kernel, 10, 500, seed=0)
@@ -426,6 +471,44 @@ class TestBatchedVarianceAndGradient:
         if name == "se-deflated":
             gram_inc = kernel.flat_increments(batch)
             assert (np.abs(gram_inc).max(axis=(-2, -1)) < FLAT_INCREMENT_THRESHOLD).all()
+
+    def test_flatness_prescreen(self, monkeypatch):
+        # at zero jitter only a set with min K_ij > 0.8 K_ii can be flat, so
+        # only such sets get their increments computed; the exact test on
+        # those decides which take the deflated solve
+        line = np.linspace(-0.5, 0.5, 4)[:, None] * np.array([1.0, 0.5])
+        span = np.ptp(line[:, 0]) * np.hypot(1.0, 0.5)
+        # the near-flat set, one whose largest increment is just past the
+        # threshold (1.0001 times the distance where |E| = 0.1), a spread set
+        edge = 8.0 * np.sqrt(-2.0 * np.log1p(-FLAT_INCREMENT_THRESHOLD)) / span
+        batch = np.stack([2.0 * line, 1.0001 * edge * line, 20.0 * line])
+        kernel = SquaredExponentialKernel(1.0, 8.0)
+        largest = np.abs(kernel.flat_increments(batch)).max(axis=(-2, -1))
+        assert largest[0] < FLAT_INCREMENT_THRESHOLD < largest[1] < 0.2 < largest[2]
+
+        increments, deflated = [], []
+
+        class Recording(SquaredExponentialKernel):
+            def flat_increments(self, points):
+                increments.append(points.copy())
+                return super().flat_increments(points)
+
+        solve = quadrature._flat_deflated_solve
+
+        def recording_solve(gram_inc, *args):
+            deflated.append(gram_inc.copy())
+            return solve(gram_inc, *args)
+
+        monkeypatch.setattr(quadrature, "_flat_deflated_solve", recording_solve)
+        recording = Recording(1.0, 8.0)
+        variances, _ = gpq_variance_and_gradient(recording, batch)
+        # the spread set never reaches the exact test; the set past the
+        # threshold does, and only the near-flat set is deflated
+        assert len(increments) == 1 and np.array_equal(increments[0], batch[:2])
+        assert len(deflated) == 1
+        assert np.array_equal(deflated[0], kernel.flat_increments(batch[:1]))
+        assert np.all(np.isfinite(variances))
+        assert self._assert_members(kernel, batch) == []
 
     @pytest.mark.parametrize("name", KERNELS)
     def test_duplicate_points_fail_as_alone(self, name):
