@@ -32,6 +32,7 @@ from .points import (
     ut_points,
 )
 from .quadrature import (
+    NumericalError,
     gp_regression_mean,
     gpq_variance,
     gpq_variance_and_gradient,
@@ -44,6 +45,7 @@ __all__ = [
     "FilterOutput",
     "GaussianState",
     "HermitePolynomialKernel",
+    "NumericalError",
     "QuadratureRule",
     "SquaredExponentialKernel",
     "TransformResult",

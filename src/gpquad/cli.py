@@ -5,8 +5,8 @@
 
 Every subcommand reads one JSON config document (schemas documented in
 the repository README; ready-made configs live under configs/).  Exit
-codes: 0 success, 1 configuration error, 2 numerical failure in every
-requested method.
+codes: 0 success, 1 configuration error, 2 numerical failure (a
+``NumericalError``) in every requested method; anything else is a bug.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 from .experiments import (
     ConfigError,
     FLOAT_FORMAT,
-    NUMERICAL_ERRORS,
     Report,
     build_rule,
     config_array,
@@ -35,6 +34,7 @@ from .experiments import (
 )
 from .filtering import gp_transform
 from .models import moment_integrand, ungm_model
+from .quadrature import NumericalError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -184,7 +184,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

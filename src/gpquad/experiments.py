@@ -47,8 +47,8 @@ from .points import (
     ut_points,
     OptimizerSettings,
 )
-from .quadrature import (_cholesky_solve, _not_positive_definite, _positive_definite,
-                         gpq_weights, matrix_sqrt)
+from .quadrature import (NumericalError, _cholesky_solve, _not_positive_definite,
+                         _positive_definite, gpq_weights, matrix_sqrt)
 
 __all__ = [
     "ConfigError",
@@ -72,11 +72,6 @@ FLOAT_FORMAT = "%.12g"
 class ConfigError(Exception):
     """Invalid experiment configuration: the CLI exits with code 1, and a
     study never turns it into an error cell."""
-
-
-# the failures a study reports in a method's error cell and the CLI exits
-# with code 2 for
-NUMERICAL_ERRORS = (np.linalg.LinAlgError, ValueError, RuntimeError, FloatingPointError)
 
 
 def config_int(value, what: str, minimum: int | None = None,
@@ -208,11 +203,7 @@ def _require(mapping, key, context):
 
 def _point_count(spec, n: int, context: str) -> int:
     raw = _require(spec, "count", context)
-    if raw == "2n":
-        return 2 * n
-    if isinstance(raw, int) and not isinstance(raw, bool) and raw >= 1:
-        return raw
-    raise ConfigError(f"{context}: count must be a positive integer or '2n'")
+    return 2 * n if raw == "2n" else config_int(raw, f"{context}: count", minimum=1)
 
 
 def _uniform(points: UnitPointSet) -> QuadratureRule:
@@ -350,7 +341,7 @@ def moments_ground_truth(n: int, exponent: int, samples: int, seed: int,
     13.4.4), U the Tricomi confluent hypergeometric function, at s = p/2
     for the mean and s = p for the second moment.  ``samples``, ``seed``
     and ``cache_dir`` are accepted and ignored; nothing is sampled, read
-    or written.  Raises ``FloatingPointError`` where ``hyperu`` returns a
+    or written.  Raises ``NumericalError`` where ``hyperu`` returns a
     non-finite value (it does for some p < 0 once n is 50 or more).
     """
     from scipy.special import hyperu  # deferred: keeps scipy off the import path
@@ -358,7 +349,7 @@ def moments_ground_truth(n: int, exponent: int, samples: int, seed: int,
     mean, second = map(float, 2.0 ** (-n / 2.0) * hyperu(
         n / 2.0, n / 2.0 + 1.0 + np.array([exponent / 2.0, float(exponent)]), 0.5))
     if not np.isfinite([mean, second]).all():
-        raise FloatingPointError(
+        raise NumericalError(
             f"exact moments for n={n}, p={exponent} not evaluated: hyperu gave "
             f"mean {mean!r} and second moment {second!r}")
     return mean, second - mean**2
@@ -398,7 +389,7 @@ def run_moments(config: dict) -> Report:
         for name, method in resolved[n].items():
             try:
                 rules[name] = build_rule(method, n)
-            except NUMERICAL_ERRORS as exc:
+            except NumericalError as exc:
                 rules[name] = exc
         for exponent in exponents:
             truth_mean, truth_var = moments_ground_truth(
@@ -516,7 +507,7 @@ def _filtering_study(experiment: str, config: dict, model,
     for name, method in resolved.items():
         try:
             rules[name] = build_rule(method, model.state_dim)
-        except NUMERICAL_ERRORS as exc:
+        except NumericalError as exc:
             rows[name] = _error_row(name, exc)
     counts = {name: rule.points.count for name, rule in rules.items()}
     merged = len(counts) * max(counts.values(), default=0) <= 2 * sum(counts.values())

@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .quadrature import QuadratureRule, _member, _spd_solve, matrix_sqrt
+from .quadrature import NumericalError, QuadratureRule, _member, _spd_solve, matrix_sqrt
 
 __all__ = [
     "GaussianState",
@@ -197,8 +197,8 @@ def _transform(points, weights, fn, means, covs, noise_cov, k: int, padded=None)
             values = np.where(padded[:, :, None], 0.0, values)
         finite = np.isfinite(values).all(axis=(1, 2))
         if not finite.all():
-            raise ValueError("function returned non-finite values at the sigma-points"
-                             + _member(int(np.argmin(finite)), batch))
+            raise NumericalError("function returned non-finite values at the sigma-points"
+                                 + _member(int(np.argmin(finite)), batch))
     return _match_moments(weights, deviations, values, noise_cov)
 
 
@@ -290,10 +290,10 @@ def run_filter(model: AdditiveStateSpaceModel,
     for scalar measurements.  The output's arrays carry the method axis
     only for a sequence of rules and the trajectory axis only for a
     batch: (M, S, T, ...) for both.
-    A single rule raises its error, naming the time index and trajectory.
-    In a sequence, a step that raises is taken by each rule alone: a rule
-    that raises alone stops, its ``errors`` entry that error's text, and
-    the others step on with unchanged numbers.
+    A step that raises ``NumericalError`` is taken by each rule alone: a
+    rule that raises alone stops, its ``errors`` entry that error's text
+    with the time index, and the others step on with unchanged numbers; a
+    single rule raises it.  Any other exception propagates at once.
     """
     single = isinstance(rule, QuadratureRule)
     rules = [rule] if single else list(rule)
@@ -335,9 +335,7 @@ def run_filter(model: AdditiveStateSpaceModel,
         try:
             step = _filter_step(model, k, means, covs, points, weights, padded,
                                 observations[:, k - 1])
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            if single:
-                raise type(exc)(f"filter failed at time index {k}: {exc}") from exc
+        except NumericalError:
             stepping = [m for m, error in enumerate(errors) if error is None]
             alone = {}
             for j, m in enumerate(stepping):
@@ -345,7 +343,7 @@ def run_filter(model: AdditiveStateSpaceModel,
                 try:
                     alone[m] = _filter_step(model, k, *(array[mine] for array in (
                         means, covs, points, weights, padded, observations[:, k - 1])))
-                except (ValueError, np.linalg.LinAlgError) as lone:
+                except NumericalError as lone:
                     errors[m] = f"filter failed at time index {k}: {lone}"
             keep = np.repeat([m in alone for m in stepping], size)
             points, weights, padded, observations = (
@@ -357,6 +355,8 @@ def run_filter(model: AdditiveStateSpaceModel,
         for array, value in zip(arrays, step):
             array[rows, k - 1] = value
         means, covs = step[2], step[3]
+    if single and errors[0]:
+        raise NumericalError(errors[0])
     lead = ((len(rules),) if not single else ()) + ((size,) if batched else ())
     return FilterOutput(*(array.reshape(lead + array.shape[1:]) for array in arrays),
                         tuple(errors))

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .filtering import AdditiveStateSpaceModel, GaussianState
+from .quadrature import NumericalError
 
 __all__ = [
     "Trajectory",
@@ -241,7 +242,7 @@ def simulate_many(model: AdditiveStateSpaceModel, steps: int, seeds) -> list[Tra
     measurement covariances; a constant covariance is factored once per
     call, a callable one once per step for all seeds.  The trajectories
     come back in seed order.  A non-finite state raises
-    ``FloatingPointError`` naming the earliest step and, of the seeds that
+    ``NumericalError`` naming the earliest step and, of the seeds that
     diverge there, the first.
     """
     seeds = list(seeds)
@@ -265,7 +266,7 @@ def simulate_many(model: AdditiveStateSpaceModel, steps: int, seeds) -> list[Tra
         states[k] = drift.reshape(len(seeds), n) + process_noise[:, k - 1]
         if not np.isfinite(states[k]).all():
             first = np.flatnonzero(~np.isfinite(states[k]).all(axis=1))[0]
-            raise FloatingPointError(
+            raise NumericalError(
                 f"simulation diverged at step {k} (seed {seeds[first]})")
         projected = np.asarray(model.measurement(states[k], k), dtype=float)
         measurements[k - 1] = projected.reshape(len(seeds), d) + measurement_noise[:, k - 1]

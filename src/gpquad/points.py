@@ -266,10 +266,11 @@ def optimize_points(kernel, n: int, count: int, seed: int,
     its line search cannot decrease the variance.  A step that fails (a
     singular system, a variance below the clamp, a non-finite value)
     counts as infinite variance, so a restart never ends worse than its
-    start.  The lowest variance wins, ties broken by restart index.
+    start.  The lowest variance wins, ties broken by restart index; when
+    every restart's is infinite it raises ``NumericalError``.
     """
     # deferred: quadrature imports this module
-    from .quadrature import gpq_variance_and_gradient
+    from .quadrature import NumericalError, gpq_variance_and_gradient
 
     _check_optimizer_size(n, count)
     settings = settings or OptimizerSettings()
@@ -348,7 +349,7 @@ def optimize_points(kernel, n: int, count: int, seed: int,
         running = moved & (np.abs(g).max(axis=1) > GRADIENT_TOLERANCE)
     x_all[live], f_all[live] = x, f
     if not np.isfinite(f_all).any():
-        raise RuntimeError(
+        raise NumericalError(
             f"all {settings.restarts} optimizer restarts produced non-finite "
             f"variances ({failures} failed initializations)"
         )

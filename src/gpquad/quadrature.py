@@ -35,6 +35,7 @@ import numpy as np
 from .points import QuadratureRule, UnitPointSet
 
 __all__ = [
+    "NumericalError",
     "QuadratureRule",
     "MatrixSqrtResult",
     "gpq_weights",
@@ -49,6 +50,11 @@ __all__ = [
 FLAT_INCREMENT_THRESHOLD = 0.1
 
 VARIANCE_CLAMP = 1e-9
+
+
+class NumericalError(np.linalg.LinAlgError):
+    """A numerical failure: a study's error cell, the CLI's exit code 2 and
+    a filter's per-rule stop; any other exception is a programming error."""
 
 
 class MatrixSqrtResult(NamedTuple):
@@ -98,7 +104,7 @@ def _eigen_sqrt(matrix: np.ndarray, where: str) -> np.ndarray:
     eigvals, eigvecs = np.linalg.eigh(0.5 * (matrix + matrix.T))
     norm = np.abs(eigvals).max()
     if eigvals.min() < -1e-10 * max(norm, 1.0):
-        raise ValueError(f"matrix is not PSD{where}: smallest eigenvalue {eigvals.min():.3e}")
+        raise NumericalError(f"matrix is not PSD{where}: smallest eigenvalue {eigvals.min():.3e}")
     return eigvecs @ np.diag(np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
 
 
@@ -136,11 +142,11 @@ def _positive_definite(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray | None
 
 
 def _not_positive_definite(context: str, stack: np.ndarray, index: int,
-                           advice: str = "") -> np.linalg.LinAlgError:
+                           advice: str = "") -> NumericalError:
     """The error for member ``index`` of a stack (B, m, m), the first that
     failed Cholesky: names ``context``, the member and its minimum
     eigenvalue, then ``advice``."""
-    return np.linalg.LinAlgError(
+    return NumericalError(
         f"{context} not positive definite{_member(index, len(stack))} "
         f"(min eigenvalue {np.linalg.eigvalsh(stack[index]).min():.3e}){advice}"
     )
@@ -149,10 +155,10 @@ def _not_positive_definite(context: str, stack: np.ndarray, index: int,
 _SINGULAR_ADVICE = "; numerically singular, raise the jitter to regularize"
 
 
-def _zero_pivot(context: str, index: int, size: int) -> np.linalg.LinAlgError:
+def _zero_pivot(context: str, index: int, size: int) -> NumericalError:
     """The error for member ``index`` of a stack of ``size`` that passed
     Cholesky and still met an exactly zero pivot in the solve."""
-    return np.linalg.LinAlgError(
+    return NumericalError(
         f"{context} has an exactly zero pivot{_member(index, size)} "
         f"after passing the Cholesky check{_SINGULAR_ADVICE}")
 
@@ -202,7 +208,7 @@ def _cholesky_solve(matrices: np.ndarray, factors: np.ndarray,
 
 
 # builds the error of a failed solve when a caller raises it
-_Failure = Callable[[], np.linalg.LinAlgError]
+_Failure = Callable[[], NumericalError]
 
 
 def _spd_solve_members(stack: np.ndarray, rhs: np.ndarray, context: str,
@@ -368,7 +374,7 @@ def _single_system(kernel, points: UnitPointSet, jitter: float) -> _WeightSystem
 def _clamped_variance(kernel, points: UnitPointSet, q_dot_w: float) -> float:
     variance = kernel.double_integral(points.dimension) - q_dot_w
     if variance < -VARIANCE_CLAMP:
-        raise np.linalg.LinAlgError(
+        raise NumericalError(
             f"posterior variance {variance:.3e} below the -1e-9 clamp; "
             "the weight system is numerically unreliable, raise the jitter"
         )
@@ -394,8 +400,7 @@ def gpq_weights(kernel, points: UnitPointSet, jitter: float = 0.0) -> Quadrature
 
 def gpq_variance(kernel, points: UnitPointSet, jitter: float = 0.0) -> float:
     """Posterior variance of the integral estimate for a point set."""
-    system = _single_system(kernel, points, jitter)
-    return _clamped_variance(kernel, points, float(system.q_dot_w))
+    return gpq_weights(kernel, points, jitter).posterior_variance
 
 
 def _variance_gradient(kernel, points: np.ndarray, system: _WeightSystem) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -23,6 +24,8 @@ from gpquad.experiments import (
     run_ungm,
 )
 from gpquad.filtering import AdditiveStateSpaceModel, GaussianState
+from gpquad.models import ungm_model
+from gpquad.quadrature import NumericalError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -62,13 +65,13 @@ class TestKlGauss:
 
     def test_rejects_indefinite(self):
         p = GaussianState(np.zeros(1), np.array([[1.0]]))
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError):
             kl_gauss(p, GaussianState(np.zeros(1), np.array([[0.0]])))
 
     def test_indefinite_error_names_the_covariance(self):
         p = GaussianState(np.zeros(2), np.eye(2))
         q = GaussianState(np.zeros(2), np.diag([1.0, -0.5]))
-        with pytest.raises(np.linalg.LinAlgError,
+        with pytest.raises(NumericalError,
                            match=r"KL divergence covariance not positive definite "
                                  r"for batch member 1 \(min eigenvalue -5\.000e-01\)"):
             kl_gauss(p, q)
@@ -87,7 +90,7 @@ class TestMomentsGroundTruth:
     def test_non_finite_value_raises(self, monkeypatch):
         import scipy.special
         monkeypatch.setattr(scipy.special, "hyperu", lambda a, b, z: np.full(2, np.nan))
-        with pytest.raises(FloatingPointError, match=r"n=3, p=-2 not evaluated"):
+        with pytest.raises(NumericalError, match=r"n=3, p=-2 not evaluated"):
             moments_ground_truth(3, -2, samples=10**7, seed=0)
 
     @pytest.mark.parametrize("n", [2, 5, 10])
@@ -246,6 +249,29 @@ class TestRunUngm:
         assert payload["columns"][0] == "method"
         assert "wall_time_s" in payload["metadata"]
         assert payload["metadata"]["version"]
+
+    def test_filter_shape_bug_is_a_traceback_not_an_error_cell(self, tmp_path,
+                                                                monkeypatch):
+        # the growth model with a bug only the filter meets: its measurement
+        # returns two columns for more states than the smoke config's two
+        # seeds, which simulate_many steps at once
+        model = ungm_model()
+
+        def measurement(x, k):
+            y = model.measurement(x, k)
+            return np.column_stack([y, y]) if len(x) > 2 else y
+
+        monkeypatch.setattr(experiments, "ungm_model",
+                            lambda: dataclasses.replace(model, measurement=measurement))
+        shape_bug = r"noise covariance of shape \(1, 1\); expected a scalar or \(2, 2\)"
+        with pytest.raises(ValueError, match=shape_bug) as info:
+            run_ungm(self.smoke_config())
+        assert not isinstance(info.value, NumericalError)
+        out = tmp_path / "report.csv"
+        with pytest.raises(ValueError, match=shape_bug) as info:
+            main(["ungm", "--config", str(CONFIG_DIR / "ungm_smoke.json"), "--out", str(out)])
+        assert not isinstance(info.value, NumericalError)
+        assert not out.exists()
 
 
 class TestRunBot:
@@ -441,8 +467,9 @@ class TestBuildRule:
 
     @pytest.mark.parametrize("spec", [
         {"type": "hammersley", "count": 7},
+        {"type": "hammersley", "count": 3.0},
         {"type": "ut", "kappa": 1.0},
-    ], ids=["hammersley", "ut"])
+    ], ids=["hammersley", "hammersley-count-float", "ut"])
     def test_csv_points_read_back_what_points_writes(self, tmp_path, spec):
         config = write_config(tmp_path, {"experiment": "points", "dimension": 2,
                                          "points": spec})
@@ -471,18 +498,18 @@ class TestBuildRule:
                         "kernel": "classical"}, n=2)
 
     def test_boolean_count_rejected(self):
-        with pytest.raises(ConfigError, match="count must be a positive integer"):
+        with pytest.raises(ConfigError, match="count must be an integer >= 1, got True"):
             build_rule({"name": "x", "points": {"type": "hammersley", "count": True},
                         "kernel": "classical"}, n=2)
 
     def test_config_error_is_not_a_numerical_error(self):
-        assert not issubclass(ConfigError, experiments.NUMERICAL_ERRORS)
+        assert not issubclass(ConfigError, NumericalError)
 
     def test_weight_solve_failure_is_not_a_config_error(self, tmp_path):
         # a duplicated point makes the SE Gram matrix singular at zero jitter
         path = tmp_path / "pts.csv"
         path.write_text("xi1\n0.5\n0.5\n-1.0\n")
-        with pytest.raises(np.linalg.LinAlgError, match="raise the jitter"):
+        with pytest.raises(NumericalError, match="raise the jitter"):
             build_rule({"name": "dup", "points": {"type": "csv", "path": str(path)},
                         "kernel": {"type": "se"}}, n=1)
 
@@ -718,6 +745,8 @@ class TestCliCommands:
         (POINTS, {"points": {"type": "optimized", "count": 3, "jitter": -1.0}}, "0"),
         (TRANSFORM, {"function": 5}, "0"),
         (TRANSFORM, {"function": {"name": ["identity"]}}, "0"),
+        (POINTS, {"points": {"type": "hammersley", "count": 0}}, "0"),
+        (POINTS, {"points": {"type": "hammersley", "count": 2.5}}, "0"),
     ], ids=["dimension-string", "dimension-fraction", "dimension-bool", "kappa-string",
             "length-scale-negative", "length-scale-string", "ut-order-even",
             "jitter-string", "steps-string", "steps-zero", "seed-string",
@@ -732,7 +761,7 @@ class TestCliCommands:
             "cov-indefinite", "noise-cov-negative", "method-not-object",
             "dimensions-not-list", "exponents-not-list", "exponent-zero",
             "jitter-negative", "optimizer-jitter-negative", "function-number",
-            "function-name-list"])
+            "function-name-list", "count-zero", "count-fraction"])
     def test_bad_config_number_is_exit_1(self, tmp_path, capsys, monkeypatch,
                                          base, change, offset):
         monkeypatch.chdir(tmp_path)

@@ -1,3 +1,4 @@
+import dataclasses
 from dataclasses import fields
 
 import numpy as np
@@ -23,7 +24,7 @@ from gpquad.points import (
     symmetric5_points,
     ut_points,
 )
-from gpquad.quadrature import gpq_weights, matrix_sqrt
+from gpquad.quadrature import NumericalError, gpq_weights, matrix_sqrt
 
 
 # --- independent closed-form oracle -----------------------------------------
@@ -155,7 +156,7 @@ class TestUpdate:
     def test_degenerate_innovation_raises(self):
         pred = GaussianState(np.zeros(1), np.eye(1))
         rule = ut_points(1, 2.0)
-        with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
+        with pytest.raises(NumericalError, match="positive definite"):
             update(pred, rule, lambda x, k: 0.0 * x, np.zeros((1, 1)),
                    np.array([0.0]))
 
@@ -367,8 +368,8 @@ class TestBatchedRecursion:
         healthy = np.array([[[3.0]], [[5.0]]])
         run_filter(model, rule, healthy)
         ys = np.array([[[3.0], [1.0]], [[0.0], [1.0]], [[5.0], [1.0]]])
-        with pytest.raises(ValueError, match="time index 2: matrix is not PSD "
-                                             "for batch member 1") as alone:
+        with pytest.raises(NumericalError, match="time index 2: matrix is not PSD "
+                                                 "for batch member 1") as alone:
             run_filter(model, rule, ys)
         # in a group the UT stops alone, with the error it raises alone,
         # and Gauss-Hermite runs through
@@ -418,7 +419,7 @@ class TestBatchedRecursion:
 
     def test_matrix_sqrt_names_the_failing_member(self):
         stack = np.array([np.eye(2), np.eye(2), np.diag([1.0, -1.0])])
-        with pytest.raises(ValueError, match="not PSD for batch member 2"):
+        with pytest.raises(NumericalError, match="not PSD for batch member 2"):
             matrix_sqrt(stack)
         stack[1, 0, 1] = 0.5
         with pytest.raises(ValueError, match="asymmetric .* for batch member 1"):
@@ -427,7 +428,7 @@ class TestBatchedRecursion:
     def test_innovation_failure_names_member_and_min_eigenvalue(self):
         rule = ut_points(1, 2.0)
         covs = np.array([[[1.0]], [[0.0]]])
-        with pytest.raises(np.linalg.LinAlgError,
+        with pytest.raises(NumericalError,
                            match=r"^innovation covariance at step 3 not positive definite "
                                  r"for batch member 1 \(min eigenvalue 0\.000e\+00\)$"):
             filtering._update(rule.points.points, rule.weights, np.zeros((2, 1)), covs,
@@ -582,7 +583,7 @@ def squares_model(n, mean):
 
 
 def solo_error(model, rule, ys):
-    with pytest.raises(ValueError) as failure:
+    with pytest.raises(NumericalError) as failure:
         run_filter(model, rule, ys)
     return str(failure.value)
 
@@ -640,6 +641,34 @@ class TestFailingRules:
         for name in ARRAY_FIELDS:
             assert np.array_equal(getattr(out, name)[0], getattr(single, name))
             assert np.isnan(getattr(out, name)[1:, :, 1:]).all()
+
+    def test_single_rule_raises_the_error_it_stops_with_in_a_sequence(self):
+        model, rules, ys = failing_5d_group()
+        with pytest.raises(NumericalError) as alone:
+            run_filter(model, rules[1], ys)
+        assert type(alone.value) is NumericalError
+        assert run_filter(model, [rules[1]], ys).errors == (str(alone.value),)
+        assert run_filter(model, rules, ys).errors[1] == str(alone.value)
+
+    @pytest.mark.parametrize("bug,error,match", [
+        (lambda x: np.column_stack([x, x]), ValueError, r"noise covariance of shape \(1, 1\)"),
+        # numpy raises a bare LinAlgError for a shape error too
+        (lambda x: np.linalg.cholesky(np.ones((2, 3))), np.linalg.LinAlgError, "square"),
+    ], ids=["two-columns", "bare-lin-alg-error"])
+    def test_programming_error_raises_from_the_group_step(self, bug, error, match):
+        # a shape bug in the measurement of a scalar model propagates from
+        # the first update; no rule steps alone
+        calls = []
+
+        def measurement(x, k):
+            calls.append(k)
+            return bug(x)
+
+        model = dataclasses.replace(ungm_model(), measurement=measurement)
+        with pytest.raises(error, match=match) as info:
+            run_filter(model, [ut_points(1, 2.0), cubature_points(1)], np.zeros((2, 5, 1)))
+        assert not isinstance(info.value, NumericalError)
+        assert calls == [1]
 
     def test_every_rule_failing_leaves_all_nan_and_raises_nothing(self):
         # from a prior mean of 0 a UT with kappa < 0 predicts the variance

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import gpquad
 from gpquad.hermite import enumerate_indices
 from gpquad.kernels import SquaredExponentialKernel, make_gh_kernel, make_ut_kernel
 from gpquad.points import (
@@ -13,6 +14,7 @@ from gpquad.points import (
 )
 from gpquad.filtering import gp_transform
 from gpquad.quadrature import (
+    NumericalError,
     _cholesky_solve,
     _positive_definite,
     _spd_solve,
@@ -76,14 +78,14 @@ class TestGpqWeights:
 
     def test_singular_gram_advises_jitter(self):
         pts = UnitPointSet(np.zeros((2, 1)), "coincident")
-        with pytest.raises(np.linalg.LinAlgError, match="jitter"):
+        with pytest.raises(NumericalError, match="jitter"):
             gpq_weights(make_ut_kernel(1, 3), pts, jitter=0.0)
         rule = gpq_weights(make_ut_kernel(1, 3), pts, jitter=1e-8)
         assert np.all(np.isfinite(rule.weights))
 
     def test_singular_gram_names_the_minimum_eigenvalue(self):
         pts = UnitPointSet(np.zeros((2, 1)), "coincident")
-        with pytest.raises(np.linalg.LinAlgError,
+        with pytest.raises(NumericalError,
                            match=r"^quadrature weight system not positive definite "
                                  r"\(min eigenvalue .*\); numerically singular"):
             gpq_weights(make_ut_kernel(1, 3), pts, jitter=0.0)
@@ -174,15 +176,15 @@ class TestCholeskySolve:
         assert np.array_equal(x[[0, 2]], x_good[[0, 2]])
         message = (r"^big system not positive definite for batch member 1 "
                    r"\(min eigenvalue -\d\.\d{3}e[-+]\d+\)$")
-        with pytest.raises(np.linalg.LinAlgError, match=message):
+        with pytest.raises(NumericalError, match=message):
             raise failure()
-        with pytest.raises(np.linalg.LinAlgError, match=message):
+        with pytest.raises(NumericalError, match=message):
             _spd_solve(broken, rhs[..., None], "big system")
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_zero_pivot_names_the_weight_system(self, seed):
         pts = UnitPointSet(duplicate_point_set(seed), "duplicate")
-        with pytest.raises(np.linalg.LinAlgError,
+        with pytest.raises(NumericalError,
                            match=r"^quadrature weight system has an exactly zero pivot "
                                  r"after passing the Cholesky check; numerically "
                                  r"singular, raise the jitter to regularize$"):
@@ -195,13 +197,24 @@ class TestCholeskySolve:
         grams = kernel.gram(np.stack([good, duplicate_point_set(seed)]))
         message = (r"^some system has an exactly zero pivot for batch member 1 "
                    r"after passing the Cholesky check; numerically singular")
-        with pytest.raises(np.linalg.LinAlgError, match=message):
+        with pytest.raises(NumericalError, match=message):
             _spd_solve(grams, np.ones((2, 6, 1)), "some system")
         x, solved, failure = _spd_solve_members(grams, np.ones((2, 6)), "some system", "")
         assert solved.tolist() == [True, False]
         assert np.array_equal(x[0], np.linalg.solve(grams[0], np.ones(6)))
-        with pytest.raises(np.linalg.LinAlgError, match=message):
+        with pytest.raises(NumericalError, match=message):
             raise failure()
+
+
+class TestNumericalError:
+    def test_is_an_exported_lin_alg_error(self):
+        assert issubclass(NumericalError, np.linalg.LinAlgError)
+        assert gpquad.NumericalError is NumericalError
+
+    def test_numpy_shape_error_is_not_numerical(self):
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            np.linalg.cholesky(np.ones((2, 3)))
+        assert not isinstance(info.value, NumericalError)
 
 
 class TestGpqVariance:
@@ -253,7 +266,7 @@ class TestApplyRule:
     def test_non_finite_integrand_reports_point(self):
         rule = ut_points(1, 2.0)
         with np.errstate(divide="ignore", invalid="ignore"), \
-                pytest.raises(ValueError, match="sigma-point"):
+                pytest.raises(NumericalError, match="sigma-point"):
             gp_transform(rule, lambda x: np.log(x), np.zeros(1), np.eye(1), 0.0)
 
 
@@ -447,7 +460,7 @@ class TestMatrixSqrt:
         assert np.isnan(res.factor[1]).all()
 
     def test_indefinite_rejected(self):
-        with pytest.raises(ValueError, match="not PSD"):
+        with pytest.raises(NumericalError, match="not PSD"):
             matrix_sqrt(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
     def test_one_by_one_zero_member_falls_back(self):
@@ -458,8 +471,8 @@ class TestMatrixSqrt:
 
     def test_one_by_one_negative_member_rejected(self):
         stack = np.array([4.0, 1.0, -2.0])[:, None, None]
-        with pytest.raises(ValueError, match=r"^matrix is not PSD for batch member 2: "
-                                             r"smallest eigenvalue -2\.000e\+00$"):
+        with pytest.raises(NumericalError, match=r"^matrix is not PSD for batch member 2: "
+                                                 r"smallest eigenvalue -2\.000e\+00$"):
             matrix_sqrt(stack)
 
 
