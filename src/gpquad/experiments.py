@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .filtering import GaussianState, run_filter, run_smoother
+from .filtering import GaussianState, _noise_matrix, run_filter, run_smoother
 from .kernels import SquaredExponentialKernel, make_gh_kernel, make_ut_kernel
 # the studies call simulate_many; simulate stays importable from here
 # because bench/spans.py wraps experiments.simulate
@@ -47,8 +47,8 @@ from .points import (
     ut_points,
     OptimizerSettings,
 )
-from .quadrature import (NumericalError, _cholesky_solve, _not_positive_definite,
-                         _positive_definite, gpq_weights, matrix_sqrt)
+from .quadrature import (NumericalError, _checked_cov, _cholesky_solve,
+                         _not_positive_definite, _positive_definite, gpq_weights)
 
 __all__ = [
     "ConfigError",
@@ -117,15 +117,9 @@ def config_array(value, what: str, *shapes) -> np.ndarray:
 def config_cov(value, what: str, n: int, scalar: bool = False) -> np.ndarray:
     """A config value read as an (n, n) covariance, or with ``scalar`` also
     as a number s standing for s I: ``config_array``'s checks, then
-    ``matrix_sqrt``'s, which pass a singular PSD matrix, or ConfigError."""
+    ``_checked_cov``'s, which pass a singular PSD matrix, or ConfigError."""
     cov = config_array(value, what, *([()] if scalar else []), (n, n))
-    if cov.shape == ():
-        cov = cov * np.eye(n)
-    try:
-        matrix_sqrt(cov)
-    except ValueError as exc:
-        raise ConfigError(f"{what}: {exc}") from exc
-    return cov
+    return _checked_cov(_noise_matrix(cov, n), what, ConfigError)
 
 
 def config_list(value, what: str, read) -> list:
@@ -480,7 +474,7 @@ def _filtering_study(experiment: str, config: dict, model,
     built rules run as one group when padding every rule to the largest
     point count N_max at most doubles the sigma points (M N_max <= 2 sum N,
     M rules), and otherwise in groups of one point count, so a few large
-    rules do not make many small ones evaluate the model at padding
+    rules do not make many small ones carry the arithmetic of padding
     points.  Each group runs once, as one recursion over all trajectories
     (see ``run_filter``); a method whose filter fails stops alone, its
     error cell as it reads alone.  A smoother failure ends the study: it

@@ -16,15 +16,14 @@ model function sees the (B*N, n) sigma points of a whole step.  Rules of
 fewer points than the group's largest count N are padded to N with unit
 points at the origin of weight 0: a padded point sits at its member's
 mean and adds exact zeros to every weighted sum, so the member's numbers
-are those of its rule run alone, and the padded values never decide a
-failure.
+are those of its rule run alone.  A failing step is retaken rule by rule.
 
 Model functions are vectorized over the leading axis: ``f(X, k)`` maps an
 (N, n) batch of states at destination index k to (N, n), ``h(X, k)`` maps
 (N, n) to (N, d).  Noise covariances may be constant matrices or
 callables of the time index; a scalar s stands for s I.  ``gp_transform``
 is the same step for one Gaussian and an integrand ``g(X)`` vectorized
-the same way.
+the same way; it, ``predict`` and ``update`` reject a non-PSD noise.
 """
 
 from __future__ import annotations
@@ -35,7 +34,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .quadrature import NumericalError, QuadratureRule, _member, _spd_solve, matrix_sqrt
+from .quadrature import (NumericalError, QuadratureRule, _checked_cov, _member, _spd_solve,
+                         matrix_sqrt)
 
 __all__ = [
     "GaussianState",
@@ -104,8 +104,8 @@ class AdditiveStateSpaceModel:
 def _noise_matrix(cov, d: int) -> np.ndarray:
     """A noise covariance as a (d, d) matrix: a scalar s stands for s I_d.
 
-    Every noise covariance the transform, the filter steps and the model
-    take is read through here; a shape other than () or (d, d) raises.
+    Every noise covariance of the filter, its model and ``config_cov`` is
+    read through here; a shape other than () or (d, d) raises.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.shape == ():
@@ -176,15 +176,14 @@ def _match_moments(weights, deviations, values, noise_cov) -> TransformResult:
     return TransformResult(out_mean, out_cov, cross)
 
 
-def _transform(points, weights, fn, means, covs, noise_cov, k: int, padded=None):
+def _transform(points, weights, fn, means, covs, noise_cov, k: int):
     """Moment-match fn(x) + noise for a batch of Gaussians (B, n), (B, n, n).
 
     Member b re-centers the unit points ``points[b]`` (N, n) and weighs
     them with ``weights[b]`` (N,); a single (N, n) and (N,) rule serves
     every member.  The sigma points of all B members go through ``fn`` in
-    one (B*N, n) call; a (B*N,) result is read as d = 1.  ``padded`` (B, N)
-    marks zero-weight padding points, whose values are zeroed before a
-    non-finite check would count them.  Returns the batched
+    one (B*N, n) call; a (B*N,) result is read as d = 1, and a non-finite
+    value at any point, padding included, raises.  Returns the batched
     ``TransformResult`` of ``_match_moments``.
     """
     root = matrix_sqrt(covs).factor
@@ -193,24 +192,20 @@ def _transform(points, weights, fn, means, covs, noise_cov, k: int, padded=None)
     sigma_pts = (means[:, None, :] + deviations).reshape(batch * count, n)
     values = np.asarray(fn(sigma_pts, k), dtype=float).reshape(batch, count, -1)
     if not np.isfinite(values).all():
-        if padded is not None:
-            values = np.where(padded[:, :, None], 0.0, values)
         finite = np.isfinite(values).all(axis=(1, 2))
-        if not finite.all():
-            raise NumericalError("function returned non-finite values at the sigma-points"
-                                 + _member(int(np.argmin(finite)), batch))
+        raise NumericalError("function returned non-finite values at the sigma-points"
+                             + _member(int(np.argmin(finite)), batch))
     return _match_moments(weights, deviations, values, noise_cov)
 
 
-def _update(points, weights, means, covs, measurement, measurement_cov,
-            observations, k: int, padded=None):
+def _update(points, weights, means, covs, measurement, measurement_cov, observations, k: int):
     """Measurement update of a batch: predicted (B, n), (B, n, n) and
     observations (B, d) to filtered means and covariances, plus the
     innovation means, innovation covariances, cross covariances and gains;
-    ``points``, ``weights`` and ``padded`` are those of ``_transform``.
+    ``points`` and ``weights`` are those of ``_transform``.
     """
     innovation_means, innovation_covs, cross = _transform(
-        points, weights, measurement, means, covs, measurement_cov, k, padded)
+        points, weights, measurement, means, covs, measurement_cov, k)
     gain = _gain(cross, innovation_covs, f"innovation covariance at step {k}")
     means = means + (gain @ (observations - innovation_means)[:, :, None])[:, :, 0]
     covs = covs - gain @ innovation_covs @ gain.transpose(0, 2, 1)
@@ -231,13 +226,15 @@ def gp_transform(rule: QuadratureRule, g: Callable, mean, cov,
     """
     moments = _transform(rule.points.points, rule.weights, lambda x, k: g(x),
                          np.atleast_1d(np.asarray(mean, dtype=float))[None],
-                         np.atleast_2d(np.asarray(cov, dtype=float))[None], noise_cov, 0)
+                         np.atleast_2d(np.asarray(cov, dtype=float))[None],
+                         _checked_cov(noise_cov, "noise_cov"), 0)
     return TransformResult(*(moment[0] for moment in moments))
 
 
 def predict(state: GaussianState, rule: QuadratureRule, transition,
             process_cov, k: int = 0) -> GaussianState:
     """One prediction step: moment-match f(x) + q through the rule."""
+    process_cov = _checked_cov(_noise_matrix(process_cov, state.dimension), "process_cov")
     mean, cov, _ = _transform(rule.points.points, rule.weights, transition,
                               state.mean[None], state.cov[None], process_cov, k)
     return GaussianState(mean[0], cov[0])
@@ -254,18 +251,19 @@ def update(pred: GaussianState, rule: QuadratureRule, measurement,
     observation = np.atleast_1d(np.asarray(observation, dtype=float))
     mean, cov, *rest = _update(
         rule.points.points, rule.weights, pred.mean[None], pred.cov[None], measurement,
-        measurement_cov, observation[None], k)
+        _checked_cov(_noise_matrix(measurement_cov, len(observation)), "measurement_cov"),
+        observation[None], k)
     return (GaussianState(mean[0], cov[0]), *(value[0] for value in rest))
 
 
-def _filter_step(model, k: int, means, covs, points, weights, padded, observations):
+def _filter_step(model, k: int, means, covs, points, weights, observations):
     """Predict and update a batch to time index k: the step's seven
     ``FilterOutput`` arrays in field order."""
     pred_means, pred_covs, cross = _transform(
-        points, weights, model.transition, means, covs, model.q_cov(k), k, padded)
+        points, weights, model.transition, means, covs, model.q_cov(k), k)
     means, covs, mu, s_cov, _, _ = _update(
         points, weights, pred_means, pred_covs, model.measurement, model.r_cov(k),
-        observations, k, padded)
+        observations, k)
     return pred_means, pred_covs, means, covs, mu, s_cov, cross
 
 
@@ -283,8 +281,8 @@ def run_filter(model: AdditiveStateSpaceModel,
     weights, so its numbers are those of rule m run on trajectory s
     alone.  A rule of N < N_max points is padded with N_max - N unit
     points at the origin of weight 0; the model is evaluated there too,
-    at the member's mean, but a padded value adds exact zeros to the
-    sums and never counts as a non-finite value.  The caller decides
+    at the member's mean, and a padded value adds exact zeros to the
+    sums at the arithmetic cost of a point.  The caller decides
     whether that extra work pays (``_filtering_study`` pads only when it
     at most doubles the sigma points).  A length-T vector is accepted
     for scalar measurements.  The output's arrays carry the method axis
@@ -294,6 +292,8 @@ def run_filter(model: AdditiveStateSpaceModel,
     rule that raises alone stops, its ``errors`` entry that error's text
     with the time index, and the others step on with unchanged numbers; a
     single rule raises it.  Any other exception propagates at once.
+    Alone, rule m steps on its own unpadded points, so a model non-finite
+    at a member's mean but not at those points costs every rule a lone step.
     """
     single = isinstance(rule, QuadratureRule)
     rules = [rule] if single else list(rule)
@@ -323,7 +323,6 @@ def run_filter(model: AdditiveStateSpaceModel,
                                  for member, width in zip(rules, pad)]), size, axis=0)
     weights = np.repeat(np.stack([np.pad(member.weights, width)
                                   for member, width in zip(rules, pad)]), size, axis=0)
-    padded = np.repeat(np.arange(counts.max()) >= counts[:, None], size, axis=0)
     observations = np.tile(observations, (len(rules), 1, 1))
     n, d = model.state_dim, model.measurement_dim
     arrays = [np.full((batch, steps) + shape, np.nan)
@@ -333,21 +332,20 @@ def run_filter(model: AdditiveStateSpaceModel,
     errors, rows = [None] * len(rules), slice(None)  # output rows of the rules stepping
     for k in range(1, steps + 1):
         try:
-            step = _filter_step(model, k, means, covs, points, weights, padded,
-                                observations[:, k - 1])
+            step = _filter_step(model, k, means, covs, points, weights, observations[:, k - 1])
         except NumericalError:
             stepping = [m for m, error in enumerate(errors) if error is None]
             alone = {}
             for j, m in enumerate(stepping):
                 mine = slice(j * size, (j + 1) * size)
                 try:
-                    alone[m] = _filter_step(model, k, *(array[mine] for array in (
-                        means, covs, points, weights, padded, observations[:, k - 1])))
+                    alone[m] = _filter_step(model, k, means[mine], covs[mine],
+                                            rules[m].points.points, rules[m].weights,
+                                            observations[mine, k - 1])
                 except NumericalError as lone:
                     errors[m] = f"filter failed at time index {k}: {lone}"
             keep = np.repeat([m in alone for m in stepping], size)
-            points, weights, padded, observations = (
-                array[keep] for array in (points, weights, padded, observations))
+            points, weights, observations = points[keep], weights[keep], observations[keep]
             rows = np.flatnonzero(np.repeat([error is None for error in errors], size))
             if not alone:
                 break

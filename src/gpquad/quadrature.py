@@ -98,6 +98,16 @@ def matrix_sqrt(cov: np.ndarray) -> MatrixSqrtResult:
     return MatrixSqrtResult(factors.reshape(cov.shape), len(failed))
 
 
+def _checked_cov(cov, what: str, error: type[Exception] = ValueError):
+    """``cov``, a scalar s checked as s I, once ``matrix_sqrt`` passes it;
+    else ``error`` naming ``what``, a ValueError but no ``NumericalError``."""
+    try:
+        matrix_sqrt(np.reshape(cov, (1, 1)) if np.ndim(cov) == 0 else cov)
+    except ValueError as exc:
+        raise error(f"{what}: {exc}") from exc
+    return cov
+
+
 def _eigen_sqrt(matrix: np.ndarray, where: str) -> np.ndarray:
     """Symmetric square root with negative eigenvalues clipped to zero;
     raises when the matrix is not PSD to within rounding."""
@@ -212,43 +222,40 @@ _Failure = Callable[[], NumericalError]
 
 
 def _spd_solve_members(stack: np.ndarray, rhs: np.ndarray, context: str,
-                       advice: str) -> tuple[np.ndarray, np.ndarray, _Failure | None]:
+                       advice: str) -> tuple[np.ndarray, _Failure | None]:
     """Solve ``stack[b] @ x[b] = rhs[b]`` for each SPD member of (B, m, m).
 
     ``rhs`` is (B, m) or (B, m, k).  When every member passes Cholesky,
     ``_cholesky_solve`` solves the stack on the batched factors.  A member
     that is not positive definite, or that passes Cholesky and meets an
     exactly zero pivot in the solve, gets a NaN solution and does not
-    disturb the others.  Returns x shaped as ``rhs``, the (B,) mask of
-    solved members (True, which broadcasts as one, when all are) and None
-    or the builder of the error a lone failed member raises:
-    ``_not_positive_definite``'s, or else ``_zero_pivot``'s for the first
-    member that met one.
+    disturb the others.  Returns x shaped as ``rhs`` and None or the
+    builder of the failure's error: ``_not_positive_definite``'s, else
+    ``_zero_pivot``'s for the first member that met one.
     """
     b = rhs if rhs.ndim == stack.ndim else rhs[..., None]  # (B, m, k)
-    factors, solved = _positive_definite(stack)
-    if solved is None:
+    factors, passed = _positive_definite(stack)
+    if passed is None:
         try:
-            return _cholesky_solve(stack, factors, b).reshape(rhs.shape), np.True_, None
+            return _cholesky_solve(stack, factors, b).reshape(rhs.shape), None
         except np.linalg.LinAlgError:
-            solved = np.ones(len(stack), dtype=bool)
-    failure = None if solved.all() else partial(
-        _not_positive_definite, context, stack, int(np.argmin(solved)), advice)
+            passed = np.ones(len(stack), dtype=bool)
+    failure = None if passed.all() else partial(
+        _not_positive_definite, context, stack, int(np.argmin(passed)), advice)
     x = np.full(b.shape, np.nan)
-    for index in np.flatnonzero(solved):
+    for index in np.flatnonzero(passed):
         try:
             x[index] = _cholesky_solve(stack[index], factors[index], b[index])
         except np.linalg.LinAlgError:
-            solved[index] = False
             failure = failure or partial(_zero_pivot, context, index, len(stack))
-    return x.reshape(rhs.shape), solved, failure
+    return x.reshape(rhs.shape), failure
 
 
 def _spd_solve(stack: np.ndarray, rhs: np.ndarray, context: str,
                advice: str = "") -> np.ndarray:
     """``_spd_solve_members``' solution; raises the error it builds when a
     member failed."""
-    x, _, failure = _spd_solve_members(stack, rhs, context, advice)
+    x, failure = _spd_solve_members(stack, rhs, context, advice)
     if failure is not None:
         raise failure()
     return x
@@ -295,7 +302,7 @@ def _flat_deflated_solve(gram_inc, emb_scale, emb_inc, output_scale2):
     rhs_scale = emb_scale  # the s^2 factor cancels between K and q
     b_u = rhs_scale * (np.sqrt(n_pts) + _dot(u, emb_inc))
     b_c = rhs_scale[:, None] * _matvec(complement.T, emb_inc)
-    beta, _, failure = _spd_solve_members(
+    beta, failure = _spd_solve_members(
         schur, b_c - coupling * (b_u / pivot)[:, None],
         "deflated weight system", _SINGULAR_ADVICE)
     alpha = (b_u - _dot(coupling, beta)) / pivot
@@ -347,12 +354,12 @@ def _solve_weight_system(kernel, points: np.ndarray, jitter: float) -> _WeightSy
             is_flat = np.abs(gram_inc).max(axis=(1, 2)) < FLAT_INCREMENT_THRESHOLD
             flat, gram_inc = np.flatnonzero(near)[is_flat], gram_inc[is_flat]
     if not len(flat):
-        weights, _, failure = _spd_solve_members(
+        weights, failure = _spd_solve_members(
             gram, q, "quadrature weight system", _SINGULAR_ADVICE)
     else:
         weights = np.empty((len(stack), count))
         plain = np.delete(np.arange(len(stack)), flat)
-        weights[plain], _, failure = _spd_solve_members(
+        weights[plain], failure = _spd_solve_members(
             gram[plain], q[plain], "quadrature weight system", _SINGULAR_ADVICE)
         s2 = gram[flat, 0, 0]  # the diagonal value s^2
         weights[flat], q[flat], flat_failure = _flat_deflated_solve(

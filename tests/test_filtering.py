@@ -9,6 +9,7 @@ from gpquad.filtering import (
     AdditiveStateSpaceModel,
     FilterOutput,
     GaussianState,
+    gp_transform,
     predict,
     run_filter,
     run_smoother,
@@ -684,6 +685,19 @@ class TestFailingRules:
         for array in [getattr(out, name) for name in ARRAY_FIELDS] + [means, covs]:
             assert np.isnan(array).all()
 
+    def test_padded_rule_is_retried_alone_on_the_lapack_path(self):
+        # the 10-point cubature rule is padded to 11; when the UT with
+        # kappa = -4.5 stops at time index 2, it takes that step alone
+        model, _, ys = failing_5d_group()
+        rules = [cubature_points(5), ut_points(5, -4.5), ut_points(5, 2.0)]
+        out = run_filter(model, rules, ys)
+        smoothed = run_smoother(model, rules, out)
+        error = solo_error(model, rules[1], ys)
+        assert error.startswith("filter failed at time index 2: ")
+        assert out.errors == (None, error, None)
+        for index in (0, 2):
+            assert_rule_equals_solo(model, out, smoothed, index, rules[index], ys)
+
     def test_smoother_smooths_the_rules_that_ran_through(self):
         model, rules, ys = failing_5d_group()
         means, covs = run_smoother(model, rules, run_filter(model, rules, ys))
@@ -728,6 +742,27 @@ class TestNoiseCovariances:
         with pytest.raises(ValueError, match="noise covariance of shape"):
             predict(GaussianState(np.zeros(2), np.eye(2)), cubature_points(2),
                     lambda x, k: x, cov)
+
+    @pytest.mark.parametrize("call,what", [
+        (lambda: gp_transform(ut_points(1, 2.0), lambda x: x, 0.0, 1.0, -5.0), "noise_cov"),
+        (lambda: predict(GaussianState(np.zeros(1), np.eye(1)), ut_points(1, 2.0),
+                         lambda x, k: x, -5.0), "process_cov"),
+        (lambda: update(GaussianState(np.zeros(1), np.eye(1)), ut_points(1, 2.0),
+                        lambda x, k: x, -0.5, np.zeros(1)), "measurement_cov"),
+    ], ids=["gp_transform", "predict", "update"])
+    def test_negative_noise_is_rejected(self, call, what):
+        # unchecked, these give the variances -4, -4 and -1
+        with pytest.raises(ValueError, match=f"^{what}: matrix is not PSD: smallest "
+                                             r"eigenvalue -\d") as info:
+            call()
+        assert not isinstance(info.value, NumericalError)
+
+    def test_asymmetric_noise_is_rejected(self):
+        # unchecked, the off-diagonal would be symmetrized to 0.4
+        with pytest.raises(ValueError, match="^noise_cov: matrix is asymmetric") as info:
+            gp_transform(cubature_points(2), lambda x: x, np.zeros(2), np.eye(2),
+                         np.array([[1.0, 0.8], [0.0, 1.0]]))
+        assert not isinstance(info.value, NumericalError)
 
 
 class TestGaussianStateValidation:
