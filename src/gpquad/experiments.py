@@ -1,9 +1,9 @@
 """Experiment harness behind the CLI: configs, methods, studies, reports.
 
-A method is a (point-set spec, weighting spec, jitter) triple resolved
-into a quadrature rule: the point-set spec gives a rule with the
-classical weights of its generator (uniform 1/N for random, Hammersley,
-optimized and CSV sets); ``"classical"`` keeps them, a kernel spec
+Every config object is read through the key table of its level by
+``config_fields``.  A method's point spec gives a rule with the classical
+weights of its generator (uniform 1/N for random, Hammersley, optimized
+and CSV sets); its kernel ``"classical"`` keeps them, a kernel spec
 solves for GP-quadrature weights on the same points.  The studies are
 
 * ``run_moments`` -- KL divergence of each method's (mean, variance)
@@ -24,6 +24,7 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,11 +53,7 @@ from .quadrature import (NumericalError, _checked_cov, _cholesky_solve,
 
 __all__ = [
     "ConfigError",
-    "config_int",
-    "config_float",
-    "config_array",
-    "config_cov",
-    "config_list",
+    "config_fields",
     "Report",
     "kl_gauss",
     "build_rule",
@@ -74,28 +71,24 @@ class ConfigError(Exception):
     study never turns it into an error cell."""
 
 
-def config_int(value, what: str, minimum: int | None = None,
-               maximum: int | None = None) -> int:
+def config_int(value, what: str, minimum: int | None = None) -> int:
     """A config value read as an int; a bool, a non-number, a fractional
-    number or one outside [``minimum``, ``maximum``] raises ConfigError
-    naming ``what``."""
+    number or one below ``minimum`` raises ConfigError naming ``what``."""
     integral = (isinstance(value, int) and not isinstance(value, bool)) or (
         isinstance(value, float) and value.is_integer())
-    if (not integral or (minimum is not None and value < minimum)
-            or (maximum is not None and value > maximum)):
-        bounds = " and ".join(f"{sign} {limit}" for sign, limit
-                              in ((">=", minimum), ("<=", maximum)) if limit is not None)
-        raise ConfigError(f"{what} must be an integer{' ' + bounds if bounds else ''}, "
-                          f"got {value!r}")
+    if not integral or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"{what} must be an integer{bound}, got {value!r}")
     return int(value)
 
 
-def config_float(value, what: str) -> float:
-    """A config value read as a float; a bool, a non-number or a non-finite
-    number raises ConfigError naming ``what``."""
+def config_float(value, what: str, minimum: float | None = None) -> float:
+    """A config value read as a float; a bool, a non-number, a non-finite
+    number or one below ``minimum`` raises ConfigError naming ``what``."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
-        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+            or not math.isfinite(value) or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"{what} must be a finite number{bound}, got {value!r}")
     return float(value)
 
 
@@ -124,11 +117,73 @@ def config_cov(value, what: str, n: int, scalar: bool = False) -> np.ndarray:
 
 def config_list(value, what: str, read) -> list:
     """A config value read as a non-empty list, item i through
-    ``read(item, f"{what} item {i}")``; anything else raises ConfigError
+    ``read(item, what=f"{what} item {i}")``; anything else raises ConfigError
     naming ``what``."""
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{what} must be a non-empty list, got {value!r}")
-    return [read(item, f"{what} item {i}") for i, item in enumerate(value)]
+    return [read(item, what=f"{what} item {i}") for i, item in enumerate(value)]
+
+
+REQUIRED = object()  # the default of a key its config object must hold
+
+
+class TypeTable(NamedTuple):
+    """A config level whose ``key`` names its type: ``types`` maps each type
+    to (its other keys' table, its builder of n and their fields)."""
+
+    key: str
+    noun: str
+    types: dict
+
+
+def config_fields(value, table, what: str):
+    """A config object read through its level's ``table``, which maps each
+    key it may hold to (reader, default): a held key reads as
+    ``reader(item, what=f"{what}: {key}")``, a missing one as the default;
+    ``REQUIRED`` makes it required.  Through a ``TypeTable`` the result is
+    the type's builder with its fields bound.  A non-object, a key not in
+    the table, a missing required key or an unknown type raises
+    ConfigError naming ``what`` and the keys or types allowed."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be an object, got {value!r}")
+    if isinstance(table, TypeTable):
+        kind = value.get(table.key)
+        if not isinstance(kind, str) or kind not in table.types:
+            raise ConfigError(f"{what}: unknown {table.noun} {kind!r}; "
+                              f"choose from {', '.join(table.types)}")
+        keys, build = table.types[kind]
+        fields = config_fields(value, {table.key: (_any, REQUIRED), **keys}, what)
+        del fields[table.key]
+        return partial(build, **fields)
+    unknown = [key for key in value if key not in table]
+    if unknown:
+        raise ConfigError(f"{what}: unknown key {unknown[0]!r}; "
+                          f"allowed keys: {', '.join(table)}")
+    fields = {key: read(value[key], what=f"{what}: {key}") if key in value else default
+              for key, (read, default) in table.items()}
+    missing = [key for key, field in fields.items() if field is REQUIRED]
+    if missing:
+        raise ConfigError(f"{what}: missing required key {missing[0]!r}")
+    return fields
+
+
+def command_fields(config: dict, table: dict, command: str) -> dict:
+    """The top level of a ``command``'s config read through ``table``; an
+    'experiment' key, when present, must name the command."""
+    fields = config_fields(config, {"experiment": (_any, command), **table}, "config")
+    if fields["experiment"] != command:
+        raise ConfigError(f"config: experiment {fields['experiment']!r} is not '{command}'")
+    return fields
+
+
+def _any(value, what: str):
+    return value
+
+
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{what} must be a string, got {value!r}")
+    return value
 
 
 @dataclass
@@ -142,16 +197,11 @@ class Report:
         error_col = self.columns.index("error")
         return bool(self.rows) and all(r[error_col] != "" for r in self.rows)
 
-    def _format_cell(self, cell) -> str:
-        if isinstance(cell, str):
-            return cell
-        if isinstance(cell, (int, np.integer)):
-            return str(int(cell))
-        return FLOAT_FORMAT % float(cell)
-
     def to_csv(self) -> str:
+        # an integer cell (a dimension or an exponent) prints as one
         lines = [",".join(self.columns)]
-        lines += [",".join(self._format_cell(c) for c in row) for row in self.rows]
+        lines += [",".join(c if isinstance(c, str) else FLOAT_FORMAT % c for c in row)
+                  for row in self.rows]
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -186,140 +236,151 @@ def kl_gauss(p: GaussianState, q: GaussianState) -> float:
 
 
 # ---------------------------------------------------------------------------
-# method resolution
-
-
-def _require(mapping, key, context):
-    if key not in mapping:
-        raise ConfigError(f"{context}: missing required field '{key}'")
-    return mapping[key]
-
-
-def _point_count(spec, n: int, context: str) -> int:
-    raw = _require(spec, "count", context)
-    return 2 * n if raw == "2n" else config_int(raw, f"{context}: count", minimum=1)
+# method resolution: a point spec reads as its rule's builder for dimension
+# n; a generated set's gives the builder of a rule with uniform 1/N weights
+# (plain (quasi) Monte Carlo), which looks up and runs the generator
 
 
 def _uniform(points: UnitPointSet) -> QuadratureRule:
     return QuadratureRule(points, np.full(points.count, 1.0 / points.count))
 
 
-def _point_rule(spec: dict, n: int):
-    """A rule from its point spec, with its generator's classical weights;
-    for a set without them (Hammersley, random, optimized) the builder of
-    a rule with uniform 1/N weights (plain (quasi) Monte Carlo), which
-    runs the generator.  A ``csv`` file holds one column per dimension
-    under a header line, optionally followed by a ``weight`` column whose
-    values become the weights, else uniform ones."""
-    context = f"point spec {spec!r}"
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ConfigError(f"{context}: expected an object with a 'type' field")
-    kind = spec["type"]
-    if kind == "ut":
-        return ut_points(n, config_float(spec.get("kappa", 2.0), f"{context}: kappa"))
-    if kind == "cubature":
-        return cubature_points(n)
-    if kind == "symmetric5":
-        return symmetric5_points(n)
-    if kind == "gauss-hermite":
-        return gauss_hermite_points(
-            n, config_int(_require(spec, "order", context), f"{context}: order"))
-    if kind == "hammersley":
-        generate = partial(hammersley_points, n, _point_count(spec, n, context))
-    elif kind == "random":
-        seed = config_int(spec.get("seed", 0), f"{context}: seed", minimum=0)
-        generate = partial(random_points, n, _point_count(spec, n, context), seed)
-    elif kind == "optimized":
-        kernel = _kernel(
-            spec.get("kernel", {"type": "se", "output_scale": 1.0, "length_scale": 1.0}),
-            n)
-        settings = OptimizerSettings(
-            restarts=config_int(spec.get("restarts", 5), f"{context}: restarts"),
-            jitter=config_float(spec.get("jitter", 0.0), f"{context}: jitter"),
-        )
-        seed = config_int(spec.get("seed", 0), f"{context}: seed", minimum=0)
-        count = _point_count(spec, n, context)
-        _check_optimizer_size(n, count)
-        generate = partial(optimize_points, kernel, n, count, seed, settings)
-    elif kind == "csv":
-        path = _require(spec, "path", context)
-        if not isinstance(path, str) or not Path(path).is_file():
-            raise ConfigError(f"{context}: no such file {path!r}")
-        path = Path(path)
-        with path.open() as handle:
-            last_column = handle.readline().strip().split(",")[-1]
-            table = np.loadtxt(handle, delimiter=",", ndmin=2)
-        # what `gpq points` writes: the points, then the rule's weights
-        weighted = table.shape[1] == n + 1 and last_column == "weight"
-        if table.shape[1] != n and not weighted:
-            raise ConfigError(f"{context}: {path} has {table.shape[1]} columns, "
-                              f"expected one per dimension ({n}), "
-                              "optionally followed by 'weight'")
-        points = UnitPointSet(table[:, :n], f"csv({path.name})")
-        return QuadratureRule(points, table[:, n]) if weighted else _uniform(points)
-    else:
-        raise ConfigError(f"{context}: unknown point set type '{kind}'")
-    return lambda: _uniform(generate())
+def _count(value, what: str):
+    """A generated set's size as a function of n: an integer >= 1, or "2n"."""
+    count = None if value == "2n" else config_int(value, what, minimum=1)
+    return lambda n: count or 2 * n
 
 
-def _kernel(spec, n: int):
-    """A kernel from its spec; None for 'classical'."""
-    if spec == "classical":
-        return None
-    context = f"kernel spec {spec!r}"
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ConfigError(f"{context}: expected 'classical' or an object with 'type'")
-    kind = spec["type"]
-    if kind == "se":
-        return SquaredExponentialKernel(**{
-            key: config_float(spec.get(key, 1.0), f"{context}: {key}")
-            for key in ("output_scale", "length_scale")})
-    if kind == "ut-hermite":
-        return make_ut_kernel(n, config_int(spec.get("order", 3), f"{context}: order"))
-    if kind == "gh-hermite":
-        return make_gh_kernel(n, config_int(spec.get("order"), f"{context}: order"))
-    raise ConfigError(f"{context}: unknown kernel type '{kind}'")
+def _optimized(n: int, count, seed: int, kernel, restarts: int, jitter: float):
+    kernel, count = kernel(n), count(n)
+    settings = OptimizerSettings(restarts=restarts, jitter=jitter)
+    _check_optimizer_size(n, count)
+    return lambda: _uniform(optimize_points(kernel, n, count, seed, settings))
 
 
-def _resolve(method: dict, n: int) -> tuple:
-    """A method spec for dimension n checked without numerics, as the
-    (rule, kernel, jitter) triple ``build_rule`` takes, a generated set's
-    rule as its builder.  A spec that cannot be resolved, a generator's or
-    kernel's ``ValueError`` included, raises ConfigError naming the method."""
-    context = f"method {method.get('name', '?')!r}"
+def _csv_rule(n: int, path: str) -> QuadratureRule:
+    """A rule from a CSV file of one column per dimension under a header
+    line, optionally followed by a ``weight`` column whose values become
+    the weights, else uniform ones."""
+    path = Path(path)
+    with path.open() as handle:
+        last_column = handle.readline().strip().split(",")[-1]
+        table = np.loadtxt(handle, delimiter=",", ndmin=2)
+    # what `gpq points` writes: the points, then the rule's weights
+    weighted = table.shape[1] == n + 1 and last_column == "weight"
+    if table.shape[1] != n and not weighted:
+        raise ConfigError(f"{path} has {table.shape[1]} columns, "
+                          f"expected one per dimension ({n}), "
+                          "optionally followed by 'weight'")
+    points = UnitPointSet(table[:, :n], f"csv({path.name})")
+    return QuadratureRule(points, table[:, n]) if weighted else _uniform(points)
+
+
+KERNEL_TYPES = TypeTable("type", "kernel type", {
+    "se": ({"output_scale": (config_float, 1.0), "length_scale": (config_float, 1.0)},
+           lambda n, **scales: SquaredExponentialKernel(**scales)),
+    "ut-hermite": ({"order": (config_int, 3)}, make_ut_kernel),
+    "gh-hermite": ({"order": (config_int, REQUIRED)}, make_gh_kernel),
+})
+_KERNEL = partial(config_fields, table=KERNEL_TYPES)
+_COUNT, _SEED = (_count, REQUIRED), (partial(config_int, minimum=0), 0)
+POINT_TYPES = TypeTable("type", "point set type", {
+    "ut": ({"kappa": (config_float, 2.0)}, ut_points),
+    "cubature": ({}, cubature_points),
+    "symmetric5": ({}, symmetric5_points),
+    "gauss-hermite": ({"order": (config_int, REQUIRED)}, gauss_hermite_points),
+    "hammersley": ({"count": _COUNT},
+                   lambda n, count: lambda: _uniform(hammersley_points(n, count(n)))),
+    "random": ({"count": _COUNT, "seed": _SEED},
+               lambda n, count, seed: lambda: _uniform(random_points(n, count(n), seed))),
+    "optimized": ({"count": _COUNT, "seed": _SEED,
+                   "kernel": (_KERNEL, KERNEL_TYPES.types["se"][1]),
+                   "restarts": (config_int, 5), "jitter": (config_float, 0.0)}, _optimized),
+    "csv": ({"path": (_string, REQUIRED)}, _csv_rule),
+})
+
+
+def _kernel(value, what: str):
+    """A method's kernel: None for "classical", else its spec's builder."""
+    return None if value == "classical" else config_fields(value, KERNEL_TYPES, what)
+
+
+_POINTS = (partial(config_fields, table=POINT_TYPES), REQUIRED)
+_JITTER = (partial(config_float, minimum=0.0), 0.0)
+METHOD = {"name": (_string, REQUIRED), "points": _POINTS, "kernel": (_kernel, None),
+          "jitter": _JITTER}
+
+
+def _methods(value, what: str) -> list[dict]:
+    methods = config_list(value, what, partial(config_fields, table=METHOD))
+    names = [method["name"] for method in methods]
+    if len(set(names)) != len(names):
+        raise ConfigError(f"{what}: method names must be unique")
+    return methods
+
+
+def resolve_rule(n: int, points, kernel=None, jitter: float = 0.0, name=None) -> tuple:
+    """The (rule, kernel, jitter) triple ``build_rule`` takes, resolved for
+    dimension n without numerics; a builder's ConfigError, ``ValueError``
+    or ``OSError`` (an unreadable CSV file) raises ConfigError naming the
+    method, or the config if it has no name."""
     try:
-        rule = _point_rule(method.get("points"), n)
-        kernel = _kernel(method.get("kernel", "classical"), n)
-    except (ConfigError, ValueError) as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
-    jitter = config_float(method.get("jitter", 0.0), f"{context}: jitter")
-    if jitter < 0:
-        raise ConfigError(f"{context}: jitter must be >= 0, got {jitter!r}")
-    return rule, kernel, jitter
+        return points(n), kernel and kernel(n), jitter
+    except (ConfigError, OSError, ValueError) as exc:
+        what = "config" if name is None else f"method {name!r}"
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def build_rule(method: dict | tuple, n: int) -> QuadratureRule:
     """The rule of a method spec for dimension n, or of the triple a study
     resolved it into before any numerics; the optimizer's and the weight
     solve's failures are numerical and raise as they are."""
-    rule, kernel, jitter = method if isinstance(method, tuple) else _resolve(method, n)
+    if isinstance(method, dict):
+        method = resolve_rule(n, **config_fields(method, METHOD, "method"))
+    rule, kernel, jitter = method
     rule = rule() if callable(rule) else rule
     return rule if kernel is None else gpq_weights(kernel, rule.points, jitter)
 
 
-def _method_spec(value, what: str) -> dict:
-    if not isinstance(value, dict) or not isinstance(value.get("name"), str):
-        raise ConfigError(f"{what} must be an object with a string 'name', "
-                          f"got {value!r}")
-    return value
+# ---------------------------------------------------------------------------
+# the rule commands: gpq points, weights and transform
+
+# integrands vectorized over the (N, n) sigma points, as gp_transform takes
+# them: each name's builder gives (g, d), d the output dimension, given n
+_FUNCTIONS = TypeTable("name", "function", {
+    "identity": ({}, lambda n: (lambda x: x, n)),
+    "componentwise-square": ({}, lambda n: (lambda x: x ** 2, n)),
+    "radial-power": ({"exponent": (config_int, 1)},
+                     lambda n, exponent: (moment_integrand(exponent)[0], 1)),
+    "ungm-transition": ({"k": (config_int, 1)},
+                        lambda n, k: (partial(ungm_model().transition, k=k), n)),
+    "ungm-measurement": ({}, lambda n: (partial(ungm_model().measurement, k=0), n)),
+})
 
 
-def _validated_methods(config) -> list[dict]:
-    methods = config_list(config.get("methods"), "config: 'methods'", _method_spec)
-    names = [m["name"] for m in methods]
-    if len(set(names)) != len(names):
-        raise ConfigError("method names must be unique")
-    return methods
+def _function(value, what: str):
+    """A transform's function: its name alone, or an object naming it."""
+    return config_fields({"name": value} if isinstance(value, str) else value,
+                         _FUNCTIONS, what)
+
+
+# each command's top-level key table; a transform's arrays, whose shapes
+# depend on the dimension, read as functions of it
+_DIMENSION = (partial(config_int, minimum=1), REQUIRED)
+RULE_COMMANDS = {
+    "points": {"dimension": _DIMENSION, "points": _POINTS},
+    "weights": {"dimension": _DIMENSION, "points": _POINTS,
+                "kernel": (_KERNEL, REQUIRED), "jitter": _JITTER},
+    "transform": {
+        "dimension": _DIMENSION,
+        "method": (partial(config_fields, table=METHOD), REQUIRED),
+        "function": (_function, _FUNCTIONS.types["identity"][1]),
+        "mean": (lambda value, what: lambda n: config_array(value, what, (n,)), np.zeros),
+        "cov": (lambda value, what: partial(config_cov, value, what), np.eye),
+        "noise_cov": (lambda value, what: partial(config_cov, value, what, scalar=True),
+                      lambda d: np.zeros((d, d))),
+    },
+}
 
 
 # ---------------------------------------------------------------------------
@@ -357,25 +418,34 @@ def _rounding_bound(weights: np.ndarray, values: np.ndarray) -> float:
     return len(weights) * np.finfo(float).eps * float(np.abs(weights) @ np.abs(values))
 
 
+def _exponents(value, what: str) -> list[int]:
+    exponents = config_list(value, what, config_int)
+    if 0 in exponents:  # y = 1 has variance zero: no KL divergence to it
+        raise ConfigError(f"{what} must be non-zero")
+    return exponents
+
+
+_IGNORED = ("mc_samples", "mc_seed", "cache_dir")
+_MOMENTS = {
+    "methods": (_methods, REQUIRED),
+    "dimensions": (partial(config_list, read=partial(config_int, minimum=1)), REQUIRED),
+    "exponents": (_exponents, REQUIRED),
+    # accepted and ignored; passed on as moments_ground_truth's ignored arguments
+    **dict(zip(_IGNORED, ((_any, 10**7), (_any, 0), (_any, None)))),
+}
+
+
 def run_moments(config: dict) -> Report:
     """Per-method KL divergence of moment estimates across (n, p) cells."""
-    methods = _validated_methods(config)
-    dims = config_list(config.get("dimensions"), "config: 'dimensions'",
-                       partial(config_int, minimum=1))
-    exponents = config_list(config.get("exponents"), "config: 'exponents'", config_int)
-    if 0 in exponents:  # y = 1 has variance zero: no KL divergence to it
-        raise ConfigError("config: 'exponents' must be non-zero")
-    resolved = {n: {m["name"]: _resolve(m, n) for m in methods} for n in dims}
-    # accepted and ignored; passed on as moments_ground_truth's ignored arguments
-    samples = config.get("mc_samples", 10**7)
-    mc_seed = config.get("mc_seed", 0)
-    cache_dir = config.get("cache_dir")
+    fields = command_fields(config, _MOMENTS, "moments")
+    methods, dims, exponents = fields["methods"], fields["dimensions"], fields["exponents"]
+    resolved = {n: {m["name"]: resolve_rule(n, **m) for m in methods} for n in dims}
 
     start = time.time()
     report = Report(
         experiment="moments",
         columns=["method", "dimension", "exponent", "kl", "mean", "variance", "error"],
-        metadata=_metadata(config),
+        metadata={"config": config, "version": __version__},
     )
     relative_errors = []
     for n in dims:
@@ -387,7 +457,7 @@ def run_moments(config: dict) -> Report:
                 rules[name] = exc
         for exponent in exponents:
             truth_mean, truth_var = moments_ground_truth(
-                n, exponent, samples, mc_seed, cache_dir)
+                n, exponent, *(fields[key] for key in _IGNORED))
             truth = GaussianState(np.array([truth_mean]),
                                   np.array([[truth_var]]))
             y_fn, y2_fn = moment_integrand(exponent)
@@ -406,23 +476,17 @@ def run_moments(config: dict) -> Report:
                     "mean": est_mean / truth_mean - 1.0,
                     "variance": est_var / truth_var - 1.0,
                 })
-                if not np.isfinite(est_var) or est_var <= _rounding_bound(rule.weights, y2):
-                    report.rows.append([
-                        name, n, exponent, "", est_mean, est_var,
-                        "non-positive variance estimate",
-                    ])
-                    continue
-                divergence = kl_gauss(
-                    GaussianState(np.array([est_mean]), np.array([[est_var]])),
-                    truth)
-                report.rows.append([name, n, exponent, divergence,
-                                    est_mean, est_var, ""])
+                if np.isfinite(est_var) and est_var > _rounding_bound(rule.weights, y2):
+                    divergence, error = kl_gauss(GaussianState(
+                        np.array([est_mean]), np.array([[est_var]])), truth), ""
+                else:
+                    divergence, error = "", "non-positive variance estimate"
+                report.rows.append([name, n, exponent, divergence, est_mean, est_var, error])
     report.metadata["wall_time_s"] = time.time() - start
     report.metadata["kl_direction"] = "KL(estimate || truth)"
     report.metadata["ground_truth"] = {
         "method": "closed form, DLMF 13.4.4",
-        "ignored_keys": [key for key in ("mc_samples", "mc_seed", "cache_dir")
-                         if key in config],
+        "ignored_keys": [key for key in _IGNORED if key in config],
     }
     report.metadata["relative_error"] = relative_errors
     return report
@@ -454,45 +518,41 @@ def _group_rows(names, rules, model, measurements, truth, components) -> list:
         if error:
             rows.append(_error_row(name, error))
             continue
-        filter_rmses = _rmse(filtered, truth, components)
-        smoother_rmses = _rmse(smoothed, truth, components)
-        rows.append([
-            name,
-            float(np.mean(filter_rmses)), float(np.std(filter_rmses)),
-            float(np.mean(smoother_rmses)), float(np.std(smoother_rmses)),
-            "",
-        ])
+        rmses = [_rmse(estimates, truth, components) for estimates in (filtered, smoothed)]
+        rows.append([name, *(float(f(rmse)) for rmse in rmses for f in (np.mean, np.std)), ""])
     return rows
 
 
-def _filtering_study(experiment: str, config: dict, model,
-                     components, default_steps: int = 500) -> Report:
-    """Filter/smoother RMSE rows, one per method in config order.
+def _filtering_study(experiment: str, config: dict, seed_offset: int, make_model,
+                     components, **table) -> Report:
+    """Filter/smoother RMSE rows, one per method in config order, on the
+    model ``make_model`` builds from the config's fields; ``table`` adds
+    top-level keys, and ``seed_offset`` is added to every seed.
 
-    Every method spec is resolved before any numerics, a ConfigError ending
-    the study; a numerical build failure is that method's error row.  The
-    built rules run as one group when padding every rule to the largest
-    point count N_max at most doubles the sigma points (M N_max <= 2 sum N,
-    M rules), and otherwise in groups of one point count, so a few large
-    rules do not make many small ones carry the arithmetic of padding
-    points.  Each group runs once, as one recursion over all trajectories
-    (see ``run_filter``); a method whose filter fails stops alone, its
-    error cell as it reads alone.  A smoother failure ends the study: it
-    needs a predicted covariance that passed the filter only by the eigen
-    square root, which no shipped config reaches (both models have Q > 0).
+    Every method is resolved before any numerics; a numerical build
+    failure is that method's error row.  The rules run as one group when
+    padding each to the largest point count N_max at most doubles the sigma
+    points (M N_max <= 2 sum N, M rules), else in groups of one point
+    count, each group as one recursion over all trajectories (see
+    ``run_filter``).  A method whose filter fails stops alone, its error
+    cell as it reads alone; a smoother failure ends the study (no shipped
+    config reaches one: both models have Q > 0).
     """
-    methods = _validated_methods(config)
-    seeds = config_list(config.get("seeds"), "config: 'seeds'",
-                        partial(config_int, minimum=0))
-    steps = config_int(config.get("steps", default_steps), "config: 'steps'", minimum=1)
-    resolved = {m["name"]: _resolve(m, model.state_dim) for m in methods}
+    def seed(item, what: str) -> int:  # shifted by the offset, which must leave it >= 0
+        return config_int(config_int(item, what) + seed_offset, what, minimum=0)
+    fields = command_fields(config, {
+        "methods": (_methods, REQUIRED), "seeds": (partial(config_list, read=seed), REQUIRED),
+        "steps": (partial(config_int, minimum=1), 500), **table}, experiment)
+    methods, seeds, steps, model = (fields["methods"], fields["seeds"], fields["steps"],
+                                    make_model(fields))
+    resolved = {m["name"]: resolve_rule(model.state_dim, **m) for m in methods}
 
     start = time.time()
     report = Report(
         experiment=experiment,
         columns=["method", "filter_rmse_mean", "filter_rmse_std",
                  "smoother_rmse_mean", "smoother_rmse_std", "error"],
-        metadata=_metadata(config),
+        metadata={"config": config, "version": __version__},
     )
     trajectories = simulate_many(model, steps, seeds)
     measurements = np.stack([t.measurements for t in trajectories])
@@ -518,33 +578,31 @@ def _filtering_study(experiment: str, config: dict, model,
     return report
 
 
-def run_ungm(config: dict) -> Report:
+def run_ungm(config: dict, seed_offset: int = 0) -> Report:
     """Filter/smoother state RMSE study on the univariate growth model."""
-    return _filtering_study("ungm", config, ungm_model(), components=[0])
+    return _filtering_study("ungm", config, seed_offset, lambda fields: ungm_model(),
+                            components=[0])
 
 
-def run_bot(config: dict) -> Report:
-    """Position RMSE study on bearings-only coordinated-turn tracking."""
-    bot_cfg = _bot_config(config.get("model", {}))
-    return _filtering_study("bot", config, bot_model(bot_cfg),
-                            components=[0, 2], default_steps=bot_cfg.steps)
+# a key left out keeps BotConfig's default
+_BOT_MODEL = {
+    "sensors": (lambda value, what: config_array(value, what, (4, 2)), None),
+    "prior_mean": (lambda value, what: config_array(value, what, (5,)), None),
+    "prior_cov": (partial(config_cov, n=5), None),
+    **dict.fromkeys(("bearing_noise_std", "dt", "q1", "q2"), (config_float, None)),
+}
 
 
-def _bot_config(spec: dict) -> BotConfig:
-    if not isinstance(spec, dict):
-        raise ConfigError("config: 'model' must be an object")
-    kwargs = {key: config_array(spec[key], f"config: model '{key}'", shape)
-              for key, shape in (("sensors", (4, 2)), ("prior_mean", (5,))) if key in spec}
-    if "prior_cov" in spec:
-        kwargs["prior_cov"] = config_cov(spec["prior_cov"], "config: model 'prior_cov'", 5)
-    for key in ("bearing_noise_std", "dt", "q1", "q2"):
-        if key in spec:
-            kwargs[key] = config_float(spec[key], f"config: model '{key}'")
+def _bot_config(value, what: str) -> BotConfig:
+    fields = config_fields(value, _BOT_MODEL, what)
     try:
-        return BotConfig(**kwargs)
+        return BotConfig(**{key: field for key, field in fields.items() if field is not None})
     except ValueError as exc:
-        raise ConfigError(f"config: invalid bearings-only model: {exc}") from exc
+        raise ConfigError(f"{what}: invalid bearings-only model: {exc}") from exc
 
 
-def _metadata(config: dict) -> dict:
-    return {"config": config, "version": __version__}
+def run_bot(config: dict, seed_offset: int = 0) -> Report:
+    """Position RMSE study on bearings-only coordinated-turn tracking."""
+    return _filtering_study("bot", config, seed_offset, lambda fields: bot_model(fields["model"]),
+                            components=[0, 2], model=(_bot_config, None),
+                            steps=(partial(config_int, minimum=1), BotConfig.steps))

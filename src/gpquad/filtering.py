@@ -23,7 +23,9 @@ Model functions are vectorized over the leading axis: ``f(X, k)`` maps an
 (N, n) to (N, d).  Noise covariances may be constant matrices or
 callables of the time index; a scalar s stands for s I.  ``gp_transform``
 is the same step for one Gaussian and an integrand ``g(X)`` vectorized
-the same way; it, ``predict`` and ``update`` reject a non-PSD noise.
+the same way.  It, ``predict`` and ``update`` reject a non-PSD noise or
+input covariance, and ``run_filter`` a model whose prior or constant
+noise covariance is not PSD, each with a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -226,7 +228,7 @@ def gp_transform(rule: QuadratureRule, g: Callable, mean, cov,
     """
     moments = _transform(rule.points.points, rule.weights, lambda x, k: g(x),
                          np.atleast_1d(np.asarray(mean, dtype=float))[None],
-                         np.atleast_2d(np.asarray(cov, dtype=float))[None],
+                         _checked_cov(np.atleast_2d(np.asarray(cov, dtype=float)), "cov")[None],
                          _checked_cov(noise_cov, "noise_cov"), 0)
     return TransformResult(*(moment[0] for moment in moments))
 
@@ -235,8 +237,8 @@ def predict(state: GaussianState, rule: QuadratureRule, transition,
             process_cov, k: int = 0) -> GaussianState:
     """One prediction step: moment-match f(x) + q through the rule."""
     process_cov = _checked_cov(_noise_matrix(process_cov, state.dimension), "process_cov")
-    mean, cov, _ = _transform(rule.points.points, rule.weights, transition,
-                              state.mean[None], state.cov[None], process_cov, k)
+    mean, cov, _ = _transform(rule.points.points, rule.weights, transition, state.mean[None],
+                              _checked_cov(state.cov, "state.cov")[None], process_cov, k)
     return GaussianState(mean[0], cov[0])
 
 
@@ -250,7 +252,8 @@ def update(pred: GaussianState, rule: QuadratureRule, measurement,
     """
     observation = np.atleast_1d(np.asarray(observation, dtype=float))
     mean, cov, *rest = _update(
-        rule.points.points, rule.weights, pred.mean[None], pred.cov[None], measurement,
+        rule.points.points, rule.weights, pred.mean[None],
+        _checked_cov(pred.cov, "pred.cov")[None], measurement,
         _checked_cov(_noise_matrix(measurement_cov, len(observation)), "measurement_cov"),
         observation[None], k)
     return (GaussianState(mean[0], cov[0]), *(value[0] for value in rest))
@@ -313,6 +316,12 @@ def run_filter(model: AdditiveStateSpaceModel,
             f"observations of dimension {observations.shape[-1]}, "
             f"model expects {model.measurement_dim}"
         )
+    # the model's own covariances, once; a callable noise is not checked
+    _checked_cov(model.prior.cov, "prior.cov")
+    for what, cov, matrix in (("process_cov", model.process_cov, model.q_cov),
+                              ("measurement_cov", model.measurement_cov, model.r_cov)):
+        if not callable(cov):
+            _checked_cov(matrix(0), what)
     size, steps = observations.shape[:2]
     batch = len(rules) * size
     # member m*S + s: rule m on trajectory s, its points padded to the

@@ -429,7 +429,8 @@ class TestMethodGroups:
         config = {"seeds": [0, 1], "steps": 3, "methods": methods}
 
         def study(config):
-            return experiments._filtering_study("squared", config, model, components=[0])
+            return experiments._filtering_study("squared", config, 0, lambda fields: model,
+                                                components=[0])
 
         rows = study(config).rows
         single_rows = [study({**config, "methods": [method]}).rows[0] for method in methods]
@@ -747,6 +748,20 @@ class TestCliCommands:
         (TRANSFORM, {"function": {"name": ["identity"]}}, "0"),
         (POINTS, {"points": {"type": "hammersley", "count": 0}}, "0"),
         (POINTS, {"points": {"type": "hammersley", "count": 2.5}}, "0"),
+        # a key no table holds, at every level, and a config of another command
+        (UNGM, {"step": 10}, "0"),
+        (UNGM, next_to_ukf({"points": {"type": "ut"}, "kernal": {"type": "se"}}), "0"),
+        (POINTS, {"points": {"type": "ut", "kapa": 1.0}}, "0"),
+        (WEIGHTS, {"kernel": {"type": "se", "lengthscale": 1.0}}, "0"),
+        (BOT, {"model": {"steps": 10}}, "0"),
+        (TRANSFORM, {"function": {"name": "radial-power", "exp": 2}}, "0"),
+        (POINTS, {"kernel": {"type": "se"}}, "0"),
+        (MOMENTS, {"seeds": [0]}, "0"),
+        (UNGM, {"experiment": "bot"}, "0"),
+        (MOMENTS, {"experiment": ["moments"]}, "0"),
+        (POINTS, {"points": {"count": 3}}, "0"),
+        (WEIGHTS, {"kernel": "classical"}, "0"),
+        (POINTS, {"points": {"type": "optimized", "count": 3, "kernel": "classical"}}, "0"),
     ], ids=["dimension-string", "dimension-fraction", "dimension-bool", "kappa-string",
             "length-scale-negative", "length-scale-string", "ut-order-even",
             "jitter-string", "steps-string", "steps-zero", "seed-string",
@@ -761,7 +776,11 @@ class TestCliCommands:
             "cov-indefinite", "noise-cov-negative", "method-not-object",
             "dimensions-not-list", "exponents-not-list", "exponent-zero",
             "jitter-negative", "optimizer-jitter-negative", "function-number",
-            "function-name-list", "count-zero", "count-fraction"])
+            "function-name-list", "count-zero", "count-fraction", "steps-misspelt",
+            "kernel-misspelt", "point-key-unknown", "kernel-key-unknown",
+            "bot-model-key-unknown", "function-key-unknown", "points-kernel-unknown",
+            "moments-seeds-unknown", "experiment-other", "experiment-list",
+            "point-type-missing", "weights-kernel-classical", "optimizer-kernel-classical"])
     def test_bad_config_number_is_exit_1(self, tmp_path, capsys, monkeypatch,
                                          base, change, offset):
         monkeypatch.chdir(tmp_path)
@@ -772,6 +791,24 @@ class TestCliCommands:
                      "--seed-offset", offset]) == 1
         assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
+
+    def test_unknown_key_names_it_and_the_keys_allowed(self, tmp_path, capsys):
+        config = write_config(tmp_path, {**self.UNGM, "step": 10})
+        assert main(["ungm", "--config", config]) == 1
+        assert capsys.readouterr().err == (
+            "config error: config: unknown key 'step'; "
+            "allowed keys: experiment, methods, seeds, steps\n")
+
+    @pytest.mark.parametrize("name", sorted(path.stem for path in CONFIG_DIR.glob("*.json")))
+    def test_config_of_another_command_is_exit_1(self, tmp_path, capsys, monkeypatch, name):
+        # configs/bot_smoke.json through `gpq ungm` ran the growth model
+        # before 'experiment' and 'model' were read
+        monkeypatch.setattr(experiments, "simulate_many", _numerics)
+        config = str(CONFIG_DIR / f"{name}.json")
+        own = json.loads(Path(config).read_text())["experiment"]
+        for command in {"points", "weights", "transform", "moments", "ungm", "bot"} - {own}:
+            assert main([command, "--config", config]) == 1, command
+            assert capsys.readouterr().err.startswith("config error: config: ")
 
     @pytest.mark.parametrize("base,change", [
         (BOT, {"model": {"prior_cov": np.diag([0.0, 1, 1, 1, 1]).tolist()}}),
@@ -898,6 +935,62 @@ class TestCliCommands:
                      "bot_smoke.json"):
             payload = json.loads((CONFIG_DIR / name).read_text())
             assert payload["methods"]
+
+
+# a config with one value replaced by each of these, or deleted
+DELETE = object()
+MUTATIONS = [DELETE, None, "x", True, -1, 0, 0.5, [], {}, float("nan"), float("inf")]
+
+
+def key_paths(node, path=()):
+    """The path of every object key and list item in a JSON document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from key_paths(child, path + (key,))
+
+
+def mutated(document, path, value):
+    """A copy of ``document`` with the item at ``path`` set to ``value``,
+    or deleted for DELETE."""
+    document = json.loads(json.dumps(document))
+    *parents, last = path
+    node = document
+    for key in parents:
+        node = node[key]
+    if value is DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return document
+
+
+def test_every_mutated_shipped_config_exits_0_1_or_2(tmp_path, capsys, monkeypatch):
+    # the smoke-scale configs, every value replaced or deleted in turn: a
+    # bad value is a config error (1) or a numerical failure (2), never a
+    # traceback; configs/ungm.json and bot.json are the smoke ones at scale
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "config.json"
+    out = tmp_path / "out"
+    names = sorted({path.stem for path in CONFIG_DIR.glob("*.json")} - {"ungm", "bot"})
+    assert len(names) == 8
+    cases = 0
+    for name in names:
+        document = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        for path in key_paths(document):
+            for value in MUTATIONS:
+                config.write_text(json.dumps(mutated(document, path, value)))
+                case = f"{name}.json {list(path)} = {value!r}"
+                try:
+                    code = main([document["experiment"], "--config", str(config),
+                                 "--out", str(out)])
+                except Exception as exc:  # noqa: BLE001
+                    pytest.fail(f"{case}: {exc!r} escaped main")
+                assert code in (0, 1, 2), case
+                capsys.readouterr()
+                cases += 1
+    assert cases == 11 * 128
 
 
 class TestGoldenOutput:

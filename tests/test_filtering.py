@@ -749,9 +749,23 @@ class TestNoiseCovariances:
                          lambda x, k: x, -5.0), "process_cov"),
         (lambda: update(GaussianState(np.zeros(1), np.eye(1)), ut_points(1, 2.0),
                         lambda x, k: x, -0.5, np.zeros(1)), "measurement_cov"),
-    ], ids=["gp_transform", "predict", "update"])
+        (lambda: run_filter(dataclasses.replace(ungm_model(), process_cov=-5.0),
+                            ut_points(1, 2.0), np.zeros(5)), "process_cov"),
+        # the input covariances, which GaussianState itself does not check
+        (lambda: gp_transform(ut_points(1, 2.0), lambda x: x, 0.0, -1.0, 0.0), "cov"),
+        (lambda: predict(GaussianState(np.zeros(1), -np.eye(1)), ut_points(1, 2.0),
+                         lambda x, k: x, 0.0), "state.cov"),
+        (lambda: update(GaussianState(np.zeros(1), -np.eye(1)), ut_points(1, 2.0),
+                        lambda x, k: x, 1.0, np.zeros(1)), "pred.cov"),
+        (lambda: run_filter(dataclasses.replace(
+            ungm_model(), prior=GaussianState(np.zeros(1), -np.eye(1))),
+            ut_points(1, 2.0), np.zeros(5)), "prior.cov"),
+    ], ids=["gp_transform", "predict", "update", "run_filter", "gp_transform-input",
+            "predict-input", "update-input", "run_filter-prior"])
     def test_negative_noise_is_rejected(self, call, what):
-        # unchecked, these give the variances -4, -4 and -1
+        # unchecked, the first three give the variances -4, -4 and -1, the
+        # fourth filters five steps without an error and the inputs raise
+        # a NumericalError
         with pytest.raises(ValueError, match=f"^{what}: matrix is not PSD: smallest "
                                              r"eigenvalue -\d") as info:
             call()
