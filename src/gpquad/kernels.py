@@ -201,6 +201,15 @@ class HermitePolynomialKernel:
     ``coefficients`` is the symmetric PSD matrix indexed by its rows;
     ``None`` stands for the identity, which reproduces the classical
     rules without storing an m x m matrix.
+
+    With the identity over the full grid {0..D}^n, n >= 2
+    (``make_gh_kernel``'s sets), the kernel is a product over dimensions,
+    K(x, y) = prod_d sum_{k <= D} He_k(x_d) He_k(y_d) / k!^2, so ``eval``,
+    ``gram`` and ``gram_and_embedding`` multiply n Gram matrices of the
+    (N, D+1) tables He_k(x_d) / k!, at O(n N^2 (D+1)) instead of the
+    O(N^2 (D+1)^n) of the N x m feature matrix, and the embedding is ones.
+    Other index sets, a coefficient matrix, ``mean_embedding`` and
+    ``derivatives`` use the features.
     """
 
     index_set: np.ndarray
@@ -208,6 +217,8 @@ class HermitePolynomialKernel:
     # phi_I = H_I / I! scales and the zero index's row, set once from index_set
     _inv_factorial: np.ndarray = field(init=False, repr=False)
     _zero_row: int = field(init=False, repr=False)
+    # D of a full grid {0..D}^n with identity coefficients, else None
+    _grid_degree: int | None = field(init=False, repr=False)
 
     def __post_init__(self):
         raw = np.asarray(self.index_set)
@@ -235,6 +246,12 @@ class HermitePolynomialKernel:
         object.__setattr__(self, "coefficients", coeff)
         object.__setattr__(self, "_inv_factorial", _inverse_factorials(index_set))
         object.__setattr__(self, "_zero_row", int(zero[0]))
+        # distinct indices in {0..D}^n, as many as the grid has, are the grid;
+        # in one dimension its one table is the feature matrix itself, which
+        # stays, and with it the strided embedding of ``_embedding``
+        degree, n = int(index_set.max()), index_set.shape[1]
+        full_grid = coeff is None and n > 1 and len(index_set) == (degree + 1) ** n
+        object.__setattr__(self, "_grid_degree", degree if full_grid else None)
 
     @property
     def dimension(self) -> int:
@@ -244,6 +261,24 @@ class HermitePolynomialKernel:
         # phi_I(x) = H_I(x) / I!
         pts = _as_points(points, self.dimension)
         return hermite_design_matrix(self.index_set, pts) * self._inv_factorial
+
+    def _tables(self, points) -> np.ndarray:
+        # He_k(x_d) / k! for k = 0..D: the (n, ..., N, D+1) factors of a
+        # full grid's features, one hermite_design_matrix call over the
+        # coordinates as a batch of 1-D sets
+        pts = _as_points(points, self.dimension)
+        orders = np.arange(self._grid_degree + 1)[:, None]
+        return (hermite_design_matrix(orders, np.moveaxis(pts, -1, 0)[..., None])
+                * _inverse_factorials(orders))
+
+    @staticmethod
+    def _grid_product(x_tables: np.ndarray, y_tables: np.ndarray) -> np.ndarray:
+        # prod_d X_d Y_d^T; with one table for both, numpy's matmul takes
+        # syrk, whose exactly symmetric Gram matrices stay so in the product
+        out = x_tables[0] @ np.swapaxes(y_tables[0], -1, -2)
+        for x_d, y_d in zip(x_tables[1:], y_tables[1:]):
+            out *= x_d @ np.swapaxes(y_d, -1, -2)
+        return out
 
     def _feature_derivatives(self, points) -> np.ndarray:
         # d phi_I / dx_d = phi_{I - e_d} (He_k' = k He_{k-1}), zero where
@@ -263,13 +298,19 @@ class HermitePolynomialKernel:
         return features if self.coefficients is None else features @ self.coefficients
 
     def eval(self, x, y) -> np.ndarray:
+        if self._grid_degree is not None:
+            return self._grid_product(self._tables(x), self._tables(y))
         return self._weighted(self._features(x)) @ np.swapaxes(self._features(y), -1, -2)
 
     def gram(self, points) -> np.ndarray:
         return self.gram_and_embedding(points)[0]
 
     def gram_and_embedding(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """Both from one feature matrix, which the weight solve needs once."""
+        """Both from one feature matrix, which the weight solve needs once,
+        or from the tables of a full grid."""
+        if self._grid_degree is not None:
+            tables = self._tables(points)
+            return self._grid_product(tables, tables), np.ones(tables.shape[1:-1])
         f = self._features(points)
         gram = self._weighted(f) @ np.swapaxes(f, -1, -2)
         return 0.5 * (gram + np.swapaxes(gram, -1, -2)), self._embedding(f)

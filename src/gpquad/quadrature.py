@@ -14,7 +14,10 @@ set solved as it would be alone.
 
 Every SPD matrix, here and in the filter, is factored by one path:
 ``_positive_definite`` factors a stack in one batched Cholesky call, and
-member by member only when that fails.  A stack of 1x1 matrices (the
+member by member only when that fails.  Above ``_BLOCK`` unknowns
+``_blocked_cholesky`` factors it by blocks into one new array, so a
+large system holds two m x m arrays, itself and its factors, not the
+three of ``np.linalg.cholesky``.  A stack of 1x1 matrices (the
 scalar filter's covariances) skips LAPACK: its Cholesky factors are the
 square roots, and a 1x1 solve with one right-hand side is a division,
 which are the operations LAPACK itself performs there, so the numbers
@@ -118,13 +121,20 @@ def _eigen_sqrt(matrix: np.ndarray, where: str) -> np.ndarray:
     return eigvecs @ np.diag(np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
 
 
+# systems of more unknowns than this are factored, and solved on their
+# factors, in blocks of this many; smaller ones take one LAPACK call each
+_BLOCK = 128
+
+
 def _positive_definite(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """The lower Cholesky factors of a stack (B, m, m), and which passed.
 
     One batched call factors the stack when every matrix passes; the mask
     is then None, so the common case builds none.  Only when it fails is
     each matrix factored on its own: the (B,) mask marks the members that
-    passed, and a member that fails gets NaN factors.
+    passed, and a member that fails gets NaN factors.  Above ``_BLOCK``
+    unknowns ``_blocked_cholesky`` factors the stack instead, with the same
+    mask and NaN factors.
 
     A 1x1 stack is factored as ``np.sqrt(stack)`` with LAPACK potrf's own
     pass test, ``~(a <= 0)``: 0.0, -0.0, negatives and -inf fail, while NaN
@@ -137,10 +147,17 @@ def _positive_definite(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray | None
         if not np.count_nonzero(fails):
             return np.sqrt(stack), None
         return np.sqrt(np.where(fails, np.nan, stack)), ~fails[:, 0, 0]
+    if stack.shape[-1] > _BLOCK:
+        return _blocked_cholesky(stack)
     try:
         return np.linalg.cholesky(stack), None
     except np.linalg.LinAlgError:
-        pass
+        return _each_cholesky(stack)
+
+
+def _each_cholesky(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each matrix of a stack (B, m, m) factored on its own: the factors,
+    NaN where it fails, and the (B,) mask of those that passed."""
     factors = np.full_like(stack, np.nan)
     passed = np.ones(len(stack), dtype=bool)
     for index, matrix in enumerate(stack):
@@ -148,6 +165,46 @@ def _positive_definite(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray | None
             factors[index] = np.linalg.cholesky(matrix)
         except np.linalg.LinAlgError:
             passed[index] = False
+    return factors, passed
+
+
+def _blocked_cholesky(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """``_positive_definite`` of a stack (B, m, m) by blocks of ``_BLOCK``.
+
+    The left-looking block Cholesky of Golub & Van Loan (*Matrix
+    Computations*, ch. 4) writes the factors into one new array, so the
+    stack and its factors are the only m x m arrays held, where
+    ``np.linalg.cholesky`` holds a third, its copy of the input.  Block
+    column j is A's lower trapezoid there less the factor columns to its
+    left, one matmul; ``np.linalg.cholesky`` factors its diagonal blocks
+    and the panel below is multiplied by their inverses' transposes.  The
+    upper triangle is never written.  A member whose diagonal block fails
+    gets NaN factors; from then on it carries an identity block column, so
+    it neither fails again nor disturbs the others, which round as they
+    would alone.
+    """
+    factors = np.zeros_like(stack)
+    passed = np.ones(len(stack), dtype=bool)
+    for j in range(0, stack.shape[-1], _BLOCK):
+        block = slice(j, j + _BLOCK)
+        column = factors[:, j:, :j] @ np.swapaxes(factors[:, block, :j], -1, -2)
+        np.subtract(stack[:, j:, block], column, out=column)
+        identity = np.eye(*column.shape[1:])
+        if not passed.all():
+            column[~passed] = identity
+        try:
+            diagonal = np.linalg.cholesky(column[:, :_BLOCK])
+        except np.linalg.LinAlgError:
+            diagonal, block_passed = _each_cholesky(column[:, :_BLOCK])
+            passed &= block_passed
+            column[~passed] = identity
+            diagonal[~block_passed] = identity[:_BLOCK]
+        factors[:, block, block] = diagonal
+        factors[:, j + _BLOCK:, block] = column[:, _BLOCK:] @ np.swapaxes(
+            np.linalg.inv(diagonal), -1, -2)
+    if passed.all():
+        return factors, None
+    factors[~passed] = np.nan
     return factors, passed
 
 
@@ -173,11 +230,6 @@ def _zero_pivot(context: str, index: int, size: int) -> NumericalError:
         f"after passing the Cholesky check{_SINGULAR_ADVICE}")
 
 
-# systems of more unknowns than this reuse their Cholesky factor, solved in
-# blocks of this many; smaller ones take one np.linalg.solve call
-_BLOCK = 128
-
-
 def _cholesky_solve(matrices: np.ndarray, factors: np.ndarray,
                     rhs: np.ndarray) -> np.ndarray:
     """``np.linalg.solve(matrices, rhs)`` given the lower Cholesky factors.
@@ -188,12 +240,14 @@ def _cholesky_solve(matrices: np.ndarray, factors: np.ndarray,
     column) is ``rhs / a``: LAPACK's LU solve divides there too (OpenBLAS
     trsv), so the quotient is bit-identical.  With more columns OpenBLAS
     multiplies by the reciprocal instead, so those stay on
-    ``np.linalg.solve``.  Up to ``_BLOCK`` unknowns
-    the LU call is cheaper than a loop and the factors go unused.  Above
-    it, a blocked forward substitution with L and a blocked back
+    ``np.linalg.solve``.  Up to ``_BLOCK`` unknowns the LU call is
+    cheaper than a loop and the factors go unused.  Above it the factors,
+    which ``_positive_definite`` builds by ``_blocked_cholesky``, are
+    reused: a blocked forward substitution with L and a blocked back
     substitution with L^T (Golub & Van Loan, *Matrix Computations*,
     ch. 3) solve each diagonal block with ``np.linalg.solve`` and update
-    the rest by matmul, so the system is factored only once.
+    the rest by matmul, so the system is factored only once and no third
+    m x m array is built.
     """
     m = matrices.shape[-1]
     if m == 1 and (rhs.ndim == 1 or rhs.shape[-1] == 1):

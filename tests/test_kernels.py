@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gpquad.hermite import enumerate_indices, gh_roots_weights
+from gpquad.hermite import enumerate_indices, gh_roots_weights, hermite_design_matrix
 from gpquad.kernels import (
     HermitePolynomialKernel,
     SquaredExponentialKernel,
@@ -223,6 +223,76 @@ class TestKernelFactories:
     def test_gh_kernel_cap(self):
         with pytest.raises(ValueError, match="cap"):
             make_gh_kernel(6, 6)
+
+
+def feature_values(kernel, x, y, coefficients=None):
+    """The Gram matrix at x, ``eval(x, y)`` and the embedding at x, built
+    from the N x m feature matrices H_I / I! as the feature path does."""
+    inv_factorial = 1.0 / np.array([math.prod(map(math.factorial, ix))
+                                    for ix in kernel.index_set.tolist()])
+    fx = hermite_design_matrix(kernel.index_set, x) * inv_factorial
+    fy = hermite_design_matrix(kernel.index_set, y) * inv_factorial
+    zero = int(np.flatnonzero(~kernel.index_set.any(axis=1))[0])
+    weighted = fx if coefficients is None else fx @ coefficients
+    embedding = fx[..., zero] if coefficients is None else fx @ coefficients[zero]
+    gram = weighted @ np.swapaxes(fx, -1, -2)
+    return (0.5 * (gram + np.swapaxes(gram, -1, -2)), weighted @ np.swapaxes(fy, -1, -2),
+            embedding)
+
+
+GH_GRIDS = [(n, order) for n in range(1, 6) for order in range(1, 4)]
+
+
+class TestFullGridProduct:
+    """A full grid {0..D}^n with identity coefficients is a product over
+    dimensions; every other Hermite kernel keeps the feature path's bits."""
+
+    @staticmethod
+    def batch_points(n, seed):
+        # leading batch axes (2, 3), sets of 7 and 5 points at GH-like radii
+        rng = np.random.default_rng(seed)
+        return 1.5 * rng.normal(size=(2, 3, 7, n)), 1.5 * rng.normal(size=(2, 3, 5, n))
+
+    @pytest.mark.parametrize("n,order", GH_GRIDS)
+    def test_matches_the_feature_matrix(self, n, order):
+        kernel = make_gh_kernel(n, order)
+        assert len(kernel.index_set) == (2 * order) ** n
+        x, y = self.batch_points(n, 10 * n + order)
+        gram, cross, embedding = feature_values(kernel, x, y)
+        got_gram, got_embedding = kernel.gram_and_embedding(x)
+        for got, want in [(got_gram, gram), (kernel.eval(x, y), cross)]:
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.array_equal(got_gram, np.swapaxes(got_gram, -1, -2))
+        assert np.array_equal(got_embedding, embedding)
+        assert np.array_equal(kernel.mean_embedding(x), embedding)
+
+    @pytest.mark.parametrize("n,order", [g for g in GH_GRIDS if (2 * g[1]) ** g[0] <= 1296])
+    def test_explicit_coefficients_keep_the_feature_bits(self, n, order):
+        indices = make_gh_kernel(n, order).index_set
+        coefficients = np.diag(np.random.default_rng(order).uniform(0.5, 2.0, len(indices)))
+        kernel = HermitePolynomialKernel(indices, coefficients)
+        x, y = self.batch_points(n, n + order)
+        gram, cross, embedding = feature_values(kernel, x, y, coefficients)
+        assert np.array_equal(kernel.gram(x), gram)
+        assert np.array_equal(kernel.eval(x, y), cross)
+        assert np.array_equal(kernel.mean_embedding(x), embedding)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("order", [3, 5, 7, 9])
+    def test_ut_kernels_keep_the_feature_bits(self, n, order):
+        # in one dimension a total-degree set is a full grid too, whose one
+        # table is the feature matrix itself
+        kernel = make_ut_kernel(n, order)
+        x, y = self.batch_points(n, n * order)
+        gram, cross, embedding = feature_values(kernel, x, y)
+        got_gram, got_embedding = kernel.gram_and_embedding(x)
+        assert np.array_equal(got_gram, gram)
+        assert np.array_equal(kernel.eval(x, y), cross)
+        assert np.array_equal(got_embedding, embedding)
+        # the embedding stays the feature matrix's strided zero column,
+        # on which BLAS rounds the weight solve's q @ w as before
+        assert got_embedding.strides == embedding.strides
 
 
 ALL_KERNELS = [

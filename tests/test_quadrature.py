@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -14,6 +17,7 @@ from gpquad.points import (
 )
 from gpquad.filtering import gp_transform
 from gpquad.quadrature import (
+    _BLOCK,
     NumericalError,
     _cholesky_solve,
     _positive_definite,
@@ -421,6 +425,73 @@ class TestPositiveDefinite:
         factors, passed = _positive_definite(stack)
         assert passed is None
         assert np.array_equal(factors, np.linalg.cholesky(stack), equal_nan=True)
+
+
+class TestBlockedCholesky:
+    """Above ``_BLOCK`` unknowns ``_positive_definite`` factors by blocks."""
+
+    @pytest.mark.parametrize("m", [129, 256, 257, 300, 2000])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_matches_numpy_cholesky(self, m, count):
+        if m == 2000 and count == 3:
+            count = 2
+        stack = well_conditioned_spd(np.random.default_rng(m + count), count, m)
+        factors, passed = _positive_definite(stack)
+        expected = np.linalg.cholesky(stack)
+        assert passed is None
+        assert np.abs(factors - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert not np.triu(factors, 1).any()
+
+    @pytest.mark.parametrize("entry", [0, -1], ids=["first-block", "last-block"])
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_failing_member_fails_alone(self, entry, scale):
+        # at 1e200 a failed member that went on computing would overflow
+        stack = well_conditioned_spd(np.random.default_rng(8), 3, 300)
+        stack[1] *= scale
+        stack[1, entry, entry] = -5.0 * scale  # indefinite from that block on
+        factors, passed = _positive_definite(stack)
+        assert passed.tolist() == [True, False, True]
+        assert np.isnan(factors[1]).all()
+        for index in (0, 2):
+            solo, solo_passed = _positive_definite(stack[index:index + 1])
+            assert solo_passed is None
+            assert np.array_equal(factors[index], solo[0])
+        smallest = np.linalg.eigvalsh(stack[1]).min()
+        with pytest.raises(NumericalError) as raised:
+            _spd_solve(stack, np.ones((3, 300)), "big system", "; advice")
+        assert str(raised.value) == (f"big system not positive definite for batch member 1 "
+                                     f"(min eigenvalue {smallest:.3e}); advice")
+
+    def test_matrix_sqrt_falls_back_on_a_singular_member(self):
+        stack = well_conditioned_spd(np.random.default_rng(9), 3, _BLOCK + 72)
+        stack[2, -1, :] = stack[2, :, -1] = 0.0  # PSD with one zero eigenvalue
+        res = matrix_sqrt(stack)
+        assert res.spd_fallback == 1
+        np.testing.assert_allclose(res.factor[2] @ res.factor[2].T, stack[2], atol=1e-12)
+        np.testing.assert_allclose(res.factor[:2], np.linalg.cholesky(stack[:2]),
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_large_weight_solve_holds_two_matrices(self):
+        # the Gram matrix and its factors; np.linalg.cholesky holds a third.
+        # VmHWM is the child's own peak, where ru_maxrss would start from
+        # the peak of the process that forked it
+        count = 2000
+        script = (
+            "from gpquad import SquaredExponentialKernel, gpq_weights, hammersley_points\n"
+            "def peak_kib():\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        return next(int(line.split()[1]) for line in status\n"
+            "                    if line.startswith('VmHWM:'))\n"
+            f"pts = hammersley_points(2, {count})\n"
+            "before = peak_kib()\n"
+            "gpq_weights(SquaredExponentialKernel(1, 0.5), pts, 1e-6)\n"
+            "print(peak_kib() - before)\n")
+        src = os.path.dirname(os.path.dirname(gpquad.__file__))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) * 1024 < 2.5 * count**2 * 8
 
 
 class TestMatrixSqrt:
