@@ -24,10 +24,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
 from .hermite import enumerate_indices, hermite_design_matrix
+from .quadrature import _BLOCK
 
 __all__ = [
     "SquaredExponentialKernel",
@@ -47,22 +49,37 @@ def _as_points(x, dim: int | None = None) -> np.ndarray:
     return pts
 
 
-def _squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _squared_distances(x: np.ndarray, y: np.ndarray, finish=None) -> np.ndarray:
     """||x_i - y_k||^2 over batches (..., N, n) and (..., M, n): (..., N, M).
 
-    Accumulates (x_d - y_d)^2 one dimension at a time, reusing one
-    (..., N, M) buffer, so no (..., N, M, n) array is built.  Up to
-    n = 7 this rounds as the broadcast ``((x - y)**2).sum(-1)``, whose
-    sum adds the dimensions in the same order.
+    Fills the output ``_BLOCK`` rows at a time.  Each row block
+    accumulates (x_d - y_d)^2 one dimension at a time through one
+    (..., _BLOCK, M) buffer, so the (..., N, M) output is the only array
+    of its size, and no (..., N, M, n) one is built.  ``finish``, when
+    given, then transforms each finished block in place, while it is
+    still in cache.  Every step is elementwise, so the blocks change no
+    bits: up to n = 7 this rounds as the broadcast
+    ``((x - y)**2).sum(-1)``, whose sum adds the dimensions in the same
+    order.
     """
-    rows, cols = x[..., :, None, :], y[..., None, :, :]
-    out = np.subtract(rows[..., 0], cols[..., 0])
-    np.multiply(out, out, out=out)
-    buffer = np.empty_like(out) if x.shape[-1] > 1 else None
-    for d in range(1, x.shape[-1]):
-        np.subtract(rows[..., d], cols[..., d], out=buffer)
-        np.multiply(buffer, buffer, out=buffer)
-        out += buffer
+    count, n = x.shape[-2:]
+    batch = np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
+    out = np.empty(batch + (count, y.shape[-2]))
+    buffer = np.empty(batch + (min(count, _BLOCK), y.shape[-2])) if n > 1 else None
+    cols = y[..., None, :, :]
+    for start in range(0, count, _BLOCK):
+        rows = x[..., start:start + _BLOCK, None, :]
+        block = out[..., start:start + _BLOCK, :]
+        np.subtract(rows[..., 0], cols[..., 0], out=block)
+        np.multiply(block, block, out=block)
+        if n > 1:
+            scratch = buffer[..., :block.shape[-2], :]
+            for d in range(1, n):
+                np.subtract(rows[..., d], cols[..., d], out=scratch)
+                np.multiply(scratch, scratch, out=scratch)
+                block += scratch
+        if finish is not None:
+            finish(block)
     return out
 
 
@@ -81,17 +98,13 @@ class SquaredExponentialKernel:
         """Pairwise kernel matrix between two point batches."""
         x = _as_points(x)
         y = _as_points(y, x.shape[-1])
-        k = self._exponent(x, y)
-        np.exp(k, out=k)
-        k *= self.output_scale**2
-        return k
+        return _squared_distances(x, y, self._kernel_block)
 
-    def _exponent(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # -||x - y||^2 / (2 l^2), in place on the distances: no further
-        # (..., N, M) temporaries
-        e = _squared_distances(x, y)
-        e /= -2.0 * self.length_scale**2
-        return e
+    def _kernel_block(self, block: np.ndarray) -> None:
+        # s^2 exp(-||x - y||^2 / (2 l^2)), in place on a block of the distances
+        block /= -2.0 * self.length_scale**2
+        np.exp(block, out=block)
+        block *= self.output_scale**2
 
     def gram(self, points) -> np.ndarray:
         return self.eval(points, points)
@@ -149,8 +162,12 @@ class SquaredExponentialKernel:
         E, an (N, N) ndarray (with the points' batch axes in front).
         """
         pts = _as_points(points)
-        e = self._exponent(pts, pts)
-        return np.expm1(e, out=e)
+        return _squared_distances(pts, pts, self._increment_block)
+
+    def _increment_block(self, block: np.ndarray) -> None:
+        # expm1 of the same exponent
+        block /= -2.0 * self.length_scale**2
+        np.expm1(block, out=block)
 
     def flat_embedding(self, points):
         """The embedding as ``s^2 c (1 + delta)`` for a nearly-flat set.
@@ -208,8 +225,9 @@ class HermitePolynomialKernel:
     ``gram`` and ``gram_and_embedding`` multiply n Gram matrices of the
     (N, D+1) tables He_k(x_d) / k!, at O(n N^2 (D+1)) instead of the
     O(N^2 (D+1)^n) of the N x m feature matrix, and the embedding is ones.
-    Other index sets, a coefficient matrix, ``mean_embedding`` and
-    ``derivatives`` use the features.
+    ``derivatives`` differentiates one factor of that product at a time.
+    Other index sets, a coefficient matrix and ``mean_embedding`` use the
+    features.
     """
 
     index_set: np.ndarray
@@ -338,8 +356,13 @@ class HermitePolynomialKernel:
         The derivative of a feature is a lower feature, so both follow from
         the expansion; ``gram`` and ``embedding`` are unused here and taken
         for the call shared with the SE kernel.  Shapes as in
-        ``SquaredExponentialKernel.derivatives``.
+        ``SquaredExponentialKernel.derivatives``.  On a full grid,
+        d/dx_id K(x_i, x_k) is the product over dimensions with factor d
+        differentiated, and He_k' = k He_{k-1} makes its table the table
+        shifted one order up; the embedding, ones, has zero gradient.
         """
+        if self._grid_degree is not None:
+            return self._grid_derivatives(points)
         d_features = self._feature_derivatives(points)          # (n, ..., N, m)
         weighted = self._weighted(self._features(points))       # (..., N, m)
         d_gram = np.moveaxis(d_features @ np.swapaxes(weighted, -1, -2), 0, -1)
@@ -348,6 +371,18 @@ class HermitePolynomialKernel:
         else:
             d_embedding = np.moveaxis(d_features @ self.coefficients[self._zero_row], 0, -1)
         return d_gram, d_embedding
+
+    def _grid_derivatives(self, points):
+        # d/da He_k(a) / k! = He_{k-1}(a) / (k-1)!: the tables shifted up
+        tables = self._tables(points)                      # (n, ..., N, D+1)
+        shifted = np.zeros_like(tables)
+        shifted[..., 1:] = tables[..., :-1]
+        factors = tables @ np.swapaxes(tables, -1, -2)     # (n, ..., N, N)
+        d_gram = shifted @ np.swapaxes(tables, -1, -2)
+        for d, e in product(range(self.dimension), repeat=2):
+            if d != e:
+                d_gram[d] *= factors[e]
+        return np.moveaxis(d_gram, 0, -1), np.zeros(tables.shape[1:-1] + (self.dimension,))
 
     def flat_increments(self, points):
         return None

@@ -15,13 +15,14 @@ set solved as it would be alone.
 Every SPD matrix, here and in the filter, is factored by one path:
 ``_positive_definite`` factors a stack in one batched Cholesky call, and
 member by member only when that fails.  Above ``_BLOCK`` unknowns
-``_blocked_cholesky`` factors it by blocks into one new array, so a
-large system holds two m x m arrays, itself and its factors, not the
-three of ``np.linalg.cholesky``.  A stack of 1x1 matrices (the
-scalar filter's covariances) skips LAPACK: its Cholesky factors are the
-square roots, and a 1x1 solve with one right-hand side is a division,
-which are the operations LAPACK itself performs there, so the numbers
-are bit-identical at a fraction of the dispatch cost.
+``_blocked_cholesky`` factors it by blocks: in place where the matrix is
+the caller's own temporary (``gpq_weights`` and ``gp_regression_mean``),
+so a large weight solve holds one m x m array, else into one new array,
+two where ``np.linalg.cholesky`` holds three.  A stack of 1x1 matrices
+(the scalar filter's covariances) skips LAPACK: its Cholesky factors are
+the square roots, and a 1x1 solve with one right-hand side is a
+division, which are the operations LAPACK itself performs there, so the
+numbers are bit-identical at a fraction of the dispatch cost.
 ``_spd_solve_members`` solves on those factors and finds the members that
 fail; ``_spd_solve`` raises for the first of them.  ``matrix_sqrt`` gives
 a member that fails Cholesky the eigendecomposition square root of
@@ -122,11 +123,16 @@ def _eigen_sqrt(matrix: np.ndarray, where: str) -> np.ndarray:
 
 
 # systems of more unknowns than this are factored, and solved on their
-# factors, in blocks of this many; smaller ones take one LAPACK call each
+# factors, in blocks of this many; smaller ones take one LAPACK call each.
+# The SE kernel builds its Gram matrix this many rows at a time
 _BLOCK = 128
 
+# gives member b of a stack anew, after its factorization overwrote it
+_Rebuild = Callable[[int], np.ndarray]
 
-def _positive_definite(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+
+def _positive_definite(stack: np.ndarray,
+                       overwrite: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """The lower Cholesky factors of a stack (B, m, m), and which passed.
 
     One batched call factors the stack when every matrix passes; the mask
@@ -134,7 +140,7 @@ def _positive_definite(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray | None
     each matrix factored on its own: the (B,) mask marks the members that
     passed, and a member that fails gets NaN factors.  Above ``_BLOCK``
     unknowns ``_blocked_cholesky`` factors the stack instead, with the same
-    mask and NaN factors.
+    mask and NaN factors, into the stack itself when ``overwrite`` is set.
 
     A 1x1 stack is factored as ``np.sqrt(stack)`` with LAPACK potrf's own
     pass test, ``~(a <= 0)``: 0.0, -0.0, negatives and -inf fail, while NaN
@@ -148,7 +154,7 @@ def _positive_definite(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray | None
             return np.sqrt(stack), None
         return np.sqrt(np.where(fails, np.nan, stack)), ~fails[:, 0, 0]
     if stack.shape[-1] > _BLOCK:
-        return _blocked_cholesky(stack)
+        return _blocked_cholesky(stack, overwrite)
     try:
         return np.linalg.cholesky(stack), None
     except np.linalg.LinAlgError:
@@ -168,35 +174,40 @@ def _each_cholesky(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return factors, passed
 
 
-def _blocked_cholesky(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+def _blocked_cholesky(stack: np.ndarray,
+                      overwrite: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """``_positive_definite`` of a stack (B, m, m) by blocks of ``_BLOCK``.
 
     The left-looking block Cholesky of Golub & Van Loan (*Matrix
-    Computations*, ch. 4) writes the factors into one new array, so the
-    stack and its factors are the only m x m arrays held, where
-    ``np.linalg.cholesky`` holds a third, its copy of the input.  Block
-    column j is A's lower trapezoid there less the factor columns to its
-    left, one matmul; ``np.linalg.cholesky`` factors its diagonal blocks
-    and the panel below is multiplied by their inverses' transposes.  The
-    upper triangle is never written.  A member whose diagonal block fails
-    gets NaN factors; from then on it carries an identity block column, so
-    it neither fails again nor disturbs the others, which round as they
-    would alone.
+    Computations*, ch. 4): block column j is A's lower trapezoid there
+    less the factor columns to its left, one matmul;
+    ``np.linalg.cholesky`` factors its diagonal blocks and the panel below
+    is multiplied by their inverses' transposes.  Step j reads only A's
+    columns at and right of block j, none of which an earlier step wrote,
+    so with ``overwrite`` the factors replace the stack in place and the
+    stack is the only m x m array held; the factors' strictly upper
+    off-diagonal blocks then keep A's entries, which no solve reads.
+    Otherwise they go into one new array, zero above the diagonal: two
+    arrays, where ``np.linalg.cholesky`` holds three, its copy of the input
+    too.  The arithmetic and the strides are the same either way.  A
+    member whose diagonal block fails gets NaN factors; from then on it
+    carries an identity block column, so it neither fails again nor
+    disturbs the others, which round as they would alone.
     """
-    factors = np.zeros_like(stack)
+    factors = stack if overwrite else np.zeros_like(stack)
     passed = np.ones(len(stack), dtype=bool)
     for j in range(0, stack.shape[-1], _BLOCK):
         block = slice(j, j + _BLOCK)
         column = factors[:, j:, :j] @ np.swapaxes(factors[:, block, :j], -1, -2)
         np.subtract(stack[:, j:, block], column, out=column)
-        identity = np.eye(*column.shape[1:])
         if not passed.all():
-            column[~passed] = identity
+            column[~passed] = np.eye(*column.shape[1:])
         try:
             diagonal = np.linalg.cholesky(column[:, :_BLOCK])
         except np.linalg.LinAlgError:
             diagonal, block_passed = _each_cholesky(column[:, :_BLOCK])
             passed &= block_passed
+            identity = np.eye(*column.shape[1:])
             column[~passed] = identity
             diagonal[~block_passed] = identity[:_BLOCK]
         factors[:, block, block] = diagonal
@@ -209,13 +220,15 @@ def _blocked_cholesky(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]
 
 
 def _not_positive_definite(context: str, stack: np.ndarray, index: int,
-                           advice: str = "") -> NumericalError:
+                           advice: str = "", rebuild: _Rebuild | None = None) -> NumericalError:
     """The error for member ``index`` of a stack (B, m, m), the first that
     failed Cholesky: names ``context``, the member and its minimum
-    eigenvalue, then ``advice``."""
+    eigenvalue, then ``advice``.  ``rebuild(index)`` gives the member back
+    where its factorization overwrote it."""
+    matrix = stack[index] if rebuild is None else rebuild(index)
     return NumericalError(
         f"{context} not positive definite{_member(index, len(stack))} "
-        f"(min eigenvalue {np.linalg.eigvalsh(stack[index]).min():.3e}){advice}"
+        f"(min eigenvalue {np.linalg.eigvalsh(matrix).min():.3e}){advice}"
     )
 
 
@@ -275,8 +288,8 @@ def _cholesky_solve(matrices: np.ndarray, factors: np.ndarray,
 _Failure = Callable[[], NumericalError]
 
 
-def _spd_solve_members(stack: np.ndarray, rhs: np.ndarray, context: str,
-                       advice: str) -> tuple[np.ndarray, _Failure | None]:
+def _spd_solve_members(stack: np.ndarray, rhs: np.ndarray, context: str, advice: str,
+                       rebuild: _Rebuild | None = None) -> tuple[np.ndarray, _Failure | None]:
     """Solve ``stack[b] @ x[b] = rhs[b]`` for each SPD member of (B, m, m).
 
     ``rhs`` is (B, m) or (B, m, k).  When every member passes Cholesky,
@@ -286,16 +299,20 @@ def _spd_solve_members(stack: np.ndarray, rhs: np.ndarray, context: str,
     disturb the others.  Returns x shaped as ``rhs`` and None or the
     builder of the failure's error: ``_not_positive_definite``'s, else
     ``_zero_pivot``'s for the first member that met one.
+
+    A caller whose stack is its own temporary passes ``rebuild``, which
+    gives member b's matrix anew: the stack is then overwritten by its
+    factors, and only a failure's error rebuilds the member it names.
     """
     b = rhs if rhs.ndim == stack.ndim else rhs[..., None]  # (B, m, k)
-    factors, passed = _positive_definite(stack)
+    factors, passed = _positive_definite(stack, overwrite=rebuild is not None)
     if passed is None:
         try:
             return _cholesky_solve(stack, factors, b).reshape(rhs.shape), None
         except np.linalg.LinAlgError:
             passed = np.ones(len(stack), dtype=bool)
     failure = None if passed.all() else partial(
-        _not_positive_definite, context, stack, int(np.argmin(passed)), advice)
+        _not_positive_definite, context, stack, int(np.argmin(passed)), advice, rebuild)
     x = np.full(b.shape, np.nan)
     for index in np.flatnonzero(passed):
         try:
@@ -306,10 +323,10 @@ def _spd_solve_members(stack: np.ndarray, rhs: np.ndarray, context: str,
 
 
 def _spd_solve(stack: np.ndarray, rhs: np.ndarray, context: str,
-               advice: str = "") -> np.ndarray:
+               advice: str = "", rebuild: _Rebuild | None = None) -> np.ndarray:
     """``_spd_solve_members``' solution; raises the error it builds when a
     member failed."""
-    x, failure = _spd_solve_members(stack, rhs, context, advice)
+    x, failure = _spd_solve_members(stack, rhs, context, advice, rebuild)
     if failure is not None:
         raise failure()
     return x
@@ -370,10 +387,10 @@ class _WeightSystem(NamedTuple):
     shapes below gain the batch axes in front."""
 
     weights: np.ndarray     # (N,) solution of (K + jitter I) W = q, NaN if unsolved
-    # (N, N) K + jitter I; the kernel derivatives see the same values as
-    # from K alone, since the SE ones scale the diagonal by x_i - x_i = 0
-    # and the Hermite ones never read it
-    gram: np.ndarray
+    # (N, N) K + jitter I, None where the solve overwrote it; the kernel
+    # derivatives see the same values as from K alone, since the SE ones
+    # scale the diagonal by x_i - x_i = 0 and the Hermite ones never read it
+    gram: np.ndarray | None
     embedding: np.ndarray   # (N,) kernel mean embedding q
     failure: _Failure | None  # builds the error for an unsolved set
 
@@ -382,7 +399,16 @@ class _WeightSystem(NamedTuple):
         return _dot(self.embedding, self.weights)
 
 
-def _solve_weight_system(kernel, points: np.ndarray, jitter: float) -> _WeightSystem:
+def _jittered(gram: np.ndarray, jitter: float) -> np.ndarray:
+    """``gram`` (..., N, N) with ``jitter`` added to its diagonal, in place:
+    no N x N temporaries."""
+    if jitter:
+        np.einsum("...ii->...i", gram)[...] += jitter
+    return gram
+
+
+def _solve_weight_system(kernel, points: np.ndarray, jitter: float,
+                         overwrite: bool = False) -> _WeightSystem:
     """Weights together with the Gram matrix and embedding they solve.
 
     ``points`` is one set (N, n) or a batch of sets (..., N, n), each
@@ -393,12 +419,13 @@ def _solve_weight_system(kernel, points: np.ndarray, jitter: float) -> _WeightSy
     sets whose Gram matrix has min K_ij > 0.8 K_ii; when no set is flat,
     the batch goes straight to one solve.  A set whose system is not
     positive definite gets NaN weights; it does not disturb the others.
+    With ``overwrite``, for a caller that reads no Gram matrix, the solve
+    may factor it in place and the system's ``gram`` is None.
     """
     batch, (count, n) = points.shape[:-2], points.shape[-2:]
     stack = points.reshape(-1, count, n)
     gram, q = kernel.gram_and_embedding(stack)
-    if jitter:
-        np.einsum("...ii->...i", gram)[...] += jitter  # in place: no N x N temporaries
+    _jittered(gram, jitter)
     flat = ()
     if jitter == 0.0 and count > 1:
         # a kernel with flat increments has one diagonal value s^2
@@ -409,7 +436,8 @@ def _solve_weight_system(kernel, points: np.ndarray, jitter: float) -> _WeightSy
             flat, gram_inc = np.flatnonzero(near)[is_flat], gram_inc[is_flat]
     if not len(flat):
         weights, failure = _spd_solve_members(
-            gram, q, "quadrature weight system", _SINGULAR_ADVICE)
+            gram, q, "quadrature weight system", _SINGULAR_ADVICE,
+            (lambda index: _jittered(kernel.gram(stack[index]), jitter)) if overwrite else None)
     else:
         weights = np.empty((len(stack), count))
         plain = np.delete(np.arange(len(stack)), flat)
@@ -420,13 +448,15 @@ def _solve_weight_system(kernel, points: np.ndarray, jitter: float) -> _WeightSy
             gram_inc, *kernel.flat_embedding(stack[flat]), s2)
         gram[flat] = s2[:, None, None] * (1.0 + gram_inc)
         failure = failure or flat_failure
-    return _WeightSystem(weights.reshape(*batch, count), gram.reshape(*batch, count, count),
+    return _WeightSystem(weights.reshape(*batch, count),
+                         None if overwrite else gram.reshape(*batch, count, count),
                          q.reshape(*batch, count), failure)
 
 
-def _single_system(kernel, points: UnitPointSet, jitter: float) -> _WeightSystem:
+def _single_system(kernel, points: UnitPointSet, jitter: float,
+                   overwrite: bool = False) -> _WeightSystem:
     """The weight system of one set; raises where it is not positive definite."""
-    system = _solve_weight_system(kernel, points.points, jitter)
+    system = _solve_weight_system(kernel, points.points, jitter, overwrite)
     if system.failure is not None:
         raise system.failure()
     return system
@@ -450,7 +480,7 @@ def gpq_weights(kernel, points: UnitPointSet, jitter: float = 0.0) -> Quadrature
     on the rule.  A singular system at zero jitter raises with the
     offending conditioning rather than regularizing silently.
     """
-    system = _single_system(kernel, points, jitter)
+    system = _single_system(kernel, points, jitter, overwrite=True)
     return QuadratureRule(
         points=points,
         weights=system.weights,
@@ -517,8 +547,9 @@ def gp_regression_mean(kernel, train_points, observations,
     obs = np.asarray(observations, dtype=float)
     if obs.shape != (train.shape[0],):
         raise ValueError("one observation per training point required")
-    gram = kernel.gram(train)
-    gram[np.diag_indices_from(gram)] += jitter
-    coeffs = _spd_solve(gram[None], obs[None], "regression system", _SINGULAR_ADVICE)
+    # the Gram matrix is this call's own, so the solve may overwrite it
+    coeffs = _spd_solve(_jittered(kernel.gram(train), jitter)[None], obs[None],
+                        "regression system", _SINGULAR_ADVICE,
+                        lambda _: _jittered(kernel.gram(train), jitter))
     cross = kernel.eval(np.atleast_2d(np.asarray(query, dtype=float)), train)
     return float((cross @ coeffs[0])[0])

@@ -974,7 +974,7 @@ def test_every_mutated_shipped_config_exits_0_1_or_2(tmp_path, capsys, monkeypat
     config = tmp_path / "config.json"
     out = tmp_path / "out"
     names = sorted({path.stem for path in CONFIG_DIR.glob("*.json")} - {"ungm", "bot"})
-    assert len(names) == 8
+    assert len(names) == 9
     cases = 0
     for name in names:
         document = json.loads((CONFIG_DIR / f"{name}.json").read_text())
@@ -990,7 +990,7 @@ def test_every_mutated_shipped_config_exits_0_1_or_2(tmp_path, capsys, monkeypat
                 assert code in (0, 1, 2), case
                 capsys.readouterr()
                 cases += 1
-    assert cases == 11 * 128
+    assert cases == 11 * 138
 
 
 class TestGoldenOutput:
@@ -998,6 +998,7 @@ class TestGoldenOutput:
 
     @pytest.mark.parametrize("name", ["points_example", "weights_example",
                                       "weights_gh_hermite", "weights_ut5_hermite",
+                                      "weights_hammersley_se",
                                       "transform_example", "ungm_smoke", "bot_smoke",
                                       "moments", "bot", "ungm"])
     def test_matches_golden_file(self, name, tmp_path):

@@ -94,17 +94,27 @@ class TestSquaredDistances:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_rounds_as_the_broadcast_form(self, n):
         rng = np.random.default_rng(n)
+        # the last two fill more than one row block of _BLOCK rows
         for x, y in [(rng.normal(size=(3, 40, n)), rng.normal(size=(3, 30, n))),
                      (rng.normal(size=(1, n)), rng.normal(size=(40, n))),
-                     (rng.normal(size=(2, 1, n)), rng.normal(size=(2, 25, n)))]:
+                     (rng.normal(size=(2, 1, n)), rng.normal(size=(2, 25, n))),
+                     (rng.normal(size=(2, 300, n)), rng.normal(size=(2, 70, n))),
+                     (rng.normal(size=(257, n)), rng.normal(size=(3, 20, n)))]:
             broadcast = ((x[..., :, None, :] - y[..., None, :, :]) ** 2).sum(axis=-1)
             d2 = _squared_distances(x, y)
             assert d2.shape == broadcast.shape
             assert np.array_equal(d2, broadcast)
 
+    def test_kernel_and_increments_per_block_round_as_on_the_whole(self):
+        pts = np.random.default_rng(8).normal(size=(2, 300, 3))
+        kernel = SquaredExponentialKernel(1.3, 0.7)
+        exponent = _squared_distances(pts, pts) / (-2.0 * 0.7**2)
+        assert np.array_equal(kernel.gram(pts), 1.3**2 * np.exp(exponent))
+        assert np.array_equal(kernel.flat_increments(pts), np.expm1(exponent))
+
     @pytest.mark.parametrize("n", [2, 5])
-    def test_gram_peak_memory_stays_near_two_matrices(self, n):
-        # the distances and one buffer: no (N, N, n) temporary
+    def test_gram_peak_memory_stays_near_one_matrix(self, n):
+        # the distances and a buffer of _BLOCK rows: no second (N, N) array
         count = 500
         pts = np.random.default_rng(0).normal(size=(count, n))
         kernel = SquaredExponentialKernel(1.0, 1.0)
@@ -114,7 +124,7 @@ class TestSquaredDistances:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * count**2 * 8
+        assert peak <= 1.5 * count**2 * 8
 
 
 class TestHermitePolynomialKernel:
@@ -240,6 +250,27 @@ def feature_values(kernel, x, y, coefficients=None):
             embedding)
 
 
+def feature_derivatives(kernel, x):
+    """``derivatives`` at x from the feature matrices, d phi_I / dx_d =
+    phi_{I - e_d}, zero where I_d = 0; identity coefficients."""
+    def features(indices):
+        inv_factorial = 1.0 / np.array([math.prod(map(math.factorial, ix))
+                                        for ix in indices.tolist()])
+        return hermite_design_matrix(indices, x) * inv_factorial
+
+    fx = features(kernel.index_set)
+    d_features = []
+    for d in range(kernel.dimension):
+        present = kernel.index_set[:, d] > 0
+        lowered = kernel.index_set.copy()
+        lowered[:, d] -= present
+        d_features.append(features(lowered) * present)
+    d_features = np.stack(d_features)
+    zero = int(np.flatnonzero(~kernel.index_set.any(axis=1))[0])
+    return (np.moveaxis(d_features @ np.swapaxes(fx, -1, -2), 0, -1),
+            np.moveaxis(d_features[..., zero], 0, -1))
+
+
 GH_GRIDS = [(n, order) for n in range(1, 6) for order in range(1, 4)]
 
 
@@ -277,6 +308,27 @@ class TestFullGridProduct:
         assert np.array_equal(kernel.gram(x), gram)
         assert np.array_equal(kernel.eval(x, y), cross)
         assert np.array_equal(kernel.mean_embedding(x), embedding)
+
+    @pytest.mark.parametrize("n,order", GH_GRIDS)
+    def test_derivatives_match_the_feature_path(self, n, order):
+        kernel = make_gh_kernel(n, order)
+        x, _ = self.batch_points(n, 7 * n + order)
+        d_gram, d_embedding = feature_derivatives(kernel, x)
+        got_gram, got_embedding = kernel.derivatives(x, *kernel.gram_and_embedding(x))
+        assert got_gram.shape == d_gram.shape == x.shape[:-1] + x.shape[-2:]
+        assert np.abs(got_gram - d_gram).max() <= 1e-12 * np.abs(d_gram).max()
+        assert np.array_equal(got_embedding, d_embedding)
+
+    def test_grid_derivatives_match_central_differences(self):
+        kernel = make_gh_kernel(3, 2)
+        pts = np.random.default_rng(41).normal(size=(6, 3))
+        d_gram, d_embedding = kernel.derivatives(pts, *kernel.gram_and_embedding(pts))
+        h = 1e-6
+        for d in range(3):
+            step = h * np.eye(3)[d]
+            fd_gram = (kernel.eval(pts + step, pts) - kernel.eval(pts - step, pts)) / (2 * h)
+            np.testing.assert_allclose(d_gram[:, :, d], fd_gram, rtol=1e-7, atol=1e-7)
+        assert not d_embedding.any()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     @pytest.mark.parametrize("order", [3, 5, 7, 9])
