@@ -605,4 +605,4 @@ def run_bot(config: dict, seed_offset: int = 0) -> Report:
     """Position RMSE study on bearings-only coordinated-turn tracking."""
     return _filtering_study("bot", config, seed_offset, lambda fields: bot_model(fields["model"]),
                             components=[0, 2], model=(_bot_config, None),
-                            steps=(partial(config_int, minimum=1), BotConfig.steps))
+                            steps=(partial(config_int, minimum=1), 100))

@@ -60,17 +60,15 @@ def hermite_multi(index, xi) -> float:
     """Evaluate the multivariate Hermite polynomial H_I(xi).
 
     ``index`` is any length-n sequence of non-negative ints; the value is
-    the product of univariate evaluations, one per dimension.
+    the product of univariate evaluations, one per dimension: the one
+    entry of ``hermite_design_matrix`` for this index and point.
     """
     xi = np.asarray(xi, dtype=float)
     if xi.ndim != 1 or len(index) != xi.shape[0]:
         raise ValueError(
             f"multi-index of length {len(index)} incompatible with point of shape {xi.shape}"
         )
-    out = 1.0
-    for p, x in zip(index, xi):
-        out *= hermite_uni(p, x)
-    return out
+    return float(hermite_design_matrix([index], xi[None])[0, 0])
 
 
 def enumerate_indices(n: int, *, total_degree: int | None = None,
@@ -132,6 +130,8 @@ def hermite_design_matrix(indices, points: np.ndarray) -> np.ndarray:
     if indices.ndim != 2 or indices.shape[1] != n:
         raise ValueError(f"index set of shape {indices.shape} does not match "
                          f"points of dimension {n}")
+    if indices.size and indices.min() < 0:
+        raise ValueError(f"degree must be non-negative, got {indices.min()}")
     # table[d, ..., p] = He_p evaluated on coordinate d of every point
     table = _hermite_table(np.moveaxis(points, -1, 0), int(indices.max(initial=0)))
     # np.take returns C order; fancy indexing on the last axis would

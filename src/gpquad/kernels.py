@@ -29,7 +29,7 @@ from itertools import product
 import numpy as np
 
 from .hermite import enumerate_indices, hermite_design_matrix
-from .quadrature import _BLOCK
+from .quadrature import _BLOCK, _checked_cov
 
 __all__ = [
     "SquaredExponentialKernel",
@@ -215,7 +215,8 @@ class HermitePolynomialKernel:
     ``index_set`` is an (m, n) array of distinct non-negative integer
     multi-indices, the zero index among them (``enumerate_indices`` gives
     them in graded-lex order); it is stored read-only.
-    ``coefficients`` is the symmetric PSD matrix indexed by its rows;
+    ``coefficients`` is the symmetric PSD matrix indexed by its rows,
+    checked at construction as ``matrix_sqrt`` checks a covariance;
     ``None`` stands for the identity, which reproduces the classical
     rules without storing an m x m matrix.
 
@@ -258,8 +259,7 @@ class HermitePolynomialKernel:
             coeff = np.asarray(coeff, dtype=float)
             if coeff.shape != (m, m):
                 raise ValueError(f"coefficient matrix must be {m}x{m}, got {coeff.shape}")
-            if not np.allclose(coeff, coeff.T, atol=1e-12):
-                raise ValueError("coefficient matrix must be symmetric")
+            _checked_cov(coeff, "coefficient matrix")
         object.__setattr__(self, "index_set", index_set)
         object.__setattr__(self, "coefficients", coeff)
         object.__setattr__(self, "_inv_factorial", _inverse_factorials(index_set))

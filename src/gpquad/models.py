@@ -99,7 +99,6 @@ class BotConfig:
     dt: float = 1.0                      # seconds
     q1: float = 0.1                      # m^2 s^-3
     q2: float = 1.75e-4                  # s^-3
-    steps: int = 100
     prior_mean: np.ndarray = field(
         default_factory=lambda: np.array([0.0, 10.0, 0.0, -10.0, 0.05]))
     prior_cov: np.ndarray = field(

@@ -392,11 +392,22 @@ class _WeightSystem(NamedTuple):
     # scale the diagonal by x_i - x_i = 0 and the Hermite ones never read it
     gram: np.ndarray | None
     embedding: np.ndarray   # (N,) kernel mean embedding q
+    variance: np.ndarray    # () posterior variance, double integral - q^T W, NaN if unsolved
     failure: _Failure | None  # builds the error for an unsolved set
 
-    @property
-    def q_dot_w(self) -> np.ndarray:
-        return _dot(self.embedding, self.weights)
+    def checked_variance(self) -> float:
+        """The verdict on a single set: its variance clamped to >= 0; raises
+        the failure of an unsolved system, or for a variance below the
+        -1e-9 clamp."""
+        if self.failure is not None:
+            raise self.failure()
+        variance = float(self.variance)
+        if variance < -VARIANCE_CLAMP:
+            raise NumericalError(
+                f"posterior variance {variance:.3e} below the -1e-9 clamp; "
+                "the weight system is numerically unreliable, raise the jitter"
+            )
+        return max(variance, 0.0)
 
 
 def _jittered(gram: np.ndarray, jitter: float) -> np.ndarray:
@@ -448,56 +459,27 @@ def _solve_weight_system(kernel, points: np.ndarray, jitter: float,
             gram_inc, *kernel.flat_embedding(stack[flat]), s2)
         gram[flat] = s2[:, None, None] * (1.0 + gram_inc)
         failure = failure or flat_failure
-    return _WeightSystem(weights.reshape(*batch, count),
-                         None if overwrite else gram.reshape(*batch, count, count),
-                         q.reshape(*batch, count), failure)
-
-
-def _single_system(kernel, points: UnitPointSet, jitter: float,
-                   overwrite: bool = False) -> _WeightSystem:
-    """The weight system of one set; raises where it is not positive definite."""
-    system = _solve_weight_system(kernel, points.points, jitter, overwrite)
-    if system.failure is not None:
-        raise system.failure()
-    return system
-
-
-def _clamped_variance(kernel, points: UnitPointSet, q_dot_w: float) -> float:
-    variance = kernel.double_integral(points.dimension) - q_dot_w
-    if variance < -VARIANCE_CLAMP:
-        raise NumericalError(
-            f"posterior variance {variance:.3e} below the -1e-9 clamp; "
-            "the weight system is numerically unreliable, raise the jitter"
-        )
-    return max(variance, 0.0)
+    weights, q = weights.reshape(*batch, count), q.reshape(*batch, count)
+    return _WeightSystem(weights, None if overwrite else gram.reshape(*batch, count, count),
+                         q, kernel.double_integral(n) - _dot(q, weights), failure)
 
 
 def gpq_weights(kernel, points: UnitPointSet, jitter: float = 0.0) -> QuadratureRule:
     """Build the quadrature rule for a kernel over a unit point set.
 
     Solves (K + jitter I) W = q after a Cholesky check that the system is
-    positive definite; the posterior variance is computed once and cached
-    on the rule.  A singular system at zero jitter raises with the
-    offending conditioning rather than regularizing silently.
+    positive definite; the posterior variance comes from the same solve
+    and is cached on the rule.  A singular system at zero jitter raises
+    with the offending conditioning rather than regularizing silently.
     """
-    system = _single_system(kernel, points, jitter, overwrite=True)
-    return QuadratureRule(
-        points=points,
-        weights=system.weights,
-        jitter=jitter,
-        posterior_variance=_clamped_variance(kernel, points, float(system.q_dot_w)),
-    )
+    system = _solve_weight_system(kernel, points.points, jitter, overwrite=True)
+    return QuadratureRule(points=points, weights=system.weights, jitter=jitter,
+                          posterior_variance=system.checked_variance())
 
 
 def gpq_variance(kernel, points: UnitPointSet, jitter: float = 0.0) -> float:
     """Posterior variance of the integral estimate for a point set."""
     return gpq_weights(kernel, points, jitter).posterior_variance
-
-
-def _variance_gradient(kernel, points: np.ndarray, system: _WeightSystem) -> np.ndarray:
-    d_gram, d_embedding = kernel.derivatives(points, system.gram, system.embedding)
-    w = system.weights
-    return 2.0 * w[..., None] * (np.einsum("...ikd,...k->...id", d_gram, w) - d_embedding)
 
 
 def gpq_variance_and_gradient(kernel, points, jitter: float = 0.0):
@@ -508,36 +490,33 @@ def gpq_variance_and_gradient(kernel, points, jitter: float = 0.0):
     the derivatives come from ``kernel.derivatives``.
 
     ``points`` is a ``UnitPointSet``, or an array (..., N, n) of sets that
-    are evaluated together, each as it would be alone.  A single set fails
-    like ``gpq_variance``, and where its variance is clamped to zero the
-    gradient is zero too; it returns (float, (N, n) array).  A batch
-    returns variances (...,) and gradients (..., N, n) and raises for no
-    member: a member whose system is not positive definite, whose variance
-    is below the -1e-9 clamp, or whose variance or gradient is not finite
-    reads +inf with a zero gradient, and a member clamped to zero reads 0
-    with a zero gradient.
+    are evaluated together, each as it would be alone.  A batch returns
+    variances (...,) and gradients (..., N, n) and raises for no member: a
+    member whose system is not positive definite, whose variance is below
+    the -1e-9 clamp, or whose variance or gradient is not finite reads
+    +inf with a zero gradient, and a member clamped to zero reads 0 with a
+    zero gradient.  A single set takes ``gpq_variance``'s verdict first,
+    so it raises where a member would read +inf from its system, and
+    returns (float, (N, n) array).
     """
-    if isinstance(points, UnitPointSet):
-        system = _single_system(kernel, points, jitter)
-        variance = _clamped_variance(kernel, points, float(system.q_dot_w))
-        if variance == 0.0:
-            return variance, np.zeros_like(points.points)
-        return variance, _variance_gradient(kernel, points.points, system)
-    points = np.asarray(points, dtype=float)
+    single = isinstance(points, UnitPointSet)
+    points = points.points if single else np.asarray(points, dtype=float)
     system = _solve_weight_system(kernel, points, jitter)
-    variance = kernel.double_integral(points.shape[-1]) - system.q_dot_w
+    variance = system.checked_variance() if single else system.variance
+    d_gram, d_embedding = kernel.derivatives(points, system.gram, system.embedding)
+    w = system.weights
     with np.errstate(invalid="ignore"):
-        gradient = _variance_gradient(kernel, points, system)
+        gradient = 2.0 * w[..., None] * (np.einsum("...ikd,...k->...id", d_gram, w) - d_embedding)
     # every member solved, positive and finite, the common case: no masks
     if (system.failure is None and np.count_nonzero(np.isfinite(gradient)) == gradient.size
-            and np.count_nonzero((variance > 0.0) & np.isfinite(variance)) == variance.size):
+            and np.count_nonzero((variance > 0.0) & np.isfinite(variance)) == np.size(variance)):
         return variance, gradient
     # an unsolved member's NaN weights make its variance NaN
     failed = ~((variance >= -VARIANCE_CLAMP) & np.isfinite(variance)
                & np.isfinite(gradient).all(axis=(-2, -1)))
     variance = np.where(failed, np.inf, np.maximum(variance, 0.0))
     gradient[failed | (variance == 0.0)] = 0.0
-    return variance, gradient
+    return (float(variance) if single else variance), gradient
 
 
 def gp_regression_mean(kernel, train_points, observations,

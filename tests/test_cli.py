@@ -523,6 +523,32 @@ class TestBuildRule:
 UKF = {"name": "ukf", "points": {"type": "ut"}, "kernel": "classical"}
 
 
+def duplicated_point_method(tmp_path, n):
+    """An SE method on a CSV holding the point 0.5 twice: its Gram matrix is
+    flat and singular at zero jitter, so its build fails numerically."""
+    path = tmp_path / "dup.csv"
+    row = ",".join(["0.5"] * n)
+    path.write_text(",".join(f"xi{d + 1}" for d in range(n)) + f"\n{row}\n{row}\n")
+    return {"name": "dup", **csv_points(str(path)), "kernel": {"type": "se"}}
+
+
+@pytest.mark.parametrize("study,n,config", [
+    (run_moments, 1, {"dimensions": [1], "exponents": [1, 2]}),
+    (run_ungm, 1, {"seeds": [0, 1], "steps": 10}),
+    (run_bot, 5, {"seeds": [0], "steps": 10}),
+], ids=["moments", "ungm", "bot"])
+def test_numerical_build_failure_is_an_error_cell(tmp_path, study, n, config):
+    healthy = study({**config, "methods": [UKF]})
+    report = study({**config, "methods": [UKF, duplicated_point_method(tmp_path, n)]})
+    failed = [row for row in report.rows if row[0] == "dup"]
+    assert len(failed) == len(healthy.rows)
+    for row in failed:
+        assert row[-1].startswith("deflated weight system not positive definite")
+        assert row[-1].endswith("raise the jitter to regularize")
+        assert row[-4:-1] == ["", "", ""]
+    assert [row for row in report.rows if row[0] != "dup"] == healthy.rows
+
+
 def next_to_ukf(method):
     """A study's methods: a good one, then ``method`` named 'bad'."""
     return {"methods": [UKF, {"name": "bad", **method}]}
@@ -818,6 +844,13 @@ class TestCliCommands:
         config = write_config(tmp_path, {**base, **change})
         assert main([base["experiment"], "--config", config]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_duplicate_method_names_are_exit_1(self, tmp_path, capsys):
+        config = write_config(tmp_path, {**self.UNGM,
+                                         "methods": [UKF, {**UKF, "points": CUBATURE}]})
+        assert main(["ungm", "--config", config]) == 1
+        assert capsys.readouterr().err == (
+            "config error: config: methods: method names must be unique\n")
 
     def test_config_error_names_the_method(self, tmp_path, capsys):
         config = write_config(tmp_path, {**self.UNGM, **next_to_ukf(

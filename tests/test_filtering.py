@@ -187,6 +187,10 @@ class TestRunFilter:
             np.testing.assert_allclose(out.filtered_means[k], fm, atol=1e-8)
             np.testing.assert_allclose(out.filtered_covs[k], fp, atol=1e-8)
 
+    def test_observations_of_the_wrong_dimension_raise(self):
+        with pytest.raises(ValueError, match="observations of dimension 2, model expects 1"):
+            run_filter(ungm_model(), ut_points(1, 2.0), np.zeros((10, 2)))
+
     def test_output_covariances_well_formed(self):
         model = ungm_model()
         rule = ut_points(1, 2.0)

@@ -76,6 +76,11 @@ class TestHermiteMulti:
         with pytest.raises(ValueError, match="incompatible"):
             hermite_multi((1, 2), np.array([1.0, 2.0, 3.0]))
 
+    def test_negative_degree(self):
+        # the design matrix's column lookup would wrap -1 round to He_0
+        with pytest.raises(ValueError, match="degree must be non-negative, got -1"):
+            hermite_multi((1, -1), np.array([1.0, 2.0]))
+
     def test_design_matrix_matches_pointwise(self):
         rng = np.random.default_rng(7)
         pts = rng.normal(size=(6, 3))

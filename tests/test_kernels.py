@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from itertools import product
 
@@ -173,6 +174,19 @@ class TestHermitePolynomialKernel:
         indices = tuple(enumerate_indices(1, total_degree=1))
         with pytest.raises(ValueError):
             HermitePolynomialKernel(indices, np.array([[1.0, 0.2], [0.1, 1.0]]))
+
+    @pytest.mark.parametrize("coefficients,message", [
+        # constructed silently before, then failed as a singular weight system
+        (np.diag([1.0, -1.0, 1.0, 1.0]), "not PSD: smallest eigenvalue -1.000e+00"),
+        # inside np.allclose's default rtol of 1e-5, beyond matrix_sqrt's 1e-9
+        (np.eye(4) + 1e-7 * np.eye(4, k=1), "asymmetric beyond 1e-9 relative tolerance"),
+    ], ids=["not-psd", "asymmetric-1e-7"])
+    def test_coefficients_are_checked_as_a_covariance(self, coefficients, message):
+        indices = enumerate_indices(1, total_degree=3)
+        expected = "^" + re.escape(f"coefficient matrix: matrix is {message}")
+        with pytest.raises(ValueError, match=expected) as info:
+            HermitePolynomialKernel(indices, coefficients)
+        assert not isinstance(info.value, np.linalg.LinAlgError)
 
     @pytest.mark.parametrize("index_set,message", [
         ([[0, 0], [1, -1]], "non-negative integers"),

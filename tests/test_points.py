@@ -597,8 +597,7 @@ class TestVarianceGradient:
         kernel = LoweredKernel(make_ut_kernel(2, 3).index_set)
         pts = ut_points(2, 3.0).points
         system = quadrature._solve_weight_system(kernel, pts.points, 0.0)
-        raw = kernel.double_integral(2) - system.q_dot_w
-        assert -1e-9 < raw < -1e-13
+        assert -1e-9 < system.variance < -1e-13
         variance, grad = gpq_variance_and_gradient(kernel, pts)
         assert variance == 0.0
         assert np.array_equal(grad, np.zeros((5, 2)))
@@ -625,6 +624,18 @@ class TestClassicalGenerators:
     def test_one_rule_type_everywhere(self):
         assert quadrature.QuadratureRule is QuadratureRule
         assert gpquad.QuadratureRule is QuadratureRule
+
+
+@pytest.mark.parametrize("weights,jitter,message", [
+    (np.full(2, 0.5), 0.0, "one weight per point"),
+    (np.array([0.5, np.nan, 0.5]), 0.0, "weights must be finite"),
+    (np.array([0.5, np.inf, 0.5]), 0.0, "weights must be finite"),
+    (np.full(3, 1 / 3), -1e-12, "jitter must be >= 0"),
+], ids=["count", "nan", "inf", "negative-jitter"])
+def test_quadrature_rule_rejects_invalid_fields(weights, jitter, message):
+    points = UnitPointSet(np.array([[-1.0], [0.0], [1.0]]), "three")
+    with pytest.raises(ValueError, match=message):
+        QuadratureRule(points, weights, jitter)
 
 
 class TestUnitPointSetValidation:
