@@ -54,7 +54,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Mean vector and symmetric PSD covariance."""
+    """Mean vector and symmetric PSD covariance.
+
+    Construction checks the covariance's shape and symmetry only, not
+    that it is PSD: every step that factors it checks that, through
+    ``_checked_cov``, as does ``BotConfig`` for its prior.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
@@ -116,6 +121,14 @@ def _noise_matrix(cov, d: int) -> np.ndarray:
         raise ValueError(f"noise covariance of shape {cov.shape}; expected a scalar "
                          f"or ({d}, {d})")
     return cov
+
+
+def _check_rule_dimension(rule: QuadratureRule, n: int, name: str = "rule",
+                          expected: str = "mean of length") -> None:
+    """ValueError naming ``name``, its dimension and ``expected`` n when the
+    rule's points are not n-dimensional."""
+    if rule.points.dimension != n:
+        raise ValueError(f"{name} of dimension {rule.points.dimension}, {expected} {n}")
 
 
 @dataclass(frozen=True)
@@ -226,8 +239,9 @@ def gp_transform(rule: QuadratureRule, g: Callable, mean, cov,
     the model functions: it maps the (N, n) sigma points to (N, d), or to
     (N,) for d = 1, in one call.  The mean alone is the rule applied to g.
     """
-    moments = _transform(rule.points.points, rule.weights, lambda x, k: g(x),
-                         np.atleast_1d(np.asarray(mean, dtype=float))[None],
+    mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    _check_rule_dimension(rule, len(mean))
+    moments = _transform(rule.points.points, rule.weights, lambda x, k: g(x), mean[None],
                          _checked_cov(np.atleast_2d(np.asarray(cov, dtype=float)), "cov")[None],
                          _checked_cov(noise_cov, "noise_cov"), 0)
     return TransformResult(*(moment[0] for moment in moments))
@@ -236,6 +250,7 @@ def gp_transform(rule: QuadratureRule, g: Callable, mean, cov,
 def predict(state: GaussianState, rule: QuadratureRule, transition,
             process_cov, k: int = 0) -> GaussianState:
     """One prediction step: moment-match f(x) + q through the rule."""
+    _check_rule_dimension(rule, state.dimension)
     process_cov = _checked_cov(_noise_matrix(process_cov, state.dimension), "process_cov")
     mean, cov, _ = _transform(rule.points.points, rule.weights, transition, state.mean[None],
                               _checked_cov(state.cov, "state.cov")[None], process_cov, k)
@@ -250,6 +265,7 @@ def update(pred: GaussianState, rule: QuadratureRule, measurement,
     cross covariance, gain).  The gain solves K S = C after a Cholesky
     check that S is positive definite.
     """
+    _check_rule_dimension(rule, pred.dimension)
     observation = np.atleast_1d(np.asarray(observation, dtype=float))
     mean, cov, *rest = _update(
         rule.points.points, rule.weights, pred.mean[None],
@@ -302,6 +318,8 @@ def run_filter(model: AdditiveStateSpaceModel,
     rules = [rule] if single else list(rule)
     if not rules:
         raise ValueError("run_filter needs at least one rule")
+    for index, member in enumerate(rules):
+        _check_rule_dimension(member, model.state_dim, f"rule {index}", "model.state_dim is")
     observations = np.asarray(observations, dtype=float)
     if observations.ndim == 1 and model.measurement_dim == 1:
         observations = observations[:, None]

@@ -13,10 +13,12 @@ Two families are supported on the standardized N(0, I) domain:
 Both expose ``eval`` / ``gram`` / ``mean_embedding`` / ``double_integral``,
 the three quantities the weight and variance formulas consume (the weight
 solve takes the first two from one ``gram_and_embedding`` call), and
-``derivatives``, their gradients in the points, which the optimizer
-consumes.  Points are an (N, n) set or a batch of sets (..., N, n); every
-per-set quantity then gains the leading batch axes, each set computed as
-it would be alone.
+``weighted_derivative``, the one quantity the variance gradient needs:
+sum_k w_k d/dx_i K(x_i, x_k) - d/dx_i q(x_i) for given weights w, an
+(N, n) array, so no (N, N, n) derivative array is ever built.  Points
+are an (N, n) set or a batch of sets (..., N, n); every per-set quantity
+then gains the leading batch axes, each set computed as it would be
+alone.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -125,27 +126,32 @@ class SquaredExponentialKernel:
         l2 = self.length_scale**2
         return self.output_scale**2 * (l2 / (l2 + 2.0)) ** (n / 2.0)
 
-    def derivatives(self, points, gram, embedding):
-        """Gradients of the Gram matrix and embedding in the points.
+    def weighted_derivative(self, points, gram, embedding, weights):
+        """sum_k w_k d/dx_i K(x_i, x_k) - d/dx_i q(x_i) for each point x_i.
 
         ``gram`` and ``embedding`` are this kernel's Gram matrix and mean
         embedding at the same points, which the SE derivatives rescale:
         d/dx_i K(x_i, x_k) = -K(x_i, x_k) (x_i - x_k) / l^2 and
-        d/dx_i q(x_i) = -q(x_i) x_i / (1 + l^2).
+        d/dx_i q(x_i) = -q(x_i) x_i / (1 + l^2).  Each dimension's
+        derivatives are built in one (N, N) buffer and contracted with the
+        weights there, so no (N, N, n) array is built.
 
         Returns
         -------
-        (dK, dq) with dK[i, k] = d/dx_i K(x_i, x_k), an (N, N, n) ndarray,
-        and dq[i] = d/dx_i q(x_i), an (N, n) ndarray (each with the
-        points' batch axes in front).
+        The (N, n) ndarray of terms, with the points' batch axes in front;
+        the variance gradient is 2 w_i times row i.
         """
         pts = _as_points(points)
         l2 = self.length_scale**2
-        d_gram = pts[..., :, None, :] - pts[..., None, :, :]
-        d_gram *= gram[..., None]
-        d_gram /= -l2
-        d_embedding = embedding[..., None] * pts / -(1.0 + l2)
-        return d_gram, d_embedding
+        out = np.empty(pts.shape)
+        buffer = np.empty(gram.shape)
+        for d in range(pts.shape[-1]):
+            np.subtract(pts[..., :, None, d], pts[..., None, :, d], out=buffer)
+            buffer *= gram
+            buffer /= -l2
+            out[..., d] = np.einsum("...ik,...k->...i", buffer, weights)
+        out -= embedding[..., None] * pts / -(1.0 + l2)
+        return out
 
     def flat_increments(self, points):
         """Gram increments E of the nearly-flat weight system.
@@ -226,7 +232,8 @@ class HermitePolynomialKernel:
     ``gram`` and ``gram_and_embedding`` multiply n Gram matrices of the
     (N, D+1) tables He_k(x_d) / k!, at O(n N^2 (D+1)) instead of the
     O(N^2 (D+1)^n) of the N x m feature matrix, and the embedding is ones.
-    ``derivatives`` differentiates one factor of that product at a time.
+    ``weighted_derivative`` differentiates one factor of that product at a
+    time.
     Other index sets, a coefficient matrix and ``mean_embedding`` use the
     features.
     """
@@ -298,19 +305,6 @@ class HermitePolynomialKernel:
             out *= x_d @ np.swapaxes(y_d, -1, -2)
         return out
 
-    def _feature_derivatives(self, points) -> np.ndarray:
-        # d phi_I / dx_d = phi_{I - e_d} (He_k' = k He_{k-1}), zero where
-        # I_d = 0; returns the (n, ..., N, m) stack over d
-        pts = _as_points(points, self.dimension)
-        stack = []
-        for d in range(self.dimension):
-            present = self.index_set[:, d] > 0
-            lowered = self.index_set.copy()
-            lowered[:, d] -= present
-            stack.append(hermite_design_matrix(lowered, pts)
-                         * _inverse_factorials(lowered) * present)
-        return np.stack(stack)
-
     def _weighted(self, features: np.ndarray) -> np.ndarray:
         # features @ coefficients; the identity leaves them as they are
         return features if self.coefficients is None else features @ self.coefficients
@@ -350,39 +344,40 @@ class HermitePolynomialKernel:
         row = self._zero_row
         return 1.0 if self.coefficients is None else float(self.coefficients[row, row])
 
-    def derivatives(self, points, gram, embedding):
-        """Gradients of the Gram matrix and embedding in the points.
+    def weighted_derivative(self, points, gram, embedding, weights):
+        """sum_k w_k d/dx_i K(x_i, x_k) - d/dx_i q(x_i), as for the SE kernel.
 
-        The derivative of a feature is a lower feature, so both follow from
-        the expansion; ``gram`` and ``embedding`` are unused here and taken
-        for the call shared with the SE kernel.  Shapes as in
-        ``SquaredExponentialKernel.derivatives``.  On a full grid,
-        d/dx_id K(x_i, x_k) is the product over dimensions with factor d
-        differentiated, and He_k' = k He_{k-1} makes its table the table
-        shifted one order up; the embedding, ones, has zero gradient.
+        The derivative of a feature is a lower feature, d phi_I / dx_d =
+        phi_{I - e_d} (He_k' = k He_{k-1}), zero where I_d = 0; with K =
+        F C F^T and q = F C e_0 the term for dimension d is those lowered
+        features times C (F^T w - e_0).  ``gram`` and ``embedding`` are
+        unused here and taken for the call shared with the SE kernel.  On
+        a full grid the term for d is the product over dimensions with
+        factor d differentiated, whose table is the table shifted one
+        order up, contracted with the weights; the embedding, ones, has
+        zero gradient.
         """
+        pts = _as_points(points, self.dimension)
+        out = np.empty(pts.shape)
         if self._grid_degree is not None:
-            return self._grid_derivatives(points)
-        d_features = self._feature_derivatives(points)          # (n, ..., N, m)
-        weighted = self._weighted(self._features(points))       # (..., N, m)
-        d_gram = np.moveaxis(d_features @ np.swapaxes(weighted, -1, -2), 0, -1)
-        if self.coefficients is None:
-            d_embedding = np.moveaxis(d_features[..., self._zero_row], 0, -1)
-        else:
-            d_embedding = np.moveaxis(d_features @ self.coefficients[self._zero_row], 0, -1)
-        return d_gram, d_embedding
-
-    def _grid_derivatives(self, points):
-        # d/da He_k(a) / k! = He_{k-1}(a) / (k-1)!: the tables shifted up
-        tables = self._tables(points)                      # (n, ..., N, D+1)
-        shifted = np.zeros_like(tables)
-        shifted[..., 1:] = tables[..., :-1]
-        factors = tables @ np.swapaxes(tables, -1, -2)     # (n, ..., N, N)
-        d_gram = shifted @ np.swapaxes(tables, -1, -2)
-        for d, e in product(range(self.dimension), repeat=2):
-            if d != e:
-                d_gram[d] *= factors[e]
-        return np.moveaxis(d_gram, 0, -1), np.zeros(tables.shape[1:-1] + (self.dimension,))
+            tables = self._tables(pts)
+            shifted = np.zeros_like(tables)
+            shifted[..., 1:] = tables[..., :-1]
+            for d in range(self.dimension):
+                x_tables = [shifted[e] if e == d else tables[e] for e in range(self.dimension)]
+                out[..., d] = np.einsum("...ik,...k->...i",
+                                        self._grid_product(x_tables, tables), weights)
+            return out
+        row = weights[..., None, :] @ self._features(pts)            # (F^T w)^T
+        row[..., 0, self._zero_row] -= 1.0
+        column = np.swapaxes(self._weighted(row), -1, -2)            # C (F^T w - e_0)
+        for d in range(self.dimension):
+            present = self.index_set[:, d] > 0
+            lowered = self.index_set.copy()
+            lowered[:, d] -= present
+            lowered_features = hermite_design_matrix(lowered, pts) * _inverse_factorials(lowered)
+            out[..., d] = ((lowered_features * present) @ column)[..., 0]
+        return out
 
     def flat_increments(self, points):
         return None

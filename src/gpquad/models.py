@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .filtering import AdditiveStateSpaceModel, GaussianState
-from .quadrature import NumericalError
+from .quadrature import NumericalError, _checked_cov
 
 __all__ = [
     "Trajectory",
@@ -112,7 +112,8 @@ class BotConfig:
             raise ValueError("bearing_noise_std and dt must be positive")
         if self.q1 < 0 or self.q2 < 0:
             raise ValueError("q1 and q2 must be non-negative")
-        GaussianState(self.prior_mean, self.prior_cov)  # raises for a bad prior
+        # shape and symmetry, then positive semi-definiteness
+        _checked_cov(GaussianState(self.prior_mean, self.prior_cov).cov, "prior_cov")
         object.__setattr__(self, "sensors", sensors)
 
 

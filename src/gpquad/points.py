@@ -217,18 +217,19 @@ def random_points(n: int, count: int, seed: int) -> UnitPointSet:
 @dataclass(frozen=True)
 class OptimizerSettings:
     restarts: int = 5
-    max_iterations: int = 400
     jitter: float = 0.0
 
     def __post_init__(self):
-        if self.restarts < 1 or self.max_iterations < 0 or self.jitter < 0:
-            raise ValueError("need restarts >= 1, max_iterations >= 0 and jitter >= 0, "
-                             f"got {self.restarts}, {self.max_iterations}, {self.jitter}")
+        if self.restarts < 1 or self.jitter < 0:
+            raise ValueError("need restarts >= 1 and jitter >= 0, "
+                             f"got {self.restarts}, {self.jitter}")
 
 
-# BFGS constants: stop at a gradient this small (max norm); Armijo's
-# sufficient-decrease factor and the halvings one line search may take
+# BFGS constants: stop at a gradient this small (max norm) or after this
+# many iterations; Armijo's sufficient-decrease factor and the halvings one
+# line search may take
 GRADIENT_TOLERANCE = 1e-10
+MAX_ITERATIONS = 400
 ARMIJO_C1 = 1e-4
 MAX_HALVINGS = 12
 
@@ -251,7 +252,8 @@ def optimize_points(kernel, n: int, count: int, seed: int,
 
     BFGS on the stacked N*n coordinate vector with the exact gradient,
     which comes from the same weight solve as the variance
-    (``gpq_variance_and_gradient``; the kernel supplies its derivatives).
+    (``gpq_variance_and_gradient``; the kernel supplies the weighted
+    derivative sum_k w_k d/dx_i K(x_i, x_k) - d/dx_i q(x_i)).
     Every restart starts from its own seeded Gaussian draw, and all of them
     run together as one batch: each iteration, and each trial step of the
     line search, is one batched evaluation over the restarts still
@@ -262,7 +264,7 @@ def optimize_points(kernel, n: int, count: int, seed: int,
     direction that does not descend is replaced by the negative gradient
     (Nocedal & Wright, Numerical Optimization, ch. 3 and 6).  A
     restart stops when its gradient's largest entry is at most
-    ``GRADIENT_TOLERANCE``, after ``max_iterations`` iterations, or when
+    ``GRADIENT_TOLERANCE``, after ``MAX_ITERATIONS`` iterations, or when
     its line search cannot decrease the variance.  A step that fails (a
     singular system, a variance below the clamp, a non-finite value)
     counts as infinite variance, so a restart never ends worse than its
@@ -292,7 +294,7 @@ def optimize_points(kernel, n: int, count: int, seed: int,
     inverse_hessian = np.tile(np.eye(size), (len(starts), 1, 1))
     unscaled = np.ones(len(starts), dtype=bool)
     running = np.isfinite(f) & (np.abs(g).max(axis=1) > GRADIENT_TOLERANCE)
-    for _ in range(settings.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         if np.count_nonzero(running) < len(live):
             x_all[live], f_all[live] = x, f
             live, x, f, g = live[running], x[running], f[running], g[running]

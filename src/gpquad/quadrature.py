@@ -387,9 +387,10 @@ class _WeightSystem(NamedTuple):
     shapes below gain the batch axes in front."""
 
     weights: np.ndarray     # (N,) solution of (K + jitter I) W = q, NaN if unsolved
-    # (N, N) K + jitter I, None where the solve overwrote it; the kernel
-    # derivatives see the same values as from K alone, since the SE ones
-    # scale the diagonal by x_i - x_i = 0 and the Hermite ones never read it
+    # (N, N) K + jitter I, None where the solve overwrote it; the kernel's
+    # weighted derivative sees the same values as from K alone, since the
+    # SE one scales the diagonal by x_i - x_i = 0 and the Hermite one never
+    # reads it
     gram: np.ndarray | None
     embedding: np.ndarray   # (N,) kernel mean embedding q
     variance: np.ndarray    # () posterior variance, double integral - q^T W, NaN if unsolved
@@ -486,8 +487,8 @@ def gpq_variance_and_gradient(kernel, points, jitter: float = 0.0):
     """Posterior variance and its (N, n) gradient in the points.
 
     With W = (K + jitter I)^{-1} q from the one weight solve,
-    dV/dx_i = 2 W_i (sum_k W_k d/dx_i K(x_i, x_k) - d/dx_i q(x_i));
-    the derivatives come from ``kernel.derivatives``.
+    dV/dx_i = 2 W_i (sum_k W_k d/dx_i K(x_i, x_k) - d/dx_i q(x_i)); the
+    bracket, an (N, n) array, comes from ``kernel.weighted_derivative``.
 
     ``points`` is a ``UnitPointSet``, or an array (..., N, n) of sets that
     are evaluated together, each as it would be alone.  A batch returns
@@ -503,10 +504,10 @@ def gpq_variance_and_gradient(kernel, points, jitter: float = 0.0):
     points = points.points if single else np.asarray(points, dtype=float)
     system = _solve_weight_system(kernel, points, jitter)
     variance = system.checked_variance() if single else system.variance
-    d_gram, d_embedding = kernel.derivatives(points, system.gram, system.embedding)
     w = system.weights
     with np.errstate(invalid="ignore"):
-        gradient = 2.0 * w[..., None] * (np.einsum("...ikd,...k->...id", d_gram, w) - d_embedding)
+        gradient = 2.0 * w[..., None] * kernel.weighted_derivative(
+            points, system.gram, system.embedding, w)
     # every member solved, positive and finite, the common case: no masks
     if (system.failure is None and np.count_nonzero(np.isfinite(gradient)) == gradient.size
             and np.count_nonzero((variance > 0.0) & np.isfinite(variance)) == np.size(variance)):

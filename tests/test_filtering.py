@@ -191,6 +191,24 @@ class TestRunFilter:
         with pytest.raises(ValueError, match="observations of dimension 2, model expects 1"):
             run_filter(ungm_model(), ut_points(1, 2.0), np.zeros((10, 2)))
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda rule: run_filter(ungm_model(), [ut_points(1, 2.0), rule], np.zeros((3, 1))),
+         "rule 1 of dimension 2, model.state_dim is 1"),
+        (lambda rule: run_filter(ungm_model(), rule, np.zeros((3, 1))),
+         "rule 0 of dimension 2, model.state_dim is 1"),
+        (lambda rule: gp_transform(rule, lambda x: x, np.zeros(3), np.eye(3), 0.0),
+         "rule of dimension 2, mean of length 3"),
+        (lambda rule: predict(GaussianState(np.zeros(3), np.eye(3)), rule,
+                              lambda x, k: x, 1.0),
+         "rule of dimension 2, mean of length 3"),
+        (lambda rule: update(GaussianState(np.zeros(1), np.eye(1)), rule,
+                             lambda x, k: x, 1.0, 0.0),
+         "rule of dimension 2, mean of length 1"),
+    ], ids=["group", "single", "gp_transform", "predict", "update"])
+    def test_a_rule_of_the_wrong_dimension_raises(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(ut_points(2, 2.0))
+
     def test_output_covariances_well_formed(self):
         model = ungm_model()
         rule = ut_points(1, 2.0)

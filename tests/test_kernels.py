@@ -264,9 +264,10 @@ def feature_values(kernel, x, y, coefficients=None):
             embedding)
 
 
-def feature_derivatives(kernel, x):
-    """``derivatives`` at x from the feature matrices, d phi_I / dx_d =
-    phi_{I - e_d}, zero where I_d = 0; identity coefficients."""
+def feature_weighted_derivative(kernel, x, w):
+    """``weighted_derivative`` at x for weights w from the full (..., N, N, n)
+    derivative array of the feature matrices, d phi_I / dx_d = phi_{I - e_d},
+    zero where I_d = 0; identity coefficients."""
     def features(indices):
         inv_factorial = 1.0 / np.array([math.prod(map(math.factorial, ix))
                                         for ix in indices.tolist()])
@@ -281,8 +282,23 @@ def feature_derivatives(kernel, x):
         d_features.append(features(lowered) * present)
     d_features = np.stack(d_features)
     zero = int(np.flatnonzero(~kernel.index_set.any(axis=1))[0])
-    return (np.moveaxis(d_features @ np.swapaxes(fx, -1, -2), 0, -1),
-            np.moveaxis(d_features[..., zero], 0, -1))
+    d_gram = np.moveaxis(d_features @ np.swapaxes(fx, -1, -2), 0, -1)
+    d_embedding = np.moveaxis(d_features[..., zero], 0, -1)
+    return np.einsum("...ikd,...k->...id", d_gram, w) - d_embedding
+
+
+def central_difference_term(kernel, pts, w, h=1e-6):
+    """sum_k w_k d/dx_i K(x_i, x_k) - d/dx_i q(x_i) by central differences,
+    x_k held fixed, the diagonal included."""
+    dim = pts.shape[-1]
+    term = np.empty(pts.shape)
+    for d in range(dim):
+        step = h * np.eye(dim)[d]
+        d_gram = (kernel.eval(pts + step, pts) - kernel.eval(pts - step, pts)) / (2 * h)
+        d_embedding = (kernel.mean_embedding(pts + step)
+                       - kernel.mean_embedding(pts - step)) / (2 * h)
+        term[:, d] = d_gram @ w - d_embedding
+    return term
 
 
 GH_GRIDS = [(n, order) for n in range(1, 6) for order in range(1, 4)]
@@ -327,22 +343,19 @@ class TestFullGridProduct:
     def test_derivatives_match_the_feature_path(self, n, order):
         kernel = make_gh_kernel(n, order)
         x, _ = self.batch_points(n, 7 * n + order)
-        d_gram, d_embedding = feature_derivatives(kernel, x)
-        got_gram, got_embedding = kernel.derivatives(x, *kernel.gram_and_embedding(x))
-        assert got_gram.shape == d_gram.shape == x.shape[:-1] + x.shape[-2:]
-        assert np.abs(got_gram - d_gram).max() <= 1e-12 * np.abs(d_gram).max()
-        assert np.array_equal(got_embedding, d_embedding)
+        w = np.random.default_rng(n + order).normal(size=x.shape[:-1])
+        want = feature_weighted_derivative(kernel, x, w)
+        got = kernel.weighted_derivative(x, *kernel.gram_and_embedding(x), w)
+        assert got.shape == want.shape == x.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_grid_derivatives_match_central_differences(self):
         kernel = make_gh_kernel(3, 2)
-        pts = np.random.default_rng(41).normal(size=(6, 3))
-        d_gram, d_embedding = kernel.derivatives(pts, *kernel.gram_and_embedding(pts))
-        h = 1e-6
-        for d in range(3):
-            step = h * np.eye(3)[d]
-            fd_gram = (kernel.eval(pts + step, pts) - kernel.eval(pts - step, pts)) / (2 * h)
-            np.testing.assert_allclose(d_gram[:, :, d], fd_gram, rtol=1e-7, atol=1e-7)
-        assert not d_embedding.any()
+        rng = np.random.default_rng(41)
+        pts, w = rng.normal(size=(6, 3)), rng.normal(size=6)
+        got = kernel.weighted_derivative(pts, *kernel.gram_and_embedding(pts), w)
+        np.testing.assert_allclose(got, central_difference_term(kernel, pts, w),
+                                   rtol=1e-7, atol=1e-7)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     @pytest.mark.parametrize("order", [3, 5, 7, 9])
@@ -415,16 +428,7 @@ class TestKernelInvariants:
     def test_derivatives_match_central_differences(self, kernel):
         rng = np.random.default_rng(31)
         dim = getattr(kernel, "dimension", 2)
-        pts = rng.normal(size=(4, dim))
-        d_gram, d_embedding = kernel.derivatives(
-            pts, kernel.gram(pts), kernel.mean_embedding(pts))
-        assert d_gram.shape == (4, 4, dim) and d_embedding.shape == (4, dim)
-        h = 1e-6
-        for d in range(dim):
-            step = h * np.eye(dim)[d]
-            # d/dx_i K(x_i, x_k) with x_k held fixed, diagonal included
-            fd_gram = (kernel.eval(pts + step, pts) - kernel.eval(pts - step, pts)) / (2 * h)
-            fd_embedding = (kernel.mean_embedding(pts + step)
-                            - kernel.mean_embedding(pts - step)) / (2 * h)
-            np.testing.assert_allclose(d_gram[:, :, d], fd_gram, atol=1e-8)
-            np.testing.assert_allclose(d_embedding[:, d], fd_embedding, atol=1e-8)
+        pts, w = rng.normal(size=(4, dim)), rng.normal(size=4)
+        got = kernel.weighted_derivative(pts, kernel.gram(pts), kernel.mean_embedding(pts), w)
+        assert got.shape == (4, dim)
+        np.testing.assert_allclose(got, central_difference_term(kernel, pts, w), atol=1e-8)

@@ -101,6 +101,13 @@ class TestBotModel:
             BotConfig(prior_cov=np.eye(4))
         BotConfig(q1=0.0, q2=0.0)
 
+    def test_prior_cov_must_be_psd(self):
+        # an indefinite prior raises at construction, not as a warning of
+        # simulate; a singular PSD one is a valid prior
+        with pytest.raises(ValueError, match=r"prior_cov: matrix is not PSD"):
+            BotConfig(prior_cov=np.diag([-1.0, 1, 1, 1, 1]))
+        BotConfig(prior_cov=np.diag([0.0, 1, 1, 1, 1]))
+
     def test_transition_is_the_turn_map_bit_for_bit(self):
         # the coordinated-turn map written out with its own sines and
         # cosines, over turn rates on both sides of the series cutoff

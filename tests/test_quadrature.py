@@ -541,7 +541,7 @@ class TestBlockedCholesky:
 
     def test_gradient_keeps_its_gram_matrix(self):
         # the weight solve of a gradient does not overwrite the Gram
-        # matrix the derivatives read: the same bits as from a fresh one
+        # matrix the derivative reads: the same bits as from a fresh one
         kernel, jitter = SquaredExponentialKernel(1.0, 0.5), 1e-8
         pts = hammersley_points(2, 200)
         variance, gradient = gpq_variance_and_gradient(kernel, pts, jitter)
@@ -549,34 +549,53 @@ class TestBlockedCholesky:
         gram = kernel.gram(pts.points)
         gram[np.diag_indices_from(gram)] += jitter
         embedding = kernel.mean_embedding(pts.points)
-        d_gram, d_embedding = kernel.derivatives(pts.points, gram, embedding)
         w = rule.weights
-        expected = 2.0 * w[:, None] * (np.einsum("ikd,k->id", d_gram, w) - d_embedding)
+        expected = 2.0 * w[:, None] * kernel.weighted_derivative(pts.points, gram, embedding, w)
         assert variance == rule.posterior_variance
         assert np.array_equal(gradient, expected)
 
-    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
-    def test_large_weight_solve_holds_one_matrix(self):
-        # the Gram matrix, built in row blocks and factored in place, and
-        # blocks of a few rows; np.linalg.cholesky holds three N x N arrays.
-        # VmHWM is the child's own peak, where ru_maxrss would start from
-        # the peak of the process that forked it
-        count = 2000
+    @staticmethod
+    def peak_rise_bytes(n, count, call):
+        """How far ``call`` raises VmHWM, in a fresh interpreter, on
+        ``count`` n-D Hammersley points ``pts``.  VmHWM is the child's own
+        peak, where ru_maxrss would start from the peak of the process
+        that forked it."""
         script = (
             "from gpquad import SquaredExponentialKernel, gpq_weights, hammersley_points\n"
+            "from gpquad.quadrature import gpq_variance_and_gradient\n"
             "def peak_kib():\n"
             "    with open('/proc/self/status') as status:\n"
             "        return next(int(line.split()[1]) for line in status\n"
             "                    if line.startswith('VmHWM:'))\n"
-            f"pts = hammersley_points(2, {count})\n"
+            f"pts = hammersley_points({n}, {count})\n"
             "before = peak_kib()\n"
-            "gpq_weights(SquaredExponentialKernel(1, 0.5), pts, 1e-6)\n"
+            f"{call}\n"
             "print(peak_kib() - before)\n")
         src = os.path.dirname(os.path.dirname(gpquad.__file__))
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout) * 1024 < 1.5 * count**2 * 8
+        return int(proc.stdout) * 1024
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_large_weight_solve_holds_one_matrix(self):
+        # the Gram matrix, built in row blocks and factored in place, and
+        # blocks of a few rows; np.linalg.cholesky holds three N x N arrays
+        count = 2000
+        rise = self.peak_rise_bytes(
+            2, count, "gpq_weights(SquaredExponentialKernel(1, 0.5), pts, 1e-6)")
+        assert rise < 1.5 * count**2 * 8
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_large_gradient_builds_no_derivative_array(self):
+        # the Gram matrix the derivative reads, its factors during the
+        # solve and then one N x N buffer per dimension in turn; an
+        # (N, N, n) derivative array would add n N^2 doubles
+        count = 1000
+        rise = self.peak_rise_bytes(
+            5, count,
+            "gpq_variance_and_gradient(SquaredExponentialKernel(1, 0.5), pts, 1e-6)")
+        assert rise < 3 * count**2 * 8
 
 
 class TestMatrixSqrt:
