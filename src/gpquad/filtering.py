@@ -23,9 +23,10 @@ Model functions are vectorized over the leading axis: ``f(X, k)`` maps an
 (N, n) to (N, d).  Noise covariances may be constant matrices or
 callables of the time index; a scalar s stands for s I.  ``gp_transform``
 is the same step for one Gaussian and an integrand ``g(X)`` vectorized
-the same way.  It, ``predict`` and ``update`` reject a non-PSD noise or
-input covariance, and ``run_filter`` a model whose prior or constant
-noise covariance is not PSD, each with a ``ValueError``.
+the same way.  It, ``predict`` and ``update`` reject a non-finite input
+or a noise or input covariance that is asymmetric or not PSD, and
+``run_filter`` a model whose prior or constant noise covariance is, each
+with a ``ValueError`` by the tolerances of ``quadrature``.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .quadrature import (NumericalError, QuadratureRule, _checked_cov, _member, _spd_solve,
-                         matrix_sqrt)
+from .quadrature import (NumericalError, QuadratureRule, _check_symmetric, _checked_cov,
+                         _member, _spd_solve, matrix_sqrt)
 
 __all__ = [
     "GaussianState",
@@ -56,8 +57,9 @@ __all__ = [
 class GaussianState:
     """Mean vector and symmetric PSD covariance.
 
-    Construction checks the covariance's shape and symmetry only, not
-    that it is PSD: every step that factors it checks that, through
+    Construction checks that both are finite, the covariance's shape and,
+    by ``matrix_sqrt``'s test, its symmetry, each with a ``ValueError``;
+    not that it is PSD: every step that factors it checks that, through
     ``_checked_cov``, as does ``BotConfig`` for its prior.
     """
 
@@ -70,9 +72,9 @@ class GaussianState:
         n = mean.shape[0]
         if cov.shape != (n, n):
             raise ValueError(f"covariance shape {cov.shape} does not match mean of length {n}")
-        scale = max(np.abs(cov).max(), 1.0)
-        if np.abs(cov - cov.T).max() > 1e-10 * scale:
-            raise ValueError("covariance asymmetric beyond 1e-10 relative tolerance")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValueError("mean and covariance must be finite")
+        _check_symmetric(cov[None])
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -109,11 +111,9 @@ class AdditiveStateSpaceModel:
 
 
 def _noise_matrix(cov, d: int) -> np.ndarray:
-    """A noise covariance as a (d, d) matrix: a scalar s stands for s I_d.
-
-    Every noise covariance of the filter, its model and ``config_cov`` is
-    read through here; a shape other than () or (d, d) raises.
-    """
+    """A noise covariance as a (d, d) matrix, a scalar s standing for s I_d;
+    every noise covariance of the filter, its model and ``config_cov`` is
+    read through here, and a shape other than () or (d, d) raises."""
     cov = np.asarray(cov, dtype=float)
     if cov.shape == ():
         return cov * np.eye(d)
@@ -239,11 +239,10 @@ def gp_transform(rule: QuadratureRule, g: Callable, mean, cov,
     the model functions: it maps the (N, n) sigma points to (N, d), or to
     (N,) for d = 1, in one call.  The mean alone is the rule applied to g.
     """
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    _check_rule_dimension(rule, len(mean))
-    moments = _transform(rule.points.points, rule.weights, lambda x, k: g(x), mean[None],
-                         _checked_cov(np.atleast_2d(np.asarray(cov, dtype=float)), "cov")[None],
-                         _checked_cov(noise_cov, "noise_cov"), 0)
+    state = GaussianState(mean, _checked_cov(cov, "cov"))
+    _check_rule_dimension(rule, state.dimension)
+    moments = _transform(rule.points.points, rule.weights, lambda x, k: g(x), state.mean[None],
+                         state.cov[None], _checked_cov(noise_cov, "noise_cov"), 0)
     return TransformResult(*(moment[0] for moment in moments))
 
 
@@ -294,16 +293,12 @@ def run_filter(model: AdditiveStateSpaceModel,
     ``observations`` is (T, d) for one trajectory or (S, T, d) for a
     batch of S trajectories of equal length.  ``rule`` is one rule, or a
     sequence of M rules of any point counts, every one of which filters
-    every trajectory.  All M*S members run as one recursion: each step
-    factors their covariances in one call and evaluates the model once on
-    all their sigma points; member (m, s) uses rule m's points and
-    weights, so its numbers are those of rule m run on trajectory s
-    alone.  A rule of N < N_max points is padded with N_max - N unit
-    points at the origin of weight 0; the model is evaluated there too,
-    at the member's mean, and a padded value adds exact zeros to the
-    sums at the arithmetic cost of a point.  The caller decides
-    whether that extra work pays (``_filtering_study`` pads only when it
-    at most doubles the sigma points).  A length-T vector is accepted
+    every trajectory.  All M*S members run as one recursion, padded as
+    the module docstring says: each step factors their covariances in one
+    call and evaluates the model once on all their sigma points, padding
+    included, which costs a padded point the arithmetic of a point.  The
+    caller decides whether that pays (``_filtering_study`` pads only when
+    it at most doubles the sigma points).  A length-T vector is accepted
     for scalar measurements.  The output's arrays carry the method axis
     only for a sequence of rules and the trajectory axis only for a
     batch: (M, S, T, ...) for both.
@@ -427,14 +422,8 @@ def run_smoother(model: AdditiveStateSpaceModel,
         smoothed_cov = (covs[:, k - 1]
                         + gain @ (covs[:, k] - pred_cov) @ gain.transpose(0, 2, 1))
         covs[:, k - 1] = 0.5 * (smoothed_cov + smoothed_cov.transpose(0, 2, 1))
-    if live is not None:
-        means, covs = (_scatter(array, live) for array in (means, covs))
+    if live is not None:  # scattered back, NaN for the rules that stopped
+        full = [np.full((len(live),) + array.shape[1:], np.nan) for array in (means, covs)]
+        full[0][live], full[1][live] = means, covs
+        means, covs = full
     return means.reshape(lead + means.shape[1:]), covs.reshape(lead + covs.shape[1:])
-
-
-def _scatter(array: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """The members ``array`` holds, at the True positions of ``live``, NaN
-    elsewhere."""
-    full = np.full((len(live),) + array.shape[1:], np.nan)
-    full[live] = array
-    return full

@@ -202,7 +202,10 @@ def _normal_factor(cov) -> np.ndarray:
     ``standard_normal((1, n)) @ F.T`` is then the draw that
     ``rng.multivariate_normal(0, cov)`` makes from the same generator
     state, bit for bit, without its SVD per draw.  A covariance that is
-    not PSD gets numpy's warning.
+    not PSD gets numpy's warning.  The ``allclose`` at 1e-8 is numpy's own
+    check in ``multivariate_normal``, kept so that draws and warnings match
+    numpy's; it is the one covariance tolerance not defined by
+    ``quadrature``.
     """
     cov = np.asarray(cov, dtype=float)
     u, s, vh = np.linalg.svd(cov)

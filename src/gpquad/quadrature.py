@@ -13,20 +13,14 @@ and gradient are also computed for a batch of point sets at once, each
 set solved as it would be alone.
 
 Every SPD matrix, here and in the filter, is factored by one path:
-``_positive_definite`` factors a stack in one batched Cholesky call, and
-member by member only when that fails.  Above ``_BLOCK`` unknowns
-``_blocked_cholesky`` factors it by blocks: in place where the matrix is
-the caller's own temporary (``gpq_weights`` and ``gp_regression_mean``),
-so a large weight solve holds one m x m array, else into one new array,
-two where ``np.linalg.cholesky`` holds three.  A stack of 1x1 matrices
-(the scalar filter's covariances) skips LAPACK: its Cholesky factors are
-the square roots, and a 1x1 solve with one right-hand side is a
-division, which are the operations LAPACK itself performs there, so the
-numbers are bit-identical at a fraction of the dispatch cost.
-``_spd_solve_members`` solves on those factors and finds the members that
-fail; ``_spd_solve`` raises for the first of them.  ``matrix_sqrt`` gives
-a member that fails Cholesky the eigendecomposition square root of
-``_eigen_sqrt`` and counts it.
+``_positive_definite`` factors a stack in one batched Cholesky call, by
+blocks above ``_BLOCK`` unknowns, and member by member only when that
+fails.  ``_spd_solve_members`` solves on those factors and finds the
+members that fail; ``_spd_solve`` raises for the first of them.
+``matrix_sqrt`` gives a member that fails Cholesky an eigendecomposition
+square root and counts it.  Every verdict that a matrix is asymmetric or
+not PSD, or a variance below its clamp, is made here, by one tolerance
+each, relative to the quantity's own scale.
 """
 
 from __future__ import annotations
@@ -53,8 +47,6 @@ __all__ = [
 # constant over the point set and the solve deflates the ones-direction
 FLAT_INCREMENT_THRESHOLD = 0.1
 
-VARIANCE_CLAMP = 1e-9
-
 
 class NumericalError(np.linalg.LinAlgError):
     """A numerical failure: a study's error cell, the CLI's exit code 2 and
@@ -71,55 +63,69 @@ def _member(index: int, size: int) -> str:
     return f" for batch member {index}" if size > 1 else ""
 
 
-def matrix_sqrt(cov: np.ndarray) -> MatrixSqrtResult:
-    """Lower-triangular Cholesky factor of a symmetric PSD matrix.
+# the verdicts' tolerances, with no floor, so other units give the same verdict:
+# asymmetry against the matrix's largest |entry|, an eigenvalue against its
+# largest |eigenvalue|, a variance against the prior variance k = double integral
+SYMMETRY_TOLERANCE = 1e-9
+PSD_TOLERANCE = 1e-10
+VARIANCE_TOLERANCE = 1e-9
 
-    ``cov`` is one (n, n) matrix or a stack (..., n, n), factored by
-    ``_positive_definite``.  A matrix on which Cholesky fails (near
-    singular) falls back alone to a symmetric eigendecomposition square
-    root with negative eigenvalues clipped to zero; ``spd_fallback``
-    counts those matrices.  Errors name the failing matrix's position in
-    the flattened stack.
-    """
-    cov = np.asarray(cov, dtype=float)
-    if cov.ndim < 2 or cov.shape[-1] != cov.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {cov.shape}")
-    stack = cov.reshape(-1, *cov.shape[-2:])
-    # the filter symmetrizes every covariance it builds exactly, so the
-    # exact test spares its per-step calls the tolerance check; a 1x1
-    # stack cannot fail either
+
+def _written(tolerance: float) -> str:  # 1e-9 as written, not 1e-09
+    return np.format_float_scientific(tolerance, trim="-", exp_digits=1)
+
+
+def _check_symmetric(stack: np.ndarray) -> None:
+    """ValueError naming the first member of a stack (B, n, n) asymmetric
+    beyond ``SYMMETRY_TOLERANCE``; NaN passes.  The filter symmetrizes its
+    covariances exactly, so the exact test spares its steps the rest."""
     if stack.shape[-1] > 1 and not (stack == stack.transpose(0, 2, 1)).all():
-        scale = np.maximum(np.abs(stack).max(axis=(1, 2)), 1.0)
+        scale = np.abs(stack).max(axis=(1, 2))
         asymmetry = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
-        asymmetric = np.flatnonzero(asymmetry > 1e-9 * scale)
+        asymmetric = np.flatnonzero(asymmetry > SYMMETRY_TOLERANCE * scale)
         if asymmetric.size:
-            raise ValueError("matrix is asymmetric beyond 1e-9 relative tolerance"
-                             + _member(asymmetric[0], len(stack)))
-    factors, passed = _positive_definite(stack)
-    failed = () if passed is None else np.flatnonzero(~passed)
-    for index in failed:
-        factors[index] = _eigen_sqrt(stack[index], _member(index, len(stack)))
-    return MatrixSqrtResult(factors.reshape(cov.shape), len(failed))
+            raise ValueError(f"matrix is asymmetric beyond {_written(SYMMETRY_TOLERANCE)} "
+                             "relative tolerance" + _member(asymmetric[0], len(stack)))
 
 
 def _checked_cov(cov, what: str, error: type[Exception] = ValueError):
-    """``cov``, a scalar s checked as s I, once ``matrix_sqrt`` passes it;
-    else ``error`` naming ``what``, a ValueError but no ``NumericalError``."""
+    """``cov``, a scalar s checked as s I, once finite and ``matrix_sqrt``
+    passes it; else ``error`` naming ``what``, a ValueError, no NumericalError."""
     try:
-        matrix_sqrt(np.reshape(cov, (1, 1)) if np.ndim(cov) == 0 else cov)
+        matrix = np.asarray(cov, dtype=float)
+        if not np.isfinite(matrix).all():
+            raise ValueError("matrix is not finite")
+        matrix_sqrt(matrix.reshape(1, 1) if matrix.ndim == 0 else matrix)
     except ValueError as exc:
         raise error(f"{what}: {exc}") from exc
     return cov
 
 
-def _eigen_sqrt(matrix: np.ndarray, where: str) -> np.ndarray:
-    """Symmetric square root with negative eigenvalues clipped to zero;
-    raises when the matrix is not PSD to within rounding."""
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (matrix + matrix.T))
-    norm = np.abs(eigvals).max()
-    if eigvals.min() < -1e-10 * max(norm, 1.0):
-        raise NumericalError(f"matrix is not PSD{where}: smallest eigenvalue {eigvals.min():.3e}")
-    return eigvecs @ np.diag(np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
+def matrix_sqrt(cov: np.ndarray) -> MatrixSqrtResult:
+    """Lower-triangular Cholesky factor of a symmetric PSD matrix.
+
+    ``cov`` is one (n, n) matrix or a stack (..., n, n), checked by
+    ``_check_symmetric`` and factored by ``_positive_definite``.  A matrix
+    on which Cholesky fails (near singular) falls back alone to a
+    symmetric eigendecomposition square root with negative eigenvalues
+    clipped to zero, unless one lies below ``PSD_TOLERANCE``;
+    ``spd_fallback`` counts those matrices.  Errors name the failing
+    matrix's position in the flattened stack.
+    """
+    cov = np.asarray(cov, dtype=float)
+    if cov.ndim < 2 or cov.shape[-1] != cov.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {cov.shape}")
+    stack = cov.reshape(-1, *cov.shape[-2:])
+    _check_symmetric(stack)
+    factors, passed = _positive_definite(stack)
+    failed = () if passed is None else np.flatnonzero(~passed)
+    for index in failed:
+        eigvals, eigvecs = np.linalg.eigh(0.5 * (stack[index] + stack[index].T))
+        if eigvals.min() < -PSD_TOLERANCE * np.abs(eigvals).max():
+            raise NumericalError(f"matrix is not PSD{_member(index, len(stack))}: "
+                                 f"smallest eigenvalue {eigvals.min():.3e}")
+        factors[index] = eigvecs @ np.diag(np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
+    return MatrixSqrtResult(factors.reshape(cov.shape), len(failed))
 
 
 # systems of more unknowns than this are factored, and solved on their
@@ -393,22 +399,25 @@ class _WeightSystem(NamedTuple):
     # reads it
     gram: np.ndarray | None
     embedding: np.ndarray   # (N,) kernel mean embedding q
-    variance: np.ndarray    # () posterior variance, double integral - q^T W, NaN if unsolved
+    variance: np.ndarray    # () posterior variance, k - q^T W, NaN if unsolved
+    prior: float            # the prior variance k, the kernel's double integral
     failure: _Failure | None  # builds the error for an unsolved set
+
+    def below_clamp(self) -> np.ndarray:
+        """Where the variance is below the clamp, -``VARIANCE_TOLERANCE`` k."""
+        return self.variance < -VARIANCE_TOLERANCE * self.prior
 
     def checked_variance(self) -> float:
         """The verdict on a single set: its variance clamped to >= 0; raises
-        the failure of an unsolved system, or for a variance below the
-        -1e-9 clamp."""
+        the failure of an unsolved system, or for a variance below the clamp."""
         if self.failure is not None:
             raise self.failure()
-        variance = float(self.variance)
-        if variance < -VARIANCE_CLAMP:
+        if self.below_clamp():
             raise NumericalError(
-                f"posterior variance {variance:.3e} below the -1e-9 clamp; "
-                "the weight system is numerically unreliable, raise the jitter"
-            )
-        return max(variance, 0.0)
+                f"posterior variance {float(self.variance):.3e} below the clamp, "
+                f"-{_written(VARIANCE_TOLERANCE)} of the prior variance {self.prior:.3e}; "
+                "the weight system is numerically unreliable, raise the jitter")
+        return max(float(self.variance), 0.0)
 
 
 def _jittered(gram: np.ndarray, jitter: float) -> np.ndarray:
@@ -461,8 +470,9 @@ def _solve_weight_system(kernel, points: np.ndarray, jitter: float,
         gram[flat] = s2[:, None, None] * (1.0 + gram_inc)
         failure = failure or flat_failure
     weights, q = weights.reshape(*batch, count), q.reshape(*batch, count)
+    prior = kernel.double_integral(n)
     return _WeightSystem(weights, None if overwrite else gram.reshape(*batch, count, count),
-                         q, kernel.double_integral(n) - _dot(q, weights), failure)
+                         q, prior - _dot(q, weights), prior, failure)
 
 
 def gpq_weights(kernel, points: UnitPointSet, jitter: float = 0.0) -> QuadratureRule:
@@ -494,11 +504,11 @@ def gpq_variance_and_gradient(kernel, points, jitter: float = 0.0):
     are evaluated together, each as it would be alone.  A batch returns
     variances (...,) and gradients (..., N, n) and raises for no member: a
     member whose system is not positive definite, whose variance is below
-    the -1e-9 clamp, or whose variance or gradient is not finite reads
-    +inf with a zero gradient, and a member clamped to zero reads 0 with a
-    zero gradient.  A single set takes ``gpq_variance``'s verdict first,
-    so it raises where a member would read +inf from its system, and
-    returns (float, (N, n) array).
+    the clamp of ``_WeightSystem.below_clamp``, or whose variance or gradient
+    is not finite reads +inf with a zero gradient, and a member clamped to
+    zero reads 0 with a zero gradient.  A single set takes ``gpq_variance``'s
+    verdict first, so it raises where a member would read +inf from its
+    system, and returns (float, (N, n) array).
     """
     single = isinstance(points, UnitPointSet)
     points = points.points if single else np.asarray(points, dtype=float)
@@ -513,8 +523,8 @@ def gpq_variance_and_gradient(kernel, points, jitter: float = 0.0):
             and np.count_nonzero((variance > 0.0) & np.isfinite(variance)) == np.size(variance)):
         return variance, gradient
     # an unsolved member's NaN weights make its variance NaN
-    failed = ~((variance >= -VARIANCE_CLAMP) & np.isfinite(variance)
-               & np.isfinite(gradient).all(axis=(-2, -1)))
+    failed = system.below_clamp() | ~(np.isfinite(variance)
+                                      & np.isfinite(gradient).all(axis=(-2, -1)))
     variance = np.where(failed, np.inf, np.maximum(variance, 0.0))
     gradient[failed | (variance == 0.0)] = 0.0
     return (float(variance) if single else variance), gradient

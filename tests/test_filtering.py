@@ -809,3 +809,27 @@ class TestGaussianStateValidation:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             GaussianState(np.zeros(3), np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("call,what", [
+        (lambda bad: GaussianState(np.zeros(1), [[bad]]), "^mean and covariance"),
+        (lambda bad: GaussianState(np.array([bad]), np.eye(1)), "^mean and covariance"),
+        (lambda bad: gp_transform(ut_points(1, 2.0), lambda x: x, 0.0, 1.0, bad),
+         "^noise_cov: matrix"),
+        (lambda bad: gp_transform(ut_points(1, 2.0), lambda x: x, bad, 1.0, 0.0),
+         "^mean and covariance"),
+        (lambda bad: predict(GaussianState(np.zeros(1), np.eye(1)), ut_points(1, 2.0),
+                             lambda x, k: x, bad), "^process_cov: matrix"),
+        (lambda bad: update(GaussianState(np.zeros(1), np.eye(1)), ut_points(1, 2.0),
+                            lambda x, k: x, bad, np.zeros(1)), "^measurement_cov: matrix"),
+        (lambda bad: run_filter(dataclasses.replace(
+            ungm_model(), prior=GaussianState(np.zeros(1), [[bad]])),
+            ut_points(1, 2.0), np.zeros(5)), "^mean and covariance"),
+    ], ids=["state-cov", "state-mean", "gp_transform-noise", "gp_transform-mean",
+            "predict", "update", "run_filter-prior"])
+    def test_non_finite_input_is_a_value_error(self, call, what, bad):
+        # unchecked, a NaN covariance reached the sigma points and raised
+        # "function returned non-finite values", a NumericalError
+        with pytest.raises(ValueError, match=f"{what} .*finite") as info:
+            call(bad)
+        assert not isinstance(info.value, NumericalError)

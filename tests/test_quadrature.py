@@ -8,7 +8,12 @@ import pytest
 
 import gpquad
 from gpquad.hermite import enumerate_indices
-from gpquad.kernels import SquaredExponentialKernel, make_gh_kernel, make_ut_kernel
+from gpquad.kernels import (
+    HermitePolynomialKernel,
+    SquaredExponentialKernel,
+    make_gh_kernel,
+    make_ut_kernel,
+)
 from gpquad.points import (
     UnitPointSet,
     cubature_points,
@@ -16,7 +21,7 @@ from gpquad.points import (
     hammersley_points,
     ut_points,
 )
-from gpquad.filtering import gp_transform
+from gpquad.filtering import GaussianState, gp_transform
 from gpquad.quadrature import (
     _BLOCK,
     NumericalError,
@@ -24,6 +29,8 @@ from gpquad.quadrature import (
     _positive_definite,
     _spd_solve,
     _spd_solve_members,
+    _solve_weight_system,
+    _WeightSystem,
     gp_regression_mean,
     gpq_variance,
     gpq_variance_and_gradient,
@@ -648,6 +655,72 @@ class TestMatrixSqrt:
         with pytest.raises(NumericalError, match=r"^matrix is not PSD for batch member 2: "
                                                  r"smallest eigenvalue -2\.000e\+00$"):
             matrix_sqrt(stack)
+
+
+# powers of two scale every floating-point operation exactly, so each scale
+# is the same computation in other units and must get the same verdict
+SCALES = pytest.mark.parametrize("c", [2.0**-40, 1.0, 2.0**40], ids=["2^-40", "1", "2^40"])
+
+
+class TestScaleFreeVerdicts:
+    @SCALES
+    def test_indefinite_matrix_raises_at_every_scale(self, c):
+        # the floor max(||A||, 1) let it pass with a fallback at 2^-40
+        with pytest.raises(NumericalError, match=r"^matrix is not PSD: smallest eigenvalue -"):
+            matrix_sqrt(c * np.diag([1.0, -0.5]))
+
+    @SCALES
+    @pytest.mark.parametrize("matrix", [np.ones((2, 2)), np.diag([1.0, -1e-11])],
+                             ids=["singular", "within-tolerance"])
+    def test_fallback_count_is_the_same_at_every_scale(self, c, matrix):
+        res = matrix_sqrt(c * matrix)
+        assert res.spd_fallback == 1
+        np.testing.assert_allclose(res.factor @ res.factor.T, c * np.maximum(matrix, 0.0),
+                                   rtol=0, atol=1e-12 * c)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3)])
+    def test_all_zero_matrix_passes_with_one_fallback(self, shape):
+        res = matrix_sqrt(np.zeros(shape))
+        assert res.spd_fallback == 1
+        assert not res.factor.any()
+
+    @SCALES
+    def test_asymmetry_verdict_is_the_same_at_every_scale(self, c):
+        # GaussianState and matrix_sqrt share the test: 1e-6 relative is
+        # rejected, 1e-10 accepted; GaussianState accepted 1e-6 at 2^-40
+        asymmetric, nearly = (c * (np.eye(2) + eps * np.eye(2, k=1)) for eps in (1e-6, 1e-10))
+        message = "^matrix is asymmetric beyond 1e-9 relative tolerance$"
+        with pytest.raises(ValueError, match=message):
+            GaussianState(np.zeros(2), asymmetric)
+        with pytest.raises(ValueError, match=message):
+            matrix_sqrt(asymmetric)
+        GaussianState(np.zeros(2), nearly)
+        assert matrix_sqrt(nearly).spd_fallback == 0
+
+    @SCALES
+    def test_ut_kernel_variance_scales_with_the_kernel(self, c):
+        indices = enumerate_indices(2, total_degree=3)
+        kernel = HermitePolynomialKernel(indices, c * np.eye(len(indices)))
+        pts = ut_points(2, 1.0).points
+        # the computed V is c times a rounding error (-2^-52 with OpenBLAS),
+        # so it reads 0 at every scale; the absolute -1e-9 clamp raised at 2^40
+        unit = _solve_weight_system(HermitePolynomialKernel(indices, np.eye(len(indices))),
+                                    pts.points, 0.0).variance
+        assert _solve_weight_system(kernel, pts.points, 0.0).variance == c * unit
+        assert gpq_weights(kernel, pts).posterior_variance == 0.0
+        variance, gradient = gpq_variance_and_gradient(kernel, pts.points[None])
+        assert variance.tolist() == [0.0] and not gradient.any()
+
+    @SCALES
+    def test_variance_clamp_is_relative_to_the_prior_variance(self, c):
+        def system(variance):
+            return _WeightSystem(np.ones(1), None, np.ones(1), c * np.asarray(variance), c, None)
+
+        assert system(-0.5e-9).checked_variance() == 0.0
+        with pytest.raises(NumericalError, match=r"^posterior variance -\S+ below the clamp, "
+                                                 r"-1e-9 of the prior variance "):
+            system(-2e-9).checked_variance()
+        assert system([-0.5e-9, -2e-9, 0.0]).below_clamp().tolist() == [False, True, False]
 
 
 class TestGpRegressionMean:
