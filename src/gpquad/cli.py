@@ -1,11 +1,12 @@
 """Command-line harness: point/weight emission and the benchmark studies.
 
-    gpq points|weights|transform|moments|ungm|bot --config FILE
-        [--out PATH] [--format csv|json] [--seed-offset N]
+    gpq points|weights|transform|moments --config FILE
+        [--out PATH] [--format csv|json]
+    gpq ungm|bot --config FILE [--out PATH] [--format csv|json] [--seed-offset N]
 
 Every subcommand reads one JSON config document through the key tables
 of ``experiments`` (documented in the README; examples in configs/).  Exit
-codes: 0 success, 1 configuration error, 2 numerical failure (a
+codes: 0 success, 1 usage or configuration error, 2 numerical failure (a
 ``NumericalError``) in every requested method; anything else is a bug.
 """
 
@@ -92,9 +93,8 @@ def _transform_command(fields: dict, n: int):
 # each rule command's output, as a JSON payload and as CSV lines
 _COMMANDS = {"points": _points_command, "weights": _weights_command,
              "transform": _transform_command}
-# the moments study draws nothing, so it has no seeds to offset
-_STUDIES = {"moments": lambda config, seed_offset: run_moments(config),
-            "ungm": run_ungm, "bot": run_bot}
+# the studies that draw trajectories, whose seeds --seed-offset shifts
+_SEEDED = {"ungm": run_ungm, "bot": run_bot}
 
 
 def main(argv=None) -> int:
@@ -109,9 +109,13 @@ def main(argv=None) -> int:
         cmd.add_argument("--config", required=True, help="JSON config file")
         cmd.add_argument("--out", default=None, help="output path (default stdout)")
         cmd.add_argument("--format", default="csv", choices=("csv", "json"))
-        cmd.add_argument("--seed-offset", type=int, default=0,
-                         help="added to every seed in the config")
-    args = parser.parse_args(argv)
+        if name in _SEEDED:
+            cmd.add_argument("--seed-offset", type=int, default=0,
+                             help="added to every seed in the config")
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse's usage error is 2, which means numerical failure here
+        return EXIT_CONFIG if exc.code else EXIT_OK
 
     try:
         config = _load_config(args.config)
@@ -121,7 +125,8 @@ def main(argv=None) -> int:
             _emit(json.dumps(payload, indent=2) + "\n" if args.format == "json"
                   else "\n".join(lines) + "\n", args.out)
             return EXIT_OK
-        report: Report = _STUDIES[args.command](config, args.seed_offset)
+        report: Report = (_SEEDED[args.command](config, args.seed_offset)
+                          if args.command in _SEEDED else run_moments(config))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -555,8 +555,6 @@ def _filtering_study(experiment: str, config: dict, seed_offset: int, make_model
         metadata={"config": config, "version": __version__},
     )
     trajectories = simulate_many(model, steps, seeds)
-    measurements = np.stack([t.measurements for t in trajectories])
-    truth = np.stack([t.states[1:] for t in trajectories])
     rows, rules = {}, {}
     for name, method in resolved.items():
         try:
@@ -570,7 +568,8 @@ def _filtering_study(experiment: str, config: dict, seed_offset: int, make_model
         groups.setdefault(None if merged else count, []).append(name)
     for names in groups.values():
         rows.update(zip(names, _group_rows(names, [rules[name] for name in names],
-                                           model, measurements, truth, components)))
+                                           model, trajectories.measurements,
+                                           trajectories.states[:, 1:], components)))
     report.rows = [rows[method["name"]] for method in methods]
     report.metadata["wall_time_s"] = time.time() - start
     report.metadata["seeds"] = seeds

@@ -115,8 +115,8 @@ def _noise_matrix(cov, d: int) -> np.ndarray:
     every noise covariance of the filter, its model and ``config_cov`` is
     read through here, and a shape other than () or (d, d) raises."""
     cov = np.asarray(cov, dtype=float)
-    if cov.shape == ():
-        return cov * np.eye(d)
+    if cov.shape == ():  # s on the diagonal, never s * 0, which is NaN for s = inf
+        return np.diag(np.full(d, cov))
     if cov.shape != (d, d):
         raise ValueError(f"noise covariance of shape {cov.shape}; expected a scalar "
                          f"or ({d}, {d})")
@@ -253,7 +253,7 @@ def predict(state: GaussianState, rule: QuadratureRule, transition,
     process_cov = _checked_cov(_noise_matrix(process_cov, state.dimension), "process_cov")
     mean, cov, _ = _transform(rule.points.points, rule.weights, transition, state.mean[None],
                               _checked_cov(state.cov, "state.cov")[None], process_cov, k)
-    return GaussianState(mean[0], cov[0])
+    return _computed_state(mean[0], cov[0], "predicted")
 
 
 def update(pred: GaussianState, rule: QuadratureRule, measurement,
@@ -271,7 +271,15 @@ def update(pred: GaussianState, rule: QuadratureRule, measurement,
         _checked_cov(pred.cov, "pred.cov")[None], measurement,
         _checked_cov(_noise_matrix(measurement_cov, len(observation)), "measurement_cov"),
         observation[None], k)
-    return (GaussianState(mean[0], cov[0]), *(value[0] for value in rest))
+    return (_computed_state(mean[0], cov[0], "filtered"), *(value[0] for value in rest))
+
+
+def _computed_state(mean, cov, what: str) -> GaussianState:
+    """The state of moments a step computed; moments that overflowed are a
+    numerical failure, not an invalid input."""
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise NumericalError(f"{what} mean or covariance is not finite")
+    return GaussianState(mean, cov)
 
 
 def _filter_step(model, k: int, means, covs, points, weights, observations):
@@ -389,41 +397,36 @@ def run_smoother(model: AdditiveStateSpaceModel,
 
     The gain G_k = C_{k+1} (P^-_{k+1})^{-1} comes from the predicted
     covariances and cross covariances the filter stored, so the pass
-    makes no model call and takes no square root; ``model`` and ``rule``
-    (one rule or the filter's sequence of rules) are those of the filter
-    run.  All members, (M, S) for a group of rules on a batch, run as one
-    recursion.  The recursion starts from the last filtered state, which
-    it leaves untouched; a rule the filter stopped has none, so its members
-    stay NaN: the members of the rules that ran through are selected once,
-    smoothed, and scattered back once.  Returns (means, covs) arrays shaped
-    like the filtered ones; an error names the failing member's position
-    among those smoothed.
+    makes no model call and takes no square root.  ``model`` and ``rule``
+    are unused; they stay in the signature because callers, the benchmark
+    harness among them, pass those of the filter run.  All members,
+    (M, S) for a group of rules on a batch, run as one recursion from the
+    last filtered state, which it leaves untouched.  A rule the filter
+    stopped has none, so its members are NaN and the recursion steps only
+    the others.  Returns (means, covs) arrays shaped like the filtered
+    ones; an error names the failing member's position among those
+    smoothed.
     """
     lead = filter_out.filtered_means.shape[:-2]
-    arrays = [array.reshape((math.prod(lead),) + array.shape[len(lead):]) for array in (
-        filter_out.predicted_means, filter_out.predicted_covs, filter_out.cross_covs,
-        filter_out.filtered_means, filter_out.filtered_covs)]
-    errors, live = filter_out.errors, None
-    if any(errors):  # the members of the rules that ran through, as copies
-        live = np.repeat([error is None for error in errors], len(arrays[0]) // len(errors))
-        arrays = [array[live] for array in arrays]
-    else:
-        arrays[3:] = [array.copy() for array in arrays[3:]]
+    pred_means, pred_covs, cross_covs, means, covs = (
+        array.reshape((math.prod(lead),) + array.shape[len(lead):]) for array in (
+            filter_out.predicted_means, filter_out.predicted_covs, filter_out.cross_covs,
+            filter_out.filtered_means, filter_out.filtered_covs))
     # means and covs hold the filtered moments at k - 1 until step k smooths them
-    pred_means, pred_covs, cross_covs, means, covs = arrays
+    means, covs, rows = means.copy(), covs.copy(), slice(None)  # rows: the members smoothed
+    errors = filter_out.errors
+    if any(errors):
+        stopped = np.repeat([error is not None for error in errors], len(means) // len(errors))
+        means[stopped], covs[stopped], rows = np.nan, np.nan, np.flatnonzero(~stopped)
     for k in range(len(filter_out) - 1, 0, -1):
         # arrays are 0-based: position k holds the prediction of time
         # index k+1, whose moments give the gain at time index k
-        pred_cov = pred_covs[:, k]
-        gain = _gain(cross_covs[:, k], pred_cov,
+        pred_cov = pred_covs[rows, k]
+        gain = _gain(cross_covs[rows, k], pred_cov,
                      f"smoother predicted covariance at time index {k}")
-        step = means[:, k] - pred_means[:, k]
-        means[:, k - 1] += (gain @ step[:, :, None])[:, :, 0]
-        smoothed_cov = (covs[:, k - 1]
-                        + gain @ (covs[:, k] - pred_cov) @ gain.transpose(0, 2, 1))
-        covs[:, k - 1] = 0.5 * (smoothed_cov + smoothed_cov.transpose(0, 2, 1))
-    if live is not None:  # scattered back, NaN for the rules that stopped
-        full = [np.full((len(live),) + array.shape[1:], np.nan) for array in (means, covs)]
-        full[0][live], full[1][live] = means, covs
-        means, covs = full
+        step = means[rows, k] - pred_means[rows, k]
+        means[rows, k - 1] += (gain @ step[:, :, None])[:, :, 0]
+        smoothed_cov = (covs[rows, k - 1]
+                        + gain @ (covs[rows, k] - pred_cov) @ gain.transpose(0, 2, 1))
+        covs[rows, k - 1] = 0.5 * (smoothed_cov + smoothed_cov.transpose(0, 2, 1))
     return means.reshape(lead + means.shape[1:]), covs.reshape(lead + covs.shape[1:])

@@ -7,9 +7,10 @@
   integration rules.
 
 Model functions follow the filtering module's vectorized contract:
-states arrive as (N, n) batches.  ``simulate`` draws one seeded
-trajectory; ``simulate_many`` draws a trajectory per seed, all of them
-as one recursion, each bit for bit the one ``simulate`` draws alone.
+states arrive as (N, n) batches.  ``simulate_many`` draws a trajectory
+per seed, all of them as one recursion, and returns them as one
+``Trajectory`` with a leading seed axis, the batch form ``run_filter``
+takes; ``simulate`` is its batch of one, returned without that axis.
 """
 
 from __future__ import annotations
@@ -35,14 +36,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Simulated states x_0..x_T and measurements y_1..y_T."""
+    """Simulated states x_0..x_T and measurements y_1..y_T of one seed, or
+    of S seeds along a leading axis in seed order."""
 
-    states: np.ndarray        # (T+1, n)
-    measurements: np.ndarray  # (T, d)
-    seed: int
+    states: np.ndarray        # (T+1, n), or (S, T+1, n)
+    measurements: np.ndarray  # (T, d), or (S, T, d)
 
     def __post_init__(self):
-        if self.states.shape[0] != self.measurements.shape[0] + 1:
+        if self.states.shape[-2] != self.measurements.shape[-2] + 1:
             raise ValueError("need exactly one more state than measurements")
         if not (np.all(np.isfinite(self.states))
                 and np.all(np.isfinite(self.measurements))):
@@ -233,7 +234,7 @@ def _noise(z: np.ndarray, factor: np.ndarray) -> np.ndarray:
     return (z[..., None, :] @ np.swapaxes(factor, -1, -2))[..., 0, :]
 
 
-def simulate_many(model: AdditiveStateSpaceModel, steps: int, seeds) -> list[Trajectory]:
+def simulate_many(model: AdditiveStateSpaceModel, steps: int, seeds) -> Trajectory:
     """Draw one trajectory per seed, all S of them as one recursion.
 
     Each step makes one transition and one measurement call on the (S, n)
@@ -243,10 +244,11 @@ def simulate_many(model: AdditiveStateSpaceModel, steps: int, seeds) -> list[Tra
     measurement values.  So every trajectory equals, bit for bit, the one
     ``rng.multivariate_normal`` draws on the prior, process and
     measurement covariances; a constant covariance is factored once per
-    call, a callable one once per step for all seeds.  The trajectories
-    come back in seed order.  A non-finite state raises
-    ``NumericalError`` naming the earliest step and, of the seeds that
-    diverge there, the first.
+    call, a callable one once per step for all seeds.  Returns one
+    ``Trajectory`` of states (S, T+1, n) and measurements (S, T, d) in seed
+    order.  A non-finite state raises ``NumericalError`` naming the
+    earliest step and, of the seeds that diverge there, the first; so does
+    a non-finite measurement, checked after the last step.
     """
     seeds = list(seeds)
     if steps < 1:
@@ -273,12 +275,17 @@ def simulate_many(model: AdditiveStateSpaceModel, steps: int, seeds) -> list[Tra
                 f"simulation diverged at step {k} (seed {seeds[first]})")
         projected = np.asarray(model.measurement(states[k], k), dtype=float)
         measurements[k - 1] = projected.reshape(len(seeds), d) + measurement_noise[:, k - 1]
-    states = np.ascontiguousarray(states.swapaxes(0, 1))
-    measurements = np.ascontiguousarray(measurements.swapaxes(0, 1))
-    return [Trajectory(x, y, seed) for x, y, seed in zip(states, measurements, seeds)]
+    finite = np.isfinite(measurements).all(axis=2)
+    if not finite.all():
+        k, first = np.argwhere(~finite)[0]
+        raise NumericalError(f"simulation diverged at step {k + 1} (seed {seeds[first]}): "
+                             "non-finite measurement")
+    return Trajectory(np.ascontiguousarray(states.swapaxes(0, 1)),
+                      np.ascontiguousarray(measurements.swapaxes(0, 1)))
 
 
 def simulate(model: AdditiveStateSpaceModel, steps: int, seed: int) -> Trajectory:
     """Draw one trajectory of the model, deterministic per seed: the batch
-    of one of ``simulate_many``."""
-    return simulate_many(model, steps, [seed])[0]
+    of one of ``simulate_many``, without its seed axis."""
+    batch = simulate_many(model, steps, [seed])
+    return Trajectory(batch.states[0], batch.measurements[0])

@@ -703,6 +703,25 @@ class TestCliCommands:
         bad.write_text("{not json")
         assert main(["ungm", "--config", str(bad)]) == 1
 
+    def test_usage_error_is_exit_1_and_help_exit_0(self, capsys):
+        # argparse exits 2 on a usage error, the code of a numerical failure
+        assert main(["points"]) == 1
+        assert "the following arguments are required: --config" in capsys.readouterr().err
+        assert main(["points", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: gpq points")
+
+    @pytest.mark.parametrize("command,name", [
+        ("points", "points_example"), ("weights", "weights_example"),
+        ("transform", "transform_example"), ("moments", "moments")])
+    def test_seed_offset_is_a_usage_error_outside_the_seeded_studies(self, capsys,
+                                                                     command, name):
+        # only ungm and bot draw trajectories; the flag was read by no other
+        assert main([command, "--config", str(CONFIG_DIR / f"{name}.json"),
+                     "--seed-offset", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --seed-offset 3" in captured.err
+
     WEIGHTS = {"experiment": "weights", "dimension": 2,
                "points": {"type": "ut", "kappa": 1.0},
                "kernel": {"type": "se", "output_scale": 1.0, "length_scale": 1.0}}
@@ -813,8 +832,10 @@ class TestCliCommands:
         (tmp_path / "abc.csv").write_text("xi1\nabc\n")
         config = write_config(tmp_path, {**base, **change})
         out = tmp_path / "out.csv"
+        # only the studies that draw trajectories take a seed offset
+        seeded = ["--seed-offset", offset] if base["experiment"] in ("ungm", "bot") else []
         assert main([base["experiment"], "--config", config, "--out", str(out),
-                     "--seed-offset", offset]) == 1
+                     *seeded]) == 1
         assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
 

@@ -720,6 +720,22 @@ class TestFailingRules:
         for index in (0, 2):
             assert_rule_equals_solo(model, out, smoothed, index, rules[index], ys)
 
+    def test_smoother_failure_names_time_index_and_member_among_those_smoothed(self):
+        # rule 1 stopped, so rules 0 and 2 are smoothed: their six members
+        # are (rule, trajectory) (0, 0), (0, 1), (0, 2), (2, 0), (2, 1), (2, 2);
+        # array position 3 holds the prediction whose moments give the
+        # gain at time index 3
+        model, rules, ys = failing_5d_group()
+        out = run_filter(model, rules, ys)
+        assert out.errors[1] is not None
+        predicted_covs = out.predicted_covs.copy()
+        predicted_covs[2, 1, 3] = -np.eye(5)
+        broken = dataclasses.replace(out, predicted_covs=predicted_covs)
+        with pytest.raises(NumericalError, match=r"^smoother predicted covariance at time "
+                                                 r"index 3 not positive definite for batch "
+                                                 r"member 4 \(min eigenvalue -1\.000e\+00\)$"):
+            run_smoother(model, rules, broken)
+
     def test_smoother_smooths_the_rules_that_ran_through(self):
         model, rules, ys = failing_5d_group()
         means, covs = run_smoother(model, rules, run_filter(model, rules, ys))
@@ -801,6 +817,23 @@ class TestNoiseCovariances:
         assert not isinstance(info.value, NumericalError)
 
 
+class TestOverflow:
+    @pytest.mark.parametrize("call,what", [
+        (lambda: predict(GaussianState(np.zeros(1), [[1.0]]), ut_points(1, 2.0),
+                         lambda x, k: 1e200 * (1 + x), 1.0), "predicted"),
+        # a gain near 1e10 on an innovation near 1e308
+        (lambda: update(GaussianState(np.zeros(1), [[1.0]]), ut_points(1, 2.0),
+                        lambda x, k: 1e-10 * x, 1e-300, [1e308]), "filtered"),
+    ], ids=["predict", "update"])
+    def test_overflowing_moments_are_a_numerical_error(self, call, what):
+        # finite model values whose moments overflow are a numerical
+        # failure, as in run_filter, not an invalid input; numpy's own
+        # overflow warning is not what is tested
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericalError, match=f"^{what} mean or covariance is not finite$"):
+            call()
+
+
 class TestGaussianStateValidation:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="asymmetric"):
@@ -825,11 +858,20 @@ class TestGaussianStateValidation:
         (lambda bad: run_filter(dataclasses.replace(
             ungm_model(), prior=GaussianState(np.zeros(1), [[bad]])),
             ut_points(1, 2.0), np.zeros(5)), "^mean and covariance"),
+        (lambda bad: predict(GaussianState(np.zeros(2), np.eye(2)), cubature_points(2),
+                             lambda x, k: x, bad), "^process_cov: matrix"),
+        (lambda bad: update(GaussianState(np.zeros(2), np.eye(2)), cubature_points(2),
+                            lambda x, k: x, bad, np.zeros(2)), "^measurement_cov: matrix"),
+        (lambda bad: run_filter(dataclasses.replace(random_linear_model()[0], process_cov=bad),
+                                cubature_points(2), np.zeros(5)), "^process_cov: matrix"),
     ], ids=["state-cov", "state-mean", "gp_transform-noise", "gp_transform-mean",
-            "predict", "update", "run_filter-prior"])
+            "predict", "update", "run_filter-prior", "predict-2d", "update-2d",
+            "run_filter-noise-2d"])
     def test_non_finite_input_is_a_value_error(self, call, what, bad):
         # unchecked, a NaN covariance reached the sigma points and raised
-        # "function returned non-finite values", a NumericalError
+        # "function returned non-finite values", a NumericalError; a scalar
+        # inf noise in 2-D must not be built as inf * eye(2), whose NaN off
+        # the diagonal comes with numpy's invalid-value RuntimeWarning
         with pytest.raises(ValueError, match=f"{what} .*finite") as info:
             call(bad)
         assert not isinstance(info.value, NumericalError)

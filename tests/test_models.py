@@ -191,7 +191,7 @@ class TestSimulate:
 
     def test_trajectory_validation(self):
         with pytest.raises(ValueError):
-            Trajectory(np.zeros((5, 1)), np.zeros((5, 1)), seed=0)
+            Trajectory(np.zeros((5, 1)), np.zeros((5, 1)))
 
 
 def multivariate_normal_trajectory(model, steps, seed):
@@ -274,14 +274,16 @@ class TestSimulateMany:
     def test_bit_identical_to_each_seed_alone(self, make_model, seeds, steps):
         model = make_model()
         batch = simulate_many(model, steps, seeds)
-        assert [t.seed for t in batch] == list(seeds)
-        for seed, trajectory in zip(seeds, batch):
+        n, d = model.state_dim, model.measurement_dim
+        assert batch.states.shape == (len(seeds), steps + 1, n)
+        assert batch.measurements.shape == (len(seeds), steps, d)
+        for index, seed in enumerate(seeds):  # seed order along the leading axis
             alone = simulate(model, steps, seed)
             states, measurements = multivariate_normal_trajectory(model, steps, seed)
             for want in (alone.states, states):
-                np.testing.assert_array_equal(trajectory.states, want)
+                np.testing.assert_array_equal(batch.states[index], want)
             for want in (alone.measurements, measurements):
-                np.testing.assert_array_equal(trajectory.measurements, want)
+                np.testing.assert_array_equal(batch.measurements[index], want)
 
     def test_non_psd_constant_noise_warns_once_per_call(self):
         model = dataclasses.replace(walk_model(lambda x, k: 0.5 * x),
@@ -320,8 +322,21 @@ class TestSimulateMany:
                            match=r"^simulation diverged at step 4 \(seed 9\)$"):
             simulate_many(model, 10, [9, 2, 5])
 
-    def test_non_finite_measurement_fails_trajectory_validation(self):
-        model = dataclasses.replace(walk_model(lambda x, k: x),
-                                    measurement=lambda x, k: np.full_like(x, np.nan))
-        with pytest.raises(ValueError, match="non-finite"):
-            simulate_many(model, 5, [0, 1])
+    def test_non_finite_measurement_names_earliest_step_and_its_seed(self):
+        # every state finite, a measurement inf once its state leaves [-1, 1]:
+        # a diverged simulation, as a non-finite state is
+        walk = walk_model(lambda x, k: x)
+        model = dataclasses.replace(
+            walk, measurement=lambda x, k: np.where(np.abs(x) > 1.0, np.inf, x))
+        seeds = [0, 1]
+        first = {}
+        for seed in seeds:
+            states = simulate(walk, 50, seed).states[1:, 0]
+            first[seed] = int(np.flatnonzero(np.abs(states) > 1.0)[0]) + 1
+        assert len(set(first.values())) > 1
+        earliest = min(first.values())
+        seed = next(s for s in seeds if first[s] == earliest)
+        with pytest.raises(NumericalError,
+                           match=rf"^simulation diverged at step {earliest} \(seed {seed}\): "
+                                 r"non-finite measurement$"):
+            simulate_many(model, 50, seeds)
