@@ -21,8 +21,6 @@ from .kernels import (
     make_ut_kernel,
 )
 from .points import (
-    QuadratureRule,
-    UnitPointSet,
     cubature_points,
     gauss_hermite_points,
     hammersley_points,
@@ -33,6 +31,8 @@ from .points import (
 )
 from .quadrature import (
     NumericalError,
+    QuadratureRule,
+    UnitPointSet,
     gp_regression_mean,
     gpq_variance,
     gpq_variance_and_gradient,

@@ -6,8 +6,10 @@
 
 Every subcommand reads one JSON config document through the key tables
 of ``experiments`` (documented in the README; examples in configs/).  Exit
-codes: 0 success, 1 usage or configuration error, 2 numerical failure (a
-``NumericalError``) in every requested method; anything else is a bug.
+codes: 0 success, 1 usage or configuration error (an ``--out`` whose
+directory is missing is found before the run, a write that fails after
+it), 2 numerical failure (a ``NumericalError``) in every requested
+method; anything else is a bug.
 """
 
 from __future__ import annotations
@@ -50,13 +52,6 @@ def _load_config(path: str):
         raise ConfigError(f"config file {path}: {exc}") from exc
 
 
-def _emit(text: str, out: str | None):
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _points_command(fields: dict, n: int):
     # the point set with its own weights
     rule = build_rule(resolve_rule(n, fields["points"]), n)
@@ -75,7 +70,7 @@ def _weights_command(fields: dict, n: int):
     return {
         "weights": [float(w) for w in rule.weights],
         "posterior_variance": float(rule.posterior_variance),
-        "jitter": rule.jitter,
+        "jitter": fields["jitter"],
     }, lines
 
 
@@ -117,16 +112,23 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse's usage error is 2, which means numerical failure here
         return EXIT_CONFIG if exc.code else EXIT_OK
 
+    # an output that cannot be written is known before the run, not after it
+    if args.out and not Path(args.out).parent.is_dir():
+        print(f"usage error: --out {args.out}: no such directory", file=sys.stderr)
+        return EXIT_CONFIG
+
+    report: Report | None = None
     try:
         config = _load_config(args.config)
         if args.command in _COMMANDS:
             fields = command_fields(config, RULE_COMMANDS[args.command], args.command)
             payload, lines = _COMMANDS[args.command](fields, fields["dimension"])
-            _emit(json.dumps(payload, indent=2) + "\n" if args.format == "json"
-                  else "\n".join(lines) + "\n", args.out)
-            return EXIT_OK
-        report: Report = (_SEEDED[args.command](config, args.seed_offset)
-                          if args.command in _SEEDED else run_moments(config))
+            text = (json.dumps(payload, indent=2) + "\n" if args.format == "json"
+                    else "\n".join(lines) + "\n")
+        else:
+            report = (_SEEDED[args.command](config, args.seed_offset)
+                      if args.command in _SEEDED else run_moments(config))
+            text = report.to_csv() if args.format == "csv" else report.to_json()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -134,8 +136,15 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    _emit(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
-    if report.all_failed():
+    if not args.out:
+        sys.stdout.write(text)
+    else:
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            print(f"usage error: --out {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_CONFIG
+    if report is not None and report.all_failed():
         print("every method failed; see the error column", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

@@ -36,8 +36,6 @@ from .kernels import SquaredExponentialKernel, make_gh_kernel, make_ut_kernel
 from .models import (BotConfig, bot_model, moment_integrand, simulate,  # noqa: F401
                      simulate_many, ungm_model)
 from .points import (
-    QuadratureRule,
-    UnitPointSet,
     _check_optimizer_size,
     cubature_points,
     gauss_hermite_points,
@@ -46,10 +44,10 @@ from .points import (
     random_points,
     symmetric5_points,
     ut_points,
-    OptimizerSettings,
 )
-from .quadrature import (NumericalError, _checked_cov, _cholesky_solve,
-                         _not_positive_definite, _positive_definite, gpq_weights)
+from .quadrature import (NumericalError, QuadratureRule, UnitPointSet, _checked_cov,
+                         _cholesky_solve, _not_positive_definite, _positive_definite,
+                         gpq_weights)
 
 __all__ = [
     "ConfigError",
@@ -253,26 +251,29 @@ def _count(value, what: str):
 
 def _optimized(n: int, count, seed: int, kernel, restarts: int, jitter: float):
     kernel, count = kernel(n), count(n)
-    settings = OptimizerSettings(restarts=restarts, jitter=jitter)
     _check_optimizer_size(n, count)
-    return lambda: _uniform(optimize_points(kernel, n, count, seed, settings))
+    return lambda: _uniform(optimize_points(kernel, n, count, seed, restarts, jitter))
 
 
 def _csv_rule(n: int, path: str) -> QuadratureRule:
     """A rule from a CSV file of one column per dimension under a header
     line, optionally followed by a ``weight`` column whose values become
-    the weights, else uniform ones."""
+    the weights, else uniform ones; a file with no point rows (blank and
+    ``#`` comment lines are none) raises ConfigError."""
     path = Path(path)
     with path.open() as handle:
         last_column = handle.readline().strip().split(",")[-1]
-        table = np.loadtxt(handle, delimiter=",", ndmin=2)
+        rows = [line for line in handle if line.split("#")[0].strip()]
+    if not rows:
+        raise ConfigError(f"{path} has no point rows under its header line")
+    table = np.loadtxt(rows, delimiter=",", ndmin=2)
     # what `gpq points` writes: the points, then the rule's weights
     weighted = table.shape[1] == n + 1 and last_column == "weight"
     if table.shape[1] != n and not weighted:
         raise ConfigError(f"{path} has {table.shape[1]} columns, "
                           f"expected one per dimension ({n}), "
                           "optionally followed by 'weight'")
-    points = UnitPointSet(table[:, :n], f"csv({path.name})")
+    points = UnitPointSet(table[:, :n])
     return QuadratureRule(points, table[:, n]) if weighted else _uniform(points)
 
 
@@ -284,6 +285,7 @@ KERNEL_TYPES = TypeTable("type", "kernel type", {
 })
 _KERNEL = partial(config_fields, table=KERNEL_TYPES)
 _COUNT, _SEED = (_count, REQUIRED), (partial(config_int, minimum=0), 0)
+_JITTER = (partial(config_float, minimum=0.0), 0.0)
 POINT_TYPES = TypeTable("type", "point set type", {
     "ut": ({"kappa": (config_float, 2.0)}, ut_points),
     "cubature": ({}, cubature_points),
@@ -295,7 +297,8 @@ POINT_TYPES = TypeTable("type", "point set type", {
                lambda n, count, seed: lambda: _uniform(random_points(n, count(n), seed))),
     "optimized": ({"count": _COUNT, "seed": _SEED,
                    "kernel": (_KERNEL, KERNEL_TYPES.types["se"][1]),
-                   "restarts": (config_int, 5), "jitter": (config_float, 0.0)}, _optimized),
+                   "restarts": (partial(config_int, minimum=1), 5), "jitter": _JITTER},
+                  _optimized),
     "csv": ({"path": (_string, REQUIRED)}, _csv_rule),
 })
 
@@ -306,7 +309,6 @@ def _kernel(value, what: str):
 
 
 _POINTS = (partial(config_fields, table=POINT_TYPES), REQUIRED)
-_JITTER = (partial(config_float, minimum=0.0), 0.0)
 METHOD = {"name": (_string, REQUIRED), "points": _POINTS, "kernel": (_kernel, None),
           "jitter": _JITTER}
 

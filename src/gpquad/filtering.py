@@ -26,13 +26,17 @@ is the same step for one Gaussian and an integrand ``g(X)`` vectorized
 the same way.  It, ``predict`` and ``update`` reject a non-finite input
 or a noise or input covariance that is asymmetric or not PSD, and
 ``run_filter`` a model whose prior or constant noise covariance is, each
-with a ``ValueError`` by the tolerances of ``quadrature``.
+with a ``ValueError`` by the tolerances of ``quadrature``.  Moments that
+a step computes from finite values and that overflow are a
+``NumericalError`` in all four alike, by one check, ``_check_finite``;
+numpy's overflow and invalid-value warnings stay quiet in them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -225,9 +229,29 @@ def _update(points, weights, means, covs, measurement, measurement_cov, observat
     means = means + (gain @ (observations - innovation_means)[:, :, None])[:, :, 0]
     covs = covs - gain @ innovation_covs @ gain.transpose(0, 2, 1)
     covs = 0.5 * (covs + covs.transpose(0, 2, 1))
+    _check_finite(means, covs, "filtered")
     return means, covs, innovation_means, innovation_covs, cross, gain
 
 
+def _check_finite(means, covs, what: str) -> None:
+    """NumericalError naming the first member of a batch (B, n), (B, n, n)
+    of moments a step computed that are not finite: they overflowed, a
+    numerical failure, not an invalid input."""
+    # count_nonzero skips the ufunc reduction that .all() dispatches
+    finite = np.count_nonzero(np.isfinite(means)) + np.count_nonzero(np.isfinite(covs))
+    if finite == means.size + covs.size:
+        return
+    finite = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
+    raise NumericalError(f"{what} mean or covariance is not finite"
+                         + _member(int(np.argmin(finite)), len(finite)))
+
+
+# the steps' moment arithmetic may overflow; _check_finite reports it, so
+# numpy's warnings stay quiet wherever it does
+_quiet = partial(np.errstate, over="ignore", invalid="ignore")
+
+
+@_quiet()
 def gp_transform(rule: QuadratureRule, g: Callable, mean, cov,
                  noise_cov) -> TransformResult:
     """Moment-matched Gaussian approximation of y = g(x) + q.
@@ -243,9 +267,11 @@ def gp_transform(rule: QuadratureRule, g: Callable, mean, cov,
     _check_rule_dimension(rule, state.dimension)
     moments = _transform(rule.points.points, rule.weights, lambda x, k: g(x), state.mean[None],
                          state.cov[None], _checked_cov(noise_cov, "noise_cov"), 0)
+    _check_finite(moments.mean, moments.cov, "transformed")
     return TransformResult(*(moment[0] for moment in moments))
 
 
+@_quiet()
 def predict(state: GaussianState, rule: QuadratureRule, transition,
             process_cov, k: int = 0) -> GaussianState:
     """One prediction step: moment-match f(x) + q through the rule."""
@@ -253,9 +279,11 @@ def predict(state: GaussianState, rule: QuadratureRule, transition,
     process_cov = _checked_cov(_noise_matrix(process_cov, state.dimension), "process_cov")
     mean, cov, _ = _transform(rule.points.points, rule.weights, transition, state.mean[None],
                               _checked_cov(state.cov, "state.cov")[None], process_cov, k)
-    return _computed_state(mean[0], cov[0], "predicted")
+    _check_finite(mean, cov, "predicted")
+    return GaussianState(mean[0], cov[0])
 
 
+@_quiet()
 def update(pred: GaussianState, rule: QuadratureRule, measurement,
            measurement_cov, observation, k: int = 0):
     """One measurement update.
@@ -271,15 +299,7 @@ def update(pred: GaussianState, rule: QuadratureRule, measurement,
         _checked_cov(pred.cov, "pred.cov")[None], measurement,
         _checked_cov(_noise_matrix(measurement_cov, len(observation)), "measurement_cov"),
         observation[None], k)
-    return (_computed_state(mean[0], cov[0], "filtered"), *(value[0] for value in rest))
-
-
-def _computed_state(mean, cov, what: str) -> GaussianState:
-    """The state of moments a step computed; moments that overflowed are a
-    numerical failure, not an invalid input."""
-    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-        raise NumericalError(f"{what} mean or covariance is not finite")
-    return GaussianState(mean, cov)
+    return (GaussianState(mean[0], cov[0]), *(value[0] for value in rest))
 
 
 def _filter_step(model, k: int, means, covs, points, weights, observations):
@@ -287,12 +307,14 @@ def _filter_step(model, k: int, means, covs, points, weights, observations):
     ``FilterOutput`` arrays in field order."""
     pred_means, pred_covs, cross = _transform(
         points, weights, model.transition, means, covs, model.q_cov(k), k)
+    _check_finite(pred_means, pred_covs, "predicted")
     means, covs, mu, s_cov, _, _ = _update(
         points, weights, pred_means, pred_covs, model.measurement, model.r_cov(k),
         observations, k)
     return pred_means, pred_covs, means, covs, mu, s_cov, cross
 
 
+@_quiet()
 def run_filter(model: AdditiveStateSpaceModel,
                rule: QuadratureRule | Sequence[QuadratureRule],
                observations) -> FilterOutput:

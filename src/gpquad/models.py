@@ -6,11 +6,12 @@
 * the radial moment integrands (1 + x^T x)^(p/2) used to compare
   integration rules.
 
-Model functions follow the filtering module's vectorized contract:
-states arrive as (N, n) batches.  ``simulate_many`` draws a trajectory
-per seed, all of them as one recursion, and returns them as one
-``Trajectory`` with a leading seed axis, the batch form ``run_filter``
-takes; ``simulate`` is its batch of one, returned without that axis.
+Model functions and integrands follow the filtering module's vectorized
+contract: states arrive as (N, n) batches, and only so; one state is the
+batch ``x[None]``.  ``simulate_many`` draws a trajectory per seed, all
+of them as one recursion, and returns them as one ``Trajectory`` with a
+leading seed axis, the batch form ``run_filter`` takes; ``simulate`` is
+its batch of one, returned without that axis.
 """
 
 from __future__ import annotations
@@ -145,7 +146,6 @@ def bot_model(config: BotConfig | None = None) -> AdditiveStateSpaceModel:
     dt = cfg.dt
 
     def transition(x, k):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         pos1, vel1, pos2, vel2, omega = x.T
         sin_wt, cos_wt, sin_f, cos_f = _turn_factors(omega, dt)
         return np.column_stack([
@@ -157,7 +157,6 @@ def bot_model(config: BotConfig | None = None) -> AdditiveStateSpaceModel:
         ])
 
     def measurement(x, k):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         dx = x[:, 0][:, None] - cfg.sensors[:, 0][None, :]
         dy = x[:, 2][:, None] - cfg.sensors[:, 1][None, :]
         return np.arctan2(dy, dx)
@@ -187,11 +186,9 @@ def moment_integrand(exponent: int):
     """
 
     def y(x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         return (1.0 + (x**2).sum(axis=1)) ** (exponent / 2.0)
 
     def y_squared(x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         return (1.0 + (x**2).sum(axis=1)) ** float(exponent)
 
     return y, y_squared

@@ -1,26 +1,23 @@
 """Generators for unit sigma-point sets in R^n.
 
 All sets live in the standardized N(0, I) coordinates; filters and
-transforms map them through m + sqrt(P) xi.  A ``QuadratureRule`` is a
-point set with its weights, whoever chose them: the classical generators
+transforms map them through m + sqrt(P) xi.  The classical generators
 (unscented, spherical cubature, degree-5 symmetric, Gauss-Hermite tensor)
-return rules with their classical weights; random, Hammersley and
-variance-optimized sets are plain point sets to be weighted by the
-quadrature solver.
+return ``QuadratureRule``s with their classical weights; random,
+Hammersley and variance-optimized sets are plain ``UnitPointSet``s for
+``quadrature.gpq_weights`` to weight.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
 
 from .hermite import gh_roots_weights
+from .quadrature import NumericalError, QuadratureRule, UnitPointSet, gpq_variance_and_gradient
 
 __all__ = [
-    "UnitPointSet",
-    "QuadratureRule",
     "ut_points",
     "cubature_points",
     "symmetric5_points",
@@ -28,60 +25,9 @@ __all__ = [
     "hammersley_points",
     "random_points",
     "optimize_points",
-    "OptimizerSettings",
 ]
 
 MAX_TENSOR_POINTS = 10**6
-
-
-@dataclass(frozen=True)
-class UnitPointSet:
-    """N unit sigma-points of dimension n with a provenance tag."""
-
-    points: np.ndarray     # (N, n)
-    provenance: str
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if pts.size == 0:
-            raise ValueError("point set must contain at least one point")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("point set contains non-finite values")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def count(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dimension(self) -> int:
-        return self.points.shape[1]
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Unit sigma-points with integration weights.
-
-    ``posterior_variance`` is the GP-model variance of the integral
-    estimate, None for weights that no kernel chose (the classical rules,
-    uniform Monte Carlo weights); it is shared across output components
-    since the kernel is.
-    """
-
-    points: UnitPointSet
-    weights: np.ndarray
-    jitter: float = 0.0
-    posterior_variance: float | None = None
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (self.points.count,):
-            raise ValueError("one weight per point required")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        if self.jitter < 0:
-            raise ValueError("jitter must be >= 0")
-        object.__setattr__(self, "weights", w)
 
 
 def _axis_points(n: int, radius: float) -> np.ndarray:
@@ -104,7 +50,7 @@ def ut_points(n: int, kappa: float) -> QuadratureRule:
     pts = np.vstack([np.zeros((1, n)), _axis_points(n, radius)])
     weights = np.full(2 * n + 1, 1.0 / (2.0 * (n + kappa)))
     weights[0] = kappa / (n + kappa)
-    return QuadratureRule(UnitPointSet(pts, f"ut(kappa={kappa:g})"), weights)
+    return QuadratureRule(UnitPointSet(pts), weights)
 
 
 def cubature_points(n: int) -> QuadratureRule:
@@ -113,7 +59,7 @@ def cubature_points(n: int) -> QuadratureRule:
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     pts = _axis_points(n, np.sqrt(n))
-    return QuadratureRule(UnitPointSet(pts, "cubature"), np.full(2 * n, 1.0 / (2 * n)))
+    return QuadratureRule(UnitPointSet(pts), np.full(2 * n, 1.0 / (2 * n)))
 
 
 def symmetric5_points(n: int) -> QuadratureRule:
@@ -147,7 +93,7 @@ def symmetric5_points(n: int) -> QuadratureRule:
         np.full(axis.shape[0], (4 - n) / 18.0),
         np.full(pair.shape[0], 1.0 / 36.0),
     ])
-    return QuadratureRule(UnitPointSet(pts, "symmetric5"), weights)
+    return QuadratureRule(UnitPointSet(pts), weights)
 
 
 def gauss_hermite_points(n: int, order: int) -> QuadratureRule:
@@ -161,7 +107,7 @@ def gauss_hermite_points(n: int, order: int) -> QuadratureRule:
     roots, w1 = gh_roots_weights(order)
     pts = np.array(list(product(roots, repeat=n)))
     weights = np.prod(np.array(list(product(w1, repeat=n))), axis=1)
-    return QuadratureRule(UnitPointSet(pts, f"gauss-hermite(order={order})"), weights)
+    return QuadratureRule(UnitPointSet(pts), weights)
 
 
 def _primes(count: int) -> list[int]:
@@ -203,7 +149,7 @@ def hammersley_points(n: int, count: int) -> UnitPointSet:
     for d, base in enumerate(_primes(n - 1)):
         cube[:, d + 1] = [radical_inverse(i, base) for i in range(count)]
     clamped = np.clip(cube, 1e-12, 1.0 - 1e-12)
-    return UnitPointSet(ndtri(clamped), "hammersley")
+    return UnitPointSet(ndtri(clamped))
 
 
 def random_points(n: int, count: int, seed: int) -> UnitPointSet:
@@ -211,18 +157,7 @@ def random_points(n: int, count: int, seed: int) -> UnitPointSet:
     if n < 1 or count < 1:
         raise ValueError("need n >= 1 and count >= 1")
     rng = np.random.default_rng(seed)
-    return UnitPointSet(rng.standard_normal((count, n)), f"random(seed={seed})")
-
-
-@dataclass(frozen=True)
-class OptimizerSettings:
-    restarts: int = 5
-    jitter: float = 0.0
-
-    def __post_init__(self):
-        if self.restarts < 1 or self.jitter < 0:
-            raise ValueError("need restarts >= 1 and jitter >= 0, "
-                             f"got {self.restarts}, {self.jitter}")
+    return UnitPointSet(rng.standard_normal((count, n)))
 
 
 # BFGS constants: stop at a gradient this small (max norm) or after this
@@ -247,44 +182,44 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def optimize_points(kernel, n: int, count: int, seed: int,
-                    settings: OptimizerSettings | None = None) -> UnitPointSet:
+                    restarts: int = 5, jitter: float = 0.0) -> UnitPointSet:
     """Minimum-posterior-variance point set for the given kernel.
 
     BFGS on the stacked N*n coordinate vector with the exact gradient,
     which comes from the same weight solve as the variance
     (``gpq_variance_and_gradient``; the kernel supplies the weighted
     derivative sum_k w_k d/dx_i K(x_i, x_k) - d/dx_i q(x_i)).
-    Every restart starts from its own seeded Gaussian draw, and all of them
-    run together as one batch: each iteration, and each trial step of the
-    line search, is one batched evaluation over the restarts still
-    running.  The line search backtracks from the full quasi-Newton step
-    until Armijo's sufficient decrease holds (at most ``MAX_HALVINGS``
-    halvings); the inverse-Hessian update is skipped when s^T y <= 0, the
-    first update starts from the scaled identity (s^T y / y^T y) I, and a
-    direction that does not descend is replaced by the negative gradient
-    (Nocedal & Wright, Numerical Optimization, ch. 3 and 6).  A
-    restart stops when its gradient's largest entry is at most
-    ``GRADIENT_TOLERANCE``, after ``MAX_ITERATIONS`` iterations, or when
-    its line search cannot decrease the variance.  A step that fails (a
-    singular system, a variance below the clamp, a non-finite value)
-    counts as infinite variance, so a restart never ends worse than its
-    start.  The lowest variance wins, ties broken by restart index; when
-    every restart's is infinite it raises ``NumericalError``.
+    Each of the ``restarts`` starts from its own Gaussian draw of the
+    generator seeded with ``seed``, and all of them run together as one
+    batch, every weight solve with ``jitter`` on its diagonal: each
+    iteration, and each trial step of the line search, is one batched
+    evaluation over the restarts still running.  The line search
+    backtracks from the full quasi-Newton step until Armijo's sufficient
+    decrease holds (at most ``MAX_HALVINGS`` halvings); the
+    inverse-Hessian update is skipped when s^T y <= 0, the first update
+    starts from the scaled identity (s^T y / y^T y) I, and a direction
+    that does not descend is replaced by the negative gradient (Nocedal &
+    Wright, Numerical Optimization, ch. 3 and 6).  A restart stops when
+    its gradient's largest entry is at most ``GRADIENT_TOLERANCE``, after
+    ``MAX_ITERATIONS`` iterations, or when its line search cannot
+    decrease the variance.  A step that fails (a singular system, a
+    variance below the clamp, a non-finite value) counts as infinite
+    variance, so a restart never ends worse than its start.  The lowest
+    variance wins, ties broken by restart index; when every restart's is
+    infinite it raises ``NumericalError``.
     """
-    # deferred: quadrature imports this module
-    from .quadrature import NumericalError, gpq_variance_and_gradient
-
     _check_optimizer_size(n, count)
-    settings = settings or OptimizerSettings()
+    if restarts < 1 or jitter < 0:
+        raise ValueError(f"need restarts >= 1 and jitter >= 0, got {restarts}, {jitter}")
     size = count * n
 
     def evaluate(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         variance, gradient = gpq_variance_and_gradient(
-            kernel, flat.reshape(-1, count, n), settings.jitter)
+            kernel, flat.reshape(-1, count, n), jitter)
         return variance, gradient.reshape(-1, size)
 
     rng = np.random.default_rng(seed)
-    starts = [rng.standard_normal(size) for _ in range(settings.restarts)]
+    starts = [rng.standard_normal(size) for _ in range(restarts)]
     x = np.array(starts).reshape(len(starts), size)
     f, g = evaluate(x)
     failures = int(np.sum(~np.isfinite(f)))
@@ -352,7 +287,7 @@ def optimize_points(kernel, n: int, count: int, seed: int,
     x_all[live], f_all[live] = x, f
     if not np.isfinite(f_all).any():
         raise NumericalError(
-            f"all {settings.restarts} optimizer restarts produced non-finite "
+            f"all {restarts} optimizer restarts produced non-finite "
             f"variances ({failures} failed initializations)"
         )
-    return UnitPointSet(x_all[int(np.argmin(f_all))].reshape(count, n), "optimized")
+    return UnitPointSet(x_all[int(np.argmin(f_all))].reshape(count, n))

@@ -1,16 +1,23 @@
-"""Gaussian process quadrature: weights and posterior variance.
+"""Gaussian process quadrature: rules, weights and posterior variance.
 
-A rule is built by conditioning a zero-mean GP with covariance K on
-function evaluations at unit sigma-points and integrating the posterior
-mean against N(0, I).  The weights solve (K + sigma^2 I) W = q with
-K_ij = K(xi_i, xi_j) and q_i the kernel mean embedding at xi_i; the
-posterior variance of the integral is the double Gaussian integral of K
-minus q^T W.  Weights may be negative; the variance is zero exactly when
-the points resolve the kernel's function class, which is how the
-classical unscented / cubature / Gauss-Hermite weights drop out.  The
-variance's gradient in the points follows from the same solve; variance
-and gradient are also computed for a batch of point sets at once, each
-set solved as it would be alone.
+A ``QuadratureRule`` is a ``UnitPointSet`` of unit sigma-points in the
+standardized N(0, I) coordinates with its weights, whoever chose them:
+the classical generators of ``points`` (unscented, spherical cubature,
+degree-5 symmetric, Gauss-Hermite tensor) give rules with their
+classical weights; random, Hammersley and variance-optimized sets are
+plain point sets, weighted here.
+
+A GP-quadrature rule is built by conditioning a zero-mean GP with
+covariance K on function evaluations at unit sigma-points and
+integrating the posterior mean against N(0, I).  The weights solve
+(K + sigma^2 I) W = q with K_ij = K(xi_i, xi_j) and q_i the kernel mean
+embedding at xi_i; the posterior variance of the integral is the double
+Gaussian integral of K minus q^T W.  Weights may be negative; the
+variance is zero exactly when the points resolve the kernel's function
+class, which is how the classical unscented / cubature / Gauss-Hermite
+weights drop out.  The variance's gradient in the points follows from
+the same solve; variance and gradient are also computed for a batch of
+point sets at once, each set solved as it would be alone.
 
 Every SPD matrix, here and in the filter, is factored by one path:
 ``_positive_definite`` factors a stack in one batched Cholesky call, by
@@ -25,15 +32,15 @@ each, relative to the quantity's own scale.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .points import QuadratureRule, UnitPointSet
-
 __all__ = [
     "NumericalError",
+    "UnitPointSet",
     "QuadratureRule",
     "MatrixSqrtResult",
     "gpq_weights",
@@ -51,6 +58,52 @@ FLAT_INCREMENT_THRESHOLD = 0.1
 class NumericalError(np.linalg.LinAlgError):
     """A numerical failure: a study's error cell, the CLI's exit code 2 and
     a filter's per-rule stop; any other exception is a programming error."""
+
+
+@dataclass(frozen=True)
+class UnitPointSet:
+    """N unit sigma-points of dimension n."""
+
+    points: np.ndarray     # (N, n)
+
+    def __post_init__(self):
+        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        if pts.size == 0:
+            raise ValueError("point set must contain at least one point")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("point set contains non-finite values")
+        object.__setattr__(self, "points", pts)
+
+    @property
+    def count(self) -> int:
+        return self.points.shape[0]
+
+    @property
+    def dimension(self) -> int:
+        return self.points.shape[1]
+
+
+@dataclass(frozen=True)
+class QuadratureRule:
+    """Unit sigma-points with integration weights.
+
+    ``posterior_variance`` is the GP-model variance of the integral
+    estimate, None for weights that no kernel chose (the classical rules,
+    uniform Monte Carlo weights); it is shared across output components
+    since the kernel is.
+    """
+
+    points: UnitPointSet
+    weights: np.ndarray
+    posterior_variance: float | None = None
+
+    def __post_init__(self):
+        w = np.asarray(self.weights, dtype=float)
+        if w.shape != (self.points.count,):
+            raise ValueError("one weight per point required")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
+        object.__setattr__(self, "weights", w)
 
 
 class MatrixSqrtResult(NamedTuple):
@@ -484,8 +537,7 @@ def gpq_weights(kernel, points: UnitPointSet, jitter: float = 0.0) -> Quadrature
     with the offending conditioning rather than regularizing silently.
     """
     system = _solve_weight_system(kernel, points.points, jitter, overwrite=True)
-    return QuadratureRule(points=points, weights=system.weights, jitter=jitter,
-                          posterior_variance=system.checked_variance())
+    return QuadratureRule(points, system.weights, system.checked_variance())
 
 
 def gpq_variance(kernel, points: UnitPointSet, jitter: float = 0.0) -> float:

@@ -24,7 +24,6 @@ from gpquad.hermite import (
 )
 from gpquad.kernels import SquaredExponentialKernel, make_gh_kernel, make_ut_kernel
 from gpquad.points import (
-    UnitPointSet,
     cubature_points,
     gauss_hermite_points,
     hammersley_points,
@@ -33,7 +32,7 @@ from gpquad.points import (
     symmetric5_points,
     ut_points,
 )
-from gpquad.quadrature import gpq_variance, gpq_weights
+from gpquad.quadrature import UnitPointSet, gpq_variance, gpq_weights
 from gpquad.experiments import run_bot, run_moments, run_ungm
 
 from test_filtering import (
@@ -296,7 +295,7 @@ def test_criterion_10_invariant_suites():
         rng = np.random.default_rng(6)
         kernel = SquaredExponentialKernel(1.0, 1.5)
         for _ in range(5):
-            pts = UnitPointSet(rng.normal(size=(6, 2)), "random")
+            pts = UnitPointSet(rng.normal(size=(6, 2)))
             rule = gpq_weights(kernel, pts, jitter=0.0)
             gram = kernel.gram(pts.points)
             q = kernel.mean_embedding(pts.points)

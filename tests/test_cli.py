@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -12,7 +13,7 @@ from scipy.integrate import quad
 
 import gpquad
 from gpquad.cli import main
-from gpquad import experiments, filtering
+from gpquad import cli, experiments, filtering
 from gpquad.experiments import (
     FLOAT_FORMAT,
     ConfigError,
@@ -710,6 +711,25 @@ class TestCliCommands:
         assert main(["points", "--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: gpq points")
 
+    def test_missing_out_directory_is_exit_1_before_the_study(self, tmp_path, capsys,
+                                                              monkeypatch):
+        def no_study(*args):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setitem(cli._SEEDED, "ungm", no_study)
+        out = tmp_path / "missing" / "report.csv"
+        assert main(["ungm", "--config", str(CONFIG_DIR / "ungm_smoke.json"),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"usage error: --out {out}: no such directory\n"
+
+    def test_failed_write_is_one_line_and_exit_1(self, tmp_path, capsys):
+        # the directory exists and the write fails anyway: --out is a directory
+        assert main(["points", "--config", str(CONFIG_DIR / "points_example.json"),
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: --out {tmp_path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("command,name", [
         ("points", "points_example"), ("weights", "weights_example"),
         ("transform", "transform_example"), ("moments", "moments")])
@@ -838,6 +858,31 @@ class TestCliCommands:
                      *seeded]) == 1
         assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["xi1\n", "xi1\n\n# no rows\n", ""],
+                             ids=["header-only", "blank-and-comment", "empty"])
+    def test_csv_file_without_point_rows_is_exit_1(self, tmp_path, capsys, monkeypatch,
+                                                   text):
+        # np.loadtxt would warn "input contained no data" before the error
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "rows.csv").write_text(text)
+        config = write_config(tmp_path, {**self.POINTS, **csv_points("rows.csv")})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["points", "--config", config]) == 1
+        assert capsys.readouterr().err == (
+            "config error: config: rows.csv has no point rows under its header line\n")
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("restarts", 0, "restarts must be an integer >= 1, got 0"),
+        ("jitter", -1.0, "jitter must be a finite number >= 0.0, got -1.0"),
+    ], ids=["restarts-zero", "jitter-negative"])
+    def test_optimizer_setting_error_names_its_key(self, tmp_path, capsys, key, value,
+                                                   message):
+        config = write_config(tmp_path, {**self.POINTS, "points": {
+            "type": "optimized", "count": 3, key: value}})
+        assert main(["points", "--config", config]) == 1
+        assert capsys.readouterr().err == f"config error: config: points: {message}\n"
 
     def test_unknown_key_names_it_and_the_keys_allowed(self, tmp_path, capsys):
         config = write_config(tmp_path, {**self.UNGM, "step": 10})

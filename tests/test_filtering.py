@@ -834,6 +834,42 @@ class TestOverflow:
             call()
 
 
+class TestOverflowInEveryPath:
+    # no np.errstate here: pytest's error::RuntimeWarning filter fails any
+    # test from which numpy's overflow or invalid-value warning escapes
+    OVERFLOWING = staticmethod(lambda x, k: 1e200 * (1 + x))
+
+    def test_group_filter_gives_each_rule_an_error_cell(self):
+        model = dataclasses.replace(ungm_model(), transition=self.OVERFLOWING)
+        out = run_filter(model, [ut_points(1, 2.0), cubature_points(1)], np.zeros(5))
+        assert out.errors == ("filter failed at time index 1: predicted mean or "
+                              "covariance is not finite",) * 2
+        assert np.isnan(out.filtered_means).all()
+
+    def test_gp_transform_raises(self):
+        with pytest.raises(NumericalError, match="^transformed mean or covariance is not finite$"):
+            gp_transform(ut_points(1, 2.0), lambda x: 1e200 * (1 + x), np.zeros(1),
+                         np.eye(1), 0.0)
+
+    def test_predict_and_update_raise_without_a_warning(self):
+        prior = GaussianState(np.zeros(1), [[1.0]])
+        with pytest.raises(NumericalError, match="^predicted"):
+            predict(prior, ut_points(1, 2.0), self.OVERFLOWING, 1.0)
+        with pytest.raises(NumericalError, match="^filtered"):
+            update(prior, ut_points(1, 2.0), lambda x, k: 1e-10 * x, 1e-300, [1e308])
+
+    def test_batch_error_names_the_member(self):
+        # a gain near 1e10 on an innovation near 1e308 overflows on the
+        # second trajectory only
+        model = dataclasses.replace(
+            ungm_model(), transition=lambda x, k: x, measurement=lambda x, k: 1e-10 * x,
+            measurement_cov=1e-300)
+        ys = np.array([[[0.0]], [[1e308]]])
+        with pytest.raises(NumericalError, match="^filter failed at time index 1: filtered "
+                           "mean or covariance is not finite for batch member 1$"):
+            run_filter(model, ut_points(1, 2.0), ys)
+
+
 class TestGaussianStateValidation:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="asymmetric"):

@@ -15,9 +15,6 @@ from gpquad.kernels import (
     make_ut_kernel,
 )
 from gpquad.points import (
-    OptimizerSettings,
-    QuadratureRule,
-    UnitPointSet,
     cubature_points,
     gauss_hermite_points,
     hammersley_points,
@@ -30,6 +27,8 @@ from gpquad.points import (
 from gpquad.quadrature import (
     FLAT_INCREMENT_THRESHOLD,
     NumericalError,
+    QuadratureRule,
+    UnitPointSet,
     gpq_variance,
     gpq_variance_and_gradient,
     gpq_weights,
@@ -251,7 +250,7 @@ class TestOptimizePoints:
         # grid-search oracle over [-3, 3]
         grid = np.linspace(-3, 3, 601)
         variances = [
-            gpq_variance(self.kernel, UnitPointSet(np.array([[g]]), "grid"))
+            gpq_variance(self.kernel, UnitPointSet(np.array([[g]])))
             for g in grid
         ]
         oracle = grid[int(np.argmin(variances))]
@@ -259,11 +258,10 @@ class TestOptimizePoints:
         assert abs(result.points[0, 0]) < 1e-3
 
     def test_never_worse_than_first_initialization(self):
-        settings = OptimizerSettings(restarts=1)
         seed = 42
         init = np.random.default_rng(seed).standard_normal(5 * 2).reshape(5, 2)
-        init_var = gpq_variance(self.kernel, UnitPointSet(init, "init"))
-        result = optimize_points(self.kernel, 2, 5, seed=seed, settings=settings)
+        init_var = gpq_variance(self.kernel, UnitPointSet(init))
+        result = optimize_points(self.kernel, 2, 5, seed=seed, restarts=1)
         assert gpq_variance(self.kernel, result) <= init_var + 1e-15
 
     def test_beats_hammersley_five_points(self):
@@ -298,8 +296,7 @@ class TestOptimizePoints:
 
         monkeypatch.setattr(quadrature, "_solve_weight_system", counting_solve)
         monkeypatch.setattr(quadrature, "gpq_variance", no_variance_call)
-        optimize_points(CountingKernel(1.0, 1.0), 2, 5, seed=0,
-                        settings=OptimizerSettings(restarts=2))
+        optimize_points(CountingKernel(1.0, 1.0), 2, 5, seed=0, restarts=2)
         # every evaluation returns a gradient from its own single solve
         assert counts["derivatives"] > 2
         assert counts["solves"] == counts["derivatives"]
@@ -357,25 +354,29 @@ class TestOptimizePoints:
         # one standard_normal(count * n) draw per restart, in order
         rng = np.random.default_rng(7)
         starts = [rng.standard_normal(5 * 2).reshape(5, 2) for _ in range(4)]
-        variances = [gpq_variance(self.kernel, UnitPointSet(s, "start")) for s in starts]
+        variances = [gpq_variance(self.kernel, UnitPointSet(s)) for s in starts]
         monkeypatch.setattr(gpquad.points, "MAX_ITERATIONS", 0)
-        result = optimize_points(self.kernel, 2, 5, seed=7,
-                                 settings=OptimizerSettings(restarts=4))
+        result = optimize_points(self.kernel, 2, 5, seed=7, restarts=4)
         assert np.array_equal(result.points, starts[int(np.argmin(variances))])
 
     def test_ties_go_to_the_lowest_restart(self):
         # the constant kernel integrates exactly at any single point, so
         # every start has variance 0 and a zero gradient
         kernel = HermitePolynomialKernel([[0]])
-        result = optimize_points(kernel, 1, 1, seed=3, settings=OptimizerSettings(restarts=3))
+        result = optimize_points(kernel, 1, 1, seed=3, restarts=3)
         first = np.random.default_rng(3).standard_normal(1)
         assert np.array_equal(result.points, first.reshape(1, 1))
+
+    @pytest.mark.parametrize("restarts,jitter", [(0, 0.0), (5, -1e-12)],
+                             ids=["restarts-zero", "jitter-negative"])
+    def test_invalid_settings_raise(self, restarts, jitter):
+        with pytest.raises(ValueError, match="need restarts >= 1 and jitter >= 0"):
+            optimize_points(self.kernel, 1, 3, seed=0, restarts=restarts, jitter=jitter)
 
     def test_all_starts_failing_raises(self):
         # two points make the constant kernel's Gram matrix singular
         with pytest.raises(NumericalError, match=r"all 3 optimizer restarts .*\(3 failed"):
-            optimize_points(HermitePolynomialKernel([[0]]), 1, 2, seed=0,
-                            settings=OptimizerSettings(restarts=3))
+            optimize_points(HermitePolynomialKernel([[0]]), 1, 2, seed=0, restarts=3)
 
     def test_far_points_raise_no_overflow_warning(self):
         # the flat solve's embedding increments overflow far from the
@@ -383,7 +384,7 @@ class TestOptimizePoints:
         kernel = SquaredExponentialKernel(1.0, 0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rule = gpq_weights(kernel, UnitPointSet(np.array([[0.0, 0.0], [100.0, 0.0]]), "far"))
+            rule = gpq_weights(kernel, UnitPointSet(np.array([[0.0, 0.0], [100.0, 0.0]])))
             optimize_points(kernel, 2, 5, seed=1)
         assert np.all(np.isfinite(rule.weights))
 
@@ -395,7 +396,7 @@ def _scipy_bfgs_variance(kernel, n, count, seed, restarts=5):
 
     def objective(flat):
         try:
-            v, g = gpq_variance_and_gradient(kernel, UnitPointSet(flat.reshape(count, n), "o"))
+            v, g = gpq_variance_and_gradient(kernel, UnitPointSet(flat.reshape(count, n)))
         except (np.linalg.LinAlgError, ValueError):
             return np.inf, np.zeros_like(flat)
         if not (np.isfinite(v) and np.all(np.isfinite(g))):
@@ -445,7 +446,7 @@ class TestBatchedVarianceAndGradient:
     @staticmethod
     def _single(kernel, pts):
         try:
-            return gpq_variance_and_gradient(kernel, UnitPointSet(pts, "member"))
+            return gpq_variance_and_gradient(kernel, UnitPointSet(pts))
         except np.linalg.LinAlgError:
             return None
 
@@ -538,7 +539,7 @@ class TestBatchedVarianceAndGradient:
         # below it the member fails, alone and in the batch
         kernel = _lowered_ut_kernel(1e-8)
         with pytest.raises(NumericalError, match="clamp"):
-            gpq_variance_and_gradient(kernel, UnitPointSet(ut, "ut"))
+            gpq_variance_and_gradient(kernel, UnitPointSet(ut))
         assert self._assert_members(kernel, batch) == [(0,)]
 
 
@@ -548,8 +549,8 @@ def central_difference_gradient(kernel, pts, jitter, h):
         up, down = pts.copy(), pts.copy()
         up[idx] += h
         down[idx] -= h
-        grad[idx] = (gpq_variance(kernel, UnitPointSet(up, "up"), jitter)
-                     - gpq_variance(kernel, UnitPointSet(down, "down"), jitter)) / (2 * h)
+        grad[idx] = (gpq_variance(kernel, UnitPointSet(up), jitter)
+                     - gpq_variance(kernel, UnitPointSet(down), jitter)) / (2 * h)
     return grad
 
 
@@ -569,8 +570,8 @@ class TestVarianceGradient:
     ], ids=["se", "se-jitter", "hermite-identity", "hermite-coefficients"])
     def test_matches_central_differences(self, kernel, shape, jitter):
         pts = np.random.default_rng(3).normal(size=shape)
-        variance, grad = gpq_variance_and_gradient(kernel, UnitPointSet(pts, "x"), jitter)
-        assert variance == gpq_variance(kernel, UnitPointSet(pts, "x"), jitter)
+        variance, grad = gpq_variance_and_gradient(kernel, UnitPointSet(pts), jitter)
+        assert variance == gpq_variance(kernel, UnitPointSet(pts), jitter)
         assert variance > 0.0 and grad.shape == shape
         fd = central_difference_gradient(kernel, pts, jitter, 1e-6)
         np.testing.assert_allclose(grad, fd, atol=1e-8)
@@ -580,7 +581,7 @@ class TestVarianceGradient:
         pts = np.linspace(-1.0, 1.0, 4)[:, None]
         gram_inc = kernel.flat_increments(pts)[0]
         assert np.abs(gram_inc).max() < FLAT_INCREMENT_THRESHOLD
-        variance, grad = gpq_variance_and_gradient(kernel, UnitPointSet(pts, "x"))
+        variance, grad = gpq_variance_and_gradient(kernel, UnitPointSet(pts))
         assert 0.0 < variance < 1e-7
         # V ~ 1e-8 carries absolute rounding noise ~1e-16, so the difference
         # step is large and the comparison relative to the gradient's scale
@@ -604,7 +605,7 @@ class TestVarianceGradient:
         assert np.array_equal(grad, np.zeros((5, 2)))
 
     def test_singular_gram_raises(self):
-        pts = UnitPointSet(np.array([[0.5], [0.5], [1.0]]), "repeated")
+        pts = UnitPointSet(np.array([[0.5], [0.5], [1.0]]))
         with pytest.raises(NumericalError, match="singular"):
             gpq_variance_and_gradient(SquaredExponentialKernel(1.0, 1.0), pts)
 
@@ -627,23 +628,22 @@ class TestClassicalGenerators:
         assert gpquad.QuadratureRule is QuadratureRule
 
 
-@pytest.mark.parametrize("weights,jitter,message", [
-    (np.full(2, 0.5), 0.0, "one weight per point"),
-    (np.array([0.5, np.nan, 0.5]), 0.0, "weights must be finite"),
-    (np.array([0.5, np.inf, 0.5]), 0.0, "weights must be finite"),
-    (np.full(3, 1 / 3), -1e-12, "jitter must be >= 0"),
-], ids=["count", "nan", "inf", "negative-jitter"])
-def test_quadrature_rule_rejects_invalid_fields(weights, jitter, message):
-    points = UnitPointSet(np.array([[-1.0], [0.0], [1.0]]), "three")
+@pytest.mark.parametrize("weights,message", [
+    (np.full(2, 0.5), "one weight per point"),
+    (np.array([0.5, np.nan, 0.5]), "weights must be finite"),
+    (np.array([0.5, np.inf, 0.5]), "weights must be finite"),
+], ids=["count", "nan", "inf"])
+def test_quadrature_rule_rejects_invalid_fields(weights, message):
+    points = UnitPointSet(np.array([[-1.0], [0.0], [1.0]]))
     with pytest.raises(ValueError, match=message):
-        QuadratureRule(points, weights, jitter)
+        QuadratureRule(points, weights)
 
 
 class TestUnitPointSetValidation:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            UnitPointSet(np.array([[np.nan, 0.0]]), "bad")
+            UnitPointSet(np.array([[np.nan, 0.0]]))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            UnitPointSet(np.empty((0, 2)), "bad")
+            UnitPointSet(np.empty((0, 2)))

@@ -15,7 +15,6 @@ from gpquad.kernels import (
     make_ut_kernel,
 )
 from gpquad.points import (
-    UnitPointSet,
     cubature_points,
     gauss_hermite_points,
     hammersley_points,
@@ -25,6 +24,7 @@ from gpquad.filtering import GaussianState, gp_transform
 from gpquad.quadrature import (
     _BLOCK,
     NumericalError,
+    UnitPointSet,
     _cholesky_solve,
     _positive_definite,
     _spd_solve,
@@ -82,7 +82,7 @@ class TestGpqWeights:
         rng = np.random.default_rng(17)
         kernel = SquaredExponentialKernel(1.0, 1.5)
         for _ in range(5):
-            pts = UnitPointSet(rng.normal(size=(6, 2)), "random")
+            pts = UnitPointSet(rng.normal(size=(6, 2)))
             rule = gpq_weights(kernel, pts, jitter=0.0)
             gram = kernel.gram(pts.points)
             q = kernel.mean_embedding(pts.points)
@@ -90,14 +90,14 @@ class TestGpqWeights:
             assert residual <= 1e-9 * np.abs(q).max()
 
     def test_singular_gram_advises_jitter(self):
-        pts = UnitPointSet(np.zeros((2, 1)), "coincident")
+        pts = UnitPointSet(np.zeros((2, 1)))
         with pytest.raises(NumericalError, match="jitter"):
             gpq_weights(make_ut_kernel(1, 3), pts, jitter=0.0)
         rule = gpq_weights(make_ut_kernel(1, 3), pts, jitter=1e-8)
         assert np.all(np.isfinite(rule.weights))
 
     def test_singular_gram_names_the_minimum_eigenvalue(self):
-        pts = UnitPointSet(np.zeros((2, 1)), "coincident")
+        pts = UnitPointSet(np.zeros((2, 1)))
         with pytest.raises(NumericalError,
                            match=r"^quadrature weight system not positive definite "
                                  r"\(min eigenvalue .*\); numerically singular"):
@@ -128,7 +128,7 @@ class TestGpqWeights:
 
     def test_negative_weights_allowed(self):
         # tight SE kernel on clustered points produces some negative weights
-        pts = UnitPointSet(np.array([[0.0], [0.1], [1.8]]), "clustered")
+        pts = UnitPointSet(np.array([[0.0], [0.1], [1.8]]))
         rule = gpq_weights(SquaredExponentialKernel(1.0, 0.4), pts, jitter=0.0)
         assert np.all(np.isfinite(rule.weights))
 
@@ -195,7 +195,7 @@ class TestCholeskySolve:
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_zero_pivot_names_the_weight_system(self, seed):
-        pts = UnitPointSet(duplicate_point_set(seed), "duplicate")
+        pts = UnitPointSet(duplicate_point_set(seed))
         with pytest.raises(NumericalError,
                            match=r"^quadrature weight system has an exactly zero pivot "
                                  r"after passing the Cholesky check; numerically "
@@ -239,7 +239,7 @@ class TestGpqVariance:
         assert gpq_variance(make_gh_kernel(2, 2), pts, 0.0) <= 1e-8
 
     def test_single_point_closed_form(self):
-        pts = UnitPointSet(np.zeros((1, 1)), "single")
+        pts = UnitPointSet(np.zeros((1, 1)))
         got = gpq_variance(SquaredExponentialKernel(1.0, 1.0), pts, 0.0)
         assert got == pytest.approx(np.sqrt(1 / 3) - 0.5, abs=1e-9)
 
@@ -249,7 +249,7 @@ class TestGpqVariance:
         pts = rng.normal(size=(6, 2))
         previous = np.inf
         for count in range(1, 7):
-            var = gpq_variance(kernel, UnitPointSet(pts[:count], "nested"), 0.0)
+            var = gpq_variance(kernel, UnitPointSet(pts[:count]), 0.0)
             assert var <= previous + 1e-10
             previous = var
 
@@ -519,7 +519,7 @@ class TestBlockedCholesky:
         # the factors overwrite the Gram matrix; the error rebuilds it to
         # name its minimum eigenvalue
         pts = hammersley_points(2, 299).points
-        duplicated = UnitPointSet(np.vstack([pts, pts[:1]]), "duplicated")
+        duplicated = UnitPointSet(np.vstack([pts, pts[:1]]))
         with pytest.raises(NumericalError) as raised:
             gpq_weights(SquaredExponentialKernel(1.0, 0.5), duplicated, 0.0)
         assert str(raised.value) == (
@@ -750,7 +750,7 @@ class TestGpRegressionMean:
         from gpquad.hermite import gh_roots_weights
 
         rule = gpq_weights(self.kernel,
-                           UnitPointSet(self.train, "train"), jitter=0.0)
+                           UnitPointSet(self.train), jitter=0.0)
         # order 24: the posterior mean is a sum of shifted Gaussian bumps,
         # which order 10 only integrates to ~1e-5
         roots, weights = gh_roots_weights(24)
