@@ -8,8 +8,8 @@ Every subcommand reads one JSON config document through the key tables
 of ``experiments`` (documented in the README; examples in configs/).  Exit
 codes: 0 success, 1 usage or configuration error (an ``--out`` whose
 directory is missing is found before the run, a write that fails after
-it), 2 numerical failure (a ``NumericalError``) in every requested
-method; anything else is a bug.
+it, a ``MemoryError``: a config too large), 2 numerical failure (a
+``NumericalError``) in every requested method; anything else is a bug.
 """
 
 from __future__ import annotations
@@ -131,6 +131,9 @@ def main(argv=None) -> int:
             text = report.to_csv() if args.format == "csv" else report.to_json()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"config error: not enough memory for this config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -18,6 +18,8 @@ CSV (floats at 12 significant digits, metadata lives only in JSON).
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import time
@@ -33,8 +35,8 @@ from .filtering import GaussianState, _noise_matrix, run_filter, run_smoother
 from .kernels import SquaredExponentialKernel, make_gh_kernel, make_ut_kernel
 # the studies call simulate_many; simulate stays importable from here
 # because bench/spans.py wraps experiments.simulate
-from .models import (BotConfig, bot_model, moment_integrand, simulate,  # noqa: F401
-                     simulate_many, ungm_model)
+from .models import (bot_model, moment_integrand, simulate, simulate_many,  # noqa: F401
+                     ungm_model)
 from .points import (
     _check_optimizer_size,
     cubature_points,
@@ -196,11 +198,13 @@ class Report:
         return bool(self.rows) and all(r[error_col] != "" for r in self.rows)
 
     def to_csv(self) -> str:
-        # an integer cell (a dimension or an exponent) prints as one
-        lines = [",".join(self.columns)]
-        lines += [",".join(c if isinstance(c, str) else FLOAT_FORMAT % c for c in row)
-                  for row in self.rows]
-        return "\n".join(lines) + "\n"
+        # an integer cell (a dimension or an exponent) prints as one; a cell
+        # holding a comma, a quote or a line break is quoted
+        out = io.StringIO()
+        csv.writer(out, quoting=csv.QUOTE_MINIMAL, lineterminator="\n").writerows(
+            [self.columns] + [[c if isinstance(c, str) else FLOAT_FORMAT % c for c in row]
+                              for row in self.rows])
+        return out.getvalue()
 
     def to_json(self) -> str:
         payload = {
@@ -438,7 +442,8 @@ _MOMENTS = {
 
 
 def run_moments(config: dict) -> Report:
-    """Per-method KL divergence of moment estimates across (n, p) cells."""
+    """Per-method KL divergence of moment estimates across (n, p) cells; a
+    cell whose exact moments are not finite is an error row per method."""
     fields = command_fields(config, _MOMENTS, "moments")
     methods, dims, exponents = fields["methods"], fields["dimensions"], fields["exponents"]
     resolved = {n: {m["name"]: resolve_rule(n, **m) for m in methods} for n in dims}
@@ -458,10 +463,15 @@ def run_moments(config: dict) -> Report:
             except NumericalError as exc:
                 rules[name] = exc
         for exponent in exponents:
-            truth_mean, truth_var = moments_ground_truth(
-                n, exponent, *(fields[key] for key in _IGNORED))
-            truth = GaussianState(np.array([truth_mean]),
-                                  np.array([[truth_var]]))
+            try:
+                truth_mean, truth_var = moments_ground_truth(
+                    n, exponent, *(fields[key] for key in _IGNORED))
+            except NumericalError as exc:  # the cell's error, for each rule that built
+                report.rows += [[name, n, exponent, "", "", "",
+                                 str(rule if isinstance(rule, Exception) else exc)]
+                                for name, rule in rules.items()]
+                continue
+            truth = GaussianState(np.array([truth_mean]), np.array([[truth_var]]))
             y_fn, y2_fn = moment_integrand(exponent)
             for method in methods:
                 name = method["name"]
@@ -585,7 +595,6 @@ def run_ungm(config: dict, seed_offset: int = 0) -> Report:
                             components=[0])
 
 
-# a key left out keeps BotConfig's default
 _BOT_MODEL = {
     "sensors": (lambda value, what: config_array(value, what, (4, 2)), None),
     "prior_mean": (lambda value, what: config_array(value, what, (5,)), None),
@@ -594,16 +603,17 @@ _BOT_MODEL = {
 }
 
 
-def _bot_config(value, what: str) -> BotConfig:
+def _bot_config(value, what: str):
+    """The model a config's 'model' object gives, a key left out at its default."""
     fields = config_fields(value, _BOT_MODEL, what)
     try:
-        return BotConfig(**{key: field for key, field in fields.items() if field is not None})
+        return bot_model(**{key: field for key, field in fields.items() if field is not None})
     except ValueError as exc:
         raise ConfigError(f"{what}: invalid bearings-only model: {exc}") from exc
 
 
 def run_bot(config: dict, seed_offset: int = 0) -> Report:
     """Position RMSE study on bearings-only coordinated-turn tracking."""
-    return _filtering_study("bot", config, seed_offset, lambda fields: bot_model(fields["model"]),
-                            components=[0, 2], model=(_bot_config, None),
-                            steps=(partial(config_int, minimum=1), 100))
+    return _filtering_study("bot", config, seed_offset,
+                            lambda fields: fields["model"] or bot_model(), components=[0, 2],
+                            model=(_bot_config, None), steps=(partial(config_int, minimum=1), 100))

@@ -24,8 +24,8 @@ Model functions are vectorized over the leading axis: ``f(X, k)`` maps an
 callables of the time index; a scalar s stands for s I.  ``gp_transform``
 is the same step for one Gaussian and an integrand ``g(X)`` vectorized
 the same way.  It, ``predict`` and ``update`` reject a non-finite input
-or a noise or input covariance that is asymmetric or not PSD, and
-``run_filter`` a model whose prior or constant noise covariance is, each
+or a noise or input covariance that is asymmetric or not PSD, and a
+model such a prior or constant noise covariance when it is built, each
 with a ``ValueError`` by the tolerances of ``quadrature``.  Moments that
 a step computes from finite values and that overflow are a
 ``NumericalError`` in all four alike, by one check, ``_check_finite``;
@@ -64,7 +64,7 @@ class GaussianState:
     Construction checks that both are finite, the covariance's shape and,
     by ``matrix_sqrt``'s test, its symmetry, each with a ``ValueError``;
     not that it is PSD: every step that factors it checks that, through
-    ``_checked_cov``, as does ``BotConfig`` for its prior.
+    ``_checked_cov``, as does ``AdditiveStateSpaceModel`` for its prior.
     """
 
     mean: np.ndarray
@@ -94,7 +94,9 @@ class AdditiveStateSpaceModel:
     ``transition`` and ``measurement`` are vectorized over an (N, n)
     batch; ``process_cov`` / ``measurement_cov`` are (n, n) / (d, d)
     matrices or callables of k.  The time index passed to the transition
-    is the destination index (x_k receives k).
+    is the destination index (x_k receives k); n is the prior's length.
+    Construction, ``dataclasses.replace`` too, raises the ``ValueError``
+    of ``_checked_cov`` for the prior's or a constant noise covariance.
     """
 
     transition: Callable[[np.ndarray, int], np.ndarray]
@@ -102,8 +104,18 @@ class AdditiveStateSpaceModel:
     process_cov: object
     measurement_cov: object
     prior: GaussianState
-    state_dim: int
     measurement_dim: int
+
+    def __post_init__(self):
+        _checked_cov(self.prior.cov, "prior.cov")
+        for what, cov, matrix in (("process_cov", self.process_cov, self.q_cov),
+                                  ("measurement_cov", self.measurement_cov, self.r_cov)):
+            if not callable(cov):
+                _checked_cov(matrix(0), what)
+
+    @property
+    def state_dim(self) -> int:
+        return self.prior.dimension
 
     def q_cov(self, k: int) -> np.ndarray:
         cov = self.process_cov
@@ -359,12 +371,6 @@ def run_filter(model: AdditiveStateSpaceModel,
             f"observations of dimension {observations.shape[-1]}, "
             f"model expects {model.measurement_dim}"
         )
-    # the model's own covariances, once; a callable noise is not checked
-    _checked_cov(model.prior.cov, "prior.cov")
-    for what, cov, matrix in (("process_cov", model.process_cov, model.q_cov),
-                              ("measurement_cov", model.measurement_cov, model.r_cov)):
-        if not callable(cov):
-            _checked_cov(matrix(0), what)
     size, steps = observations.shape[:2]
     batch = len(rules) * size
     # member m*S + s: rule m on trajectory s, its points padded to the

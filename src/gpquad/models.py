@@ -11,22 +11,22 @@ contract: states arrive as (N, n) batches, and only so; one state is the
 batch ``x[None]``.  ``simulate_many`` draws a trajectory per seed, all
 of them as one recursion, and returns them as one ``Trajectory`` with a
 leading seed axis, the batch form ``run_filter`` takes; ``simulate`` is
-its batch of one, returned without that axis.
+its batch of one, returned without that axis.  A model is checked
+once, when it is built, by ``AdditiveStateSpaceModel`` and ``bot_model``.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .filtering import AdditiveStateSpaceModel, GaussianState
-from .quadrature import NumericalError, _checked_cov
+from .quadrature import NumericalError
 
 __all__ = [
     "Trajectory",
-    "BotConfig",
     "ungm_model",
     "bot_model",
     "moment_integrand",
@@ -71,52 +71,13 @@ def ungm_model() -> AdditiveStateSpaceModel:
         process_cov=np.array([[10.0]]),
         measurement_cov=np.array([[1.0]]),
         prior=GaussianState(np.zeros(1), np.array([[5.0]])),
-        state_dim=1,
         measurement_dim=1,
     )
 
 
-_DEFAULT_SENSORS = 1e3 * np.array([
-    [-1.5, 0.5],
-    [1.0, 1.0],
-    [-0.3, -1.5],
-    [1.2, -1.1],
-])
-
 # |omega dt| below this uses the series limits sin(w dt)/w -> dt,
 # (1 - cos(w dt))/w -> w dt^2/2
 _OMEGA_EPS = 1e-6
-
-
-@dataclass(frozen=True)
-class BotConfig:
-    """Bearings-only tracking configuration.
-
-    Geometry, noise levels and the prior are configuration, not constants;
-    the defaults give a target turning inside the ring of four sensors.
-    """
-
-    sensors: np.ndarray = field(default_factory=lambda: _DEFAULT_SENSORS.copy())
-    bearing_noise_std: float = 0.05      # radians
-    dt: float = 1.0                      # seconds
-    q1: float = 0.1                      # m^2 s^-3
-    q2: float = 1.75e-4                  # s^-3
-    prior_mean: np.ndarray = field(
-        default_factory=lambda: np.array([0.0, 10.0, 0.0, -10.0, 0.05]))
-    prior_cov: np.ndarray = field(
-        default_factory=lambda: np.diag([100.0**2, 10.0**2, 100.0**2, 10.0**2, 0.05**2]))
-
-    def __post_init__(self):
-        sensors = np.atleast_2d(np.asarray(self.sensors, dtype=float))
-        if sensors.shape != (4, 2):
-            raise ValueError(f"exactly four 2-D sensors required, got {sensors.shape}")
-        if self.bearing_noise_std <= 0 or self.dt <= 0:
-            raise ValueError("bearing_noise_std and dt must be positive")
-        if self.q1 < 0 or self.q2 < 0:
-            raise ValueError("q1 and q2 must be non-negative")
-        # shape and symmetry, then positive semi-definiteness
-        _checked_cov(GaussianState(self.prior_mean, self.prior_cov).cov, "prior_cov")
-        object.__setattr__(self, "sensors", sensors)
 
 
 def _turn_factors(omega: np.ndarray, dt: float):
@@ -133,17 +94,36 @@ def _turn_factors(omega: np.ndarray, dt: float):
     return sin_wt, cos_wt, sin_f, cos_f
 
 
-def bot_model(config: BotConfig | None = None) -> AdditiveStateSpaceModel:
+def bot_model(*, sensors=None, bearing_noise_std: float = 0.05, dt: float = 1.0,
+              q1: float = 0.1, q2: float = 1.75e-4, prior_mean=None,
+              prior_cov=None) -> AdditiveStateSpaceModel:
     """Coordinated-turn dynamics with four bearing measurements.
 
     State (x1, dx1, x2, dx2, omega); the turn-rate-dependent transition
     matrix is applied as a non-linear function of the state's own omega,
     the process noise is the discretized white-noise-acceleration block
     per position/velocity pair plus q2*dt on the turn rate, and each
-    sensor measures the four-quadrant bearing to the target.
+    sensor measures the four-quadrant bearing to the target.  The
+    defaults turn the target inside the ring of the four sensors (in m)
+    from the prior N((0, 10, 0, -10, 0.05), diag(100, 10, 100, 10, 0.05)^2);
+    ``bearing_noise_std``, ``dt``, ``q1`` and ``q2`` are in rad, s,
+    m^2 s^-3 and s^-3.  ``ValueError`` rejects other than four 2-D sensors,
+    a noise or ``dt`` not positive and a negative ``q1`` or ``q2``; the
+    prior is checked by ``GaussianState`` and the model.
     """
-    cfg = config or BotConfig()
-    dt = cfg.dt
+    if sensors is None:
+        sensors = [[-1500.0, 500.0], [1000.0, 1000.0], [-300.0, -1500.0], [1200.0, -1100.0]]
+    sensors = np.atleast_2d(np.asarray(sensors, dtype=float))
+    if sensors.shape != (4, 2):
+        raise ValueError(f"exactly four 2-D sensors required, got {sensors.shape}")
+    if bearing_noise_std <= 0 or dt <= 0:
+        raise ValueError("bearing_noise_std and dt must be positive")
+    if q1 < 0 or q2 < 0:
+        raise ValueError("q1 and q2 must be non-negative")
+    prior = GaussianState(
+        np.array([0.0, 10.0, 0.0, -10.0, 0.05]) if prior_mean is None else prior_mean,
+        np.diag([100.0**2, 10.0**2, 100.0**2, 10.0**2, 0.05**2]) if prior_cov is None
+        else prior_cov)
 
     def transition(x, k):
         pos1, vel1, pos2, vel2, omega = x.T
@@ -157,23 +137,22 @@ def bot_model(config: BotConfig | None = None) -> AdditiveStateSpaceModel:
         ])
 
     def measurement(x, k):
-        dx = x[:, 0][:, None] - cfg.sensors[:, 0][None, :]
-        dy = x[:, 2][:, None] - cfg.sensors[:, 1][None, :]
+        dx = x[:, 0][:, None] - sensors[:, 0][None, :]
+        dy = x[:, 2][:, None] - sensors[:, 1][None, :]
         return np.arctan2(dy, dx)
 
     wn_block = np.array([[dt**3 / 3.0, dt**2 / 2.0],
                          [dt**2 / 2.0, dt]])
     process = np.zeros((5, 5))
-    process[:2, :2] = cfg.q1 * wn_block
-    process[2:4, 2:4] = cfg.q1 * wn_block
-    process[4, 4] = cfg.q2 * dt
+    process[:2, :2] = q1 * wn_block
+    process[2:4, 2:4] = q1 * wn_block
+    process[4, 4] = q2 * dt
     return AdditiveStateSpaceModel(
         transition=transition,
         measurement=measurement,
         process_cov=process,
-        measurement_cov=cfg.bearing_noise_std**2 * np.eye(4),
-        prior=GaussianState(cfg.prior_mean, cfg.prior_cov),
-        state_dim=5,
+        measurement_cov=bearing_noise_std**2 * np.eye(4),
+        prior=prior,
         measurement_dim=4,
     )
 
@@ -199,11 +178,11 @@ def _normal_factor(cov) -> np.ndarray:
 
     ``standard_normal((1, n)) @ F.T`` is then the draw that
     ``rng.multivariate_normal(0, cov)`` makes from the same generator
-    state, bit for bit, without its SVD per draw.  A covariance that is
-    not PSD gets numpy's warning.  The ``allclose`` at 1e-8 is numpy's own
-    check in ``multivariate_normal``, kept so that draws and warnings match
-    numpy's; it is the one covariance tolerance not defined by
-    ``quadrature``.
+    state, bit for bit, without its SVD per draw.  A callable noise, which
+    a model does not check, gets numpy's warning where it is not PSD.  The
+    ``allclose`` at 1e-8 is numpy's own check in ``multivariate_normal``,
+    kept so that draws and warnings match numpy's; it is the one
+    covariance tolerance not defined by ``quadrature``.
     """
     cov = np.asarray(cov, dtype=float)
     u, s, vh = np.linalg.svd(cov)

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -196,6 +197,37 @@ class TestRunMoments:
             "ignored_keys": ["mc_samples", "mc_seed", "cache_dir"],
         }
         assert bare_report.metadata["ground_truth"]["ignored_keys"] == []
+
+    def test_unevaluable_truth_is_that_cells_error(self, tmp_path, monkeypatch, capsys):
+        # hyperu's inf or NaN depends on the scipy version, so a stand-in
+        # fails the one cell (n, p) = (2, -2)
+        truth = experiments.moments_ground_truth
+        failure = "exact moments for n=2, p=-2 not evaluated: stand-in"
+
+        def failing(n, exponent, *args):
+            if (n, exponent) == (2, -2):
+                raise NumericalError(failure)
+            return truth(n, exponent, *args)
+
+        config = {**self.config(), "exponents": [1, -2, -3]}
+        config["methods"] = config["methods"] + [duplicated_point_method(tmp_path, 2)]
+        healthy = run_moments(config)
+        monkeypatch.setattr(experiments, "moments_ground_truth", failing)
+        report = run_moments(config)
+        cell = [row for row in report.rows if row[1:3] == [2, -2]]
+        # the dup rule's build fails in n = 2 and keeps its own error
+        assert [row[0] for row in cell] == ["cubature", "gpq-cubature", "dup"]
+        assert [row[3:] for row in cell[:2]] == [["", "", "", failure]] * 2
+        assert cell[2][-1].startswith("deflated weight system not positive definite")
+        assert [row for row in report.rows if row[1:3] != [2, -2]] == [
+            row for row in healthy.rows if row[1:3] != [2, -2]]
+        assert [(entry["method"], entry["exponent"])
+                for entry in report.metadata["relative_error"]] == [
+            (name, p) for p in (1, -3) for name in ("cubature", "gpq-cubature")]
+        # a study whose every row is an error still exits 2
+        path = write_config(tmp_path, {**config, "dimensions": [2], "exponents": [-2]})
+        assert main(["moments", "--config", path]) == 2
+        assert capsys.readouterr().err == "every method failed; see the error column\n"
 
     def test_report_complete(self):
         report = run_moments(self.config())
@@ -422,7 +454,6 @@ class TestMethodGroups:
             process_cov=np.zeros((1, 1)),
             measurement_cov=np.eye(1),
             prior=GaussianState(np.zeros(1), np.eye(1)),
-            state_dim=1,
             measurement_dim=1,
         )
         methods = [_method("ghkf-3", {"type": "gauss-hermite", "order": 3}),
@@ -979,6 +1010,39 @@ class TestCliCommands:
         })
         assert main(["points", "--config", config]) == 2
         assert "numerical failure: all 2 optimizer restarts" in capsys.readouterr().err
+
+    def test_error_cell_holding_a_comma_stays_one_cell(self, tmp_path):
+        # "...; numerically singular, raise the jitter to regularize"
+        config = write_config(tmp_path, {"experiment": "moments", "dimensions": [2],
+                                         "exponents": [1],
+                                         "methods": [duplicated_point_method(tmp_path, 2)]})
+        out = tmp_path / "report.csv"
+        assert main(["moments", "--config", config, "--out", str(out)]) == 2
+        header, row = csv.reader(out.read_text().splitlines())
+        assert len(row) == len(header) == 7
+        assert "," in row[-1] and row[-1].endswith("raise the jitter to regularize")
+
+    def test_config_too_large_for_memory_is_one_line_and_exit_1(self, tmp_path):
+        # the UT set in 10^6 dimensions needs a (10^6, 10^6) array, 7.28 TiB,
+        # which the address-space limit refuses at once; never run without it
+        resource = pytest.importorskip("resource")
+        config = write_config(tmp_path, {"experiment": "points", "dimension": 10**6,
+                                         "points": {"type": "ut", "kappa": 2.0}})
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (4 * 2**30, 4 * 2**30))
+
+        src = Path(gpquad.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-m", "gpquad.cli", "points", "--config", config],
+            capture_output=True, text=True, preexec_fn=limit,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(
+            "config error: not enough memory for this config: Unable to allocate")
 
     def test_console_module_entry_point(self, tmp_path):
         config = write_config(tmp_path, {

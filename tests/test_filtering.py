@@ -74,7 +74,6 @@ def random_linear_model(seed=42, n=2, d=1, spectral_radius=0.85):
         process_cov=q,
         measurement_cov=r,
         prior=prior,
-        state_dim=n,
         measurement_dim=d,
     )
     return model, a, h, q, r
@@ -289,7 +288,6 @@ class TestRunSmoother:
             process_cov=np.zeros((1, 1)),
             measurement_cov=np.eye(1),
             prior=prior,
-            state_dim=1,
             measurement_dim=1,
         )
         rng = np.random.default_rng(1)
@@ -384,7 +382,6 @@ class TestBatchedRecursion:
             process_cov=np.zeros((1, 1)),
             measurement_cov=np.eye(1),
             prior=GaussianState(np.array([3.0]), np.eye(1)),
-            state_dim=1,
             measurement_dim=1,
         )
         rule = ut_points(1, -0.5)
@@ -415,7 +412,7 @@ class TestBatchedRecursion:
             transition=counted("transition", model.transition),
             measurement=counted("measurement", model.measurement),
             process_cov=q, measurement_cov=r, prior=model.prior,
-            state_dim=2, measurement_dim=1,
+            measurement_dim=1,
         )
         monkeypatch.setattr(filtering, "matrix_sqrt",
                             counted("matrix_sqrt", filtering.matrix_sqrt))
@@ -580,7 +577,7 @@ class TestMixedPointCounts:
             transition=lambda x, k: np.zeros_like(x),
             measurement=lambda x, k: np.where(x == 0.0, np.nan, x),
             process_cov=0.5, measurement_cov=0.1,
-            prior=GaussianState(np.zeros(1), np.eye(1)), state_dim=1, measurement_dim=1)
+            prior=GaussianState(np.zeros(1), np.eye(1)), measurement_dim=1)
         rules = [cubature_points(1), ut_points(1, 2.0), gauss_hermite_points(1, 4)]
         ys = np.array([[0.3, -0.2, 0.5], [1.0, 0.4, -0.1]])[..., None]
         out = run_filter(model, rules, ys)
@@ -602,7 +599,7 @@ def squares_model(n, mean):
     return AdditiveStateSpaceModel(
         transition=lambda x, k: x**2, measurement=lambda x, k: x,
         process_cov=np.zeros((n, n)), measurement_cov=np.eye(n),
-        prior=GaussianState(np.full(n, mean), np.eye(n)), state_dim=n, measurement_dim=n)
+        prior=GaussianState(np.full(n, mean), np.eye(n)), measurement_dim=n)
 
 
 def solo_error(model, rule, ys):
@@ -650,7 +647,7 @@ class TestFailingRules:
         model = AdditiveStateSpaceModel(
             transition=lambda x, k: x, measurement=lambda x, k: x**2,
             process_cov=0.0, measurement_cov=lambda k: 0.3 if k == 1 else 0.0,
-            prior=GaussianState(np.ones(1), np.eye(1)), state_dim=1, measurement_dim=1)
+            prior=GaussianState(np.ones(1), np.eye(1)), measurement_dim=1)
         ys = np.array([[-0.05, 1.0, 1.0, 1.0], [2.0, 1.0, 1.0, 1.0]])[..., None]
         rules = [gauss_hermite_points(1, 3), ut_points(1, -0.5), ut_points(1, -0.2)]
         out = run_filter(model, rules, ys)
@@ -753,7 +750,7 @@ class TestNoiseCovariances:
         timed = AdditiveStateSpaceModel(
             transition=model.transition, measurement=model.measurement,
             process_cov=lambda k: k * np.eye(2), measurement_cov=lambda k: float(k),
-            prior=model.prior, state_dim=2, measurement_dim=1)
+            prior=model.prior, measurement_dim=1)
         np.testing.assert_array_equal(model.q_cov(4), 0.1 * np.eye(2))
         np.testing.assert_array_equal(model.r_cov(4), [[0.1]])
         np.testing.assert_array_equal(timed.q_cov(3), 3 * np.eye(2))
@@ -764,7 +761,7 @@ class TestNoiseCovariances:
         scalar = AdditiveStateSpaceModel(
             transition=model.transition, measurement=model.measurement,
             process_cov=0.1, measurement_cov=lambda k: 0.2,
-            prior=model.prior, state_dim=2, measurement_dim=1)
+            prior=model.prior, measurement_dim=1)
         np.testing.assert_array_equal(scalar.q_cov(1), 0.1 * np.eye(2))
         np.testing.assert_array_equal(scalar.r_cov(1), [[0.2]])
         rule = cubature_points(2)

@@ -5,7 +5,7 @@ import pytest
 
 from gpquad.filtering import AdditiveStateSpaceModel, GaussianState
 from gpquad.quadrature import NumericalError
-from gpquad.models import (BotConfig, Trajectory, bot_model, moment_integrand, simulate,
+from gpquad.models import (Trajectory, bot_model, moment_integrand, simulate,
                            simulate_many, ungm_model)
 
 
@@ -40,32 +40,29 @@ class TestUngmModel:
 
 class TestBotModel:
     def setup_method(self):
-        self.cfg = BotConfig()
-        self.model = bot_model(self.cfg)
+        self.model = bot_model()
 
     def test_turn_rate_limit_matches_zero_rate_form(self):
         # at omega = 1e-12 the map must agree with the omega = 0 limit
         state = np.array([[10.0, 2.0, -5.0, 1.5, 1e-12]])
         got = self.model.transition(state, 1)[0]
-        dt = self.cfg.dt
+        dt = 1.0  # the default
         limit = np.array([10.0 + dt * 2.0, 2.0, -5.0 + dt * 1.5, 1.5, 1e-12])
         np.testing.assert_allclose(got, limit, atol=1e-6)
 
     def test_bearing_quadrant(self):
-        cfg = BotConfig(sensors=np.array([[0.0, 0.0], [1.0, 0.0],
-                                          [0.0, 1.0], [-1.0, -1.0]]))
-        model = bot_model(cfg)
+        model = bot_model(sensors=np.array([[0.0, 0.0], [1.0, 0.0],
+                                            [0.0, 1.0], [-1.0, -1.0]]))
         state = np.array([[1.0, 0.0, 1.0, 0.0, 0.0]])
         bearings = model.measurement(state, 0)[0]
         assert bearings[0] == pytest.approx(np.pi / 4)
 
     def test_process_noise_block(self):
-        cfg = BotConfig(q1=0.1, dt=1.0)
-        model = bot_model(cfg)
+        model = bot_model(q1=0.1, dt=1.0)
         q = model.q_cov(1)
         assert q[0, 0] == pytest.approx(0.1 / 3.0)
         assert q[0, 1] == pytest.approx(0.05)
-        assert q[4, 4] == pytest.approx(cfg.q2)
+        assert q[4, 4] == pytest.approx(1.75e-4)  # the default q2
 
     def test_turn_rate_preserved_exactly(self):
         rng = np.random.default_rng(0)
@@ -84,35 +81,35 @@ class TestBotModel:
 
     def test_measurement_noise(self):
         r = self.model.r_cov(0)
-        np.testing.assert_allclose(r, self.cfg.bearing_noise_std**2 * np.eye(4))
+        np.testing.assert_allclose(r, 0.05**2 * np.eye(4))  # the default noise
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            BotConfig(sensors=np.zeros((3, 2)))
+            bot_model(sensors=np.zeros((3, 2)))
         with pytest.raises(ValueError):
-            BotConfig(bearing_noise_std=0.0)
+            bot_model(bearing_noise_std=0.0)
         with pytest.raises(ValueError, match="q1 and q2 must be non-negative"):
-            BotConfig(q1=-1.0)
+            bot_model(q1=-1.0)
         with pytest.raises(ValueError, match="q1 and q2 must be non-negative"):
-            BotConfig(q2=-1e-9)
+            bot_model(q2=-1e-9)
         with pytest.raises(ValueError, match="asymmetric"):
-            BotConfig(prior_cov=np.eye(5) + np.eye(5, k=1))
+            bot_model(prior_cov=np.eye(5) + np.eye(5, k=1))
         with pytest.raises(ValueError, match="does not match mean"):
-            BotConfig(prior_cov=np.eye(4))
-        BotConfig(q1=0.0, q2=0.0)
+            bot_model(prior_cov=np.eye(4))
+        bot_model(q1=0.0, q2=0.0)
 
     def test_prior_cov_must_be_psd(self):
         # an indefinite prior raises at construction, not as a warning of
         # simulate; a singular PSD one is a valid prior
-        with pytest.raises(ValueError, match=r"prior_cov: matrix is not PSD"):
-            BotConfig(prior_cov=np.diag([-1.0, 1, 1, 1, 1]))
-        BotConfig(prior_cov=np.diag([0.0, 1, 1, 1, 1]))
+        with pytest.raises(ValueError, match=r"prior\.cov: matrix is not PSD"):
+            bot_model(prior_cov=np.diag([-1.0, 1, 1, 1, 1]))
+        bot_model(prior_cov=np.diag([0.0, 1, 1, 1, 1]))
 
     def test_transition_is_the_turn_map_bit_for_bit(self):
         # the coordinated-turn map written out with its own sines and
         # cosines, over turn rates on both sides of the series cutoff
         dt = 0.7
-        model = bot_model(BotConfig(dt=dt))
+        model = bot_model(dt=dt)
         rng = np.random.default_rng(2)
         states = rng.normal(size=(3000, 5))
         states[:, 4] = np.concatenate([rng.normal(size=1500),
@@ -168,7 +165,6 @@ class TestSimulate:
             process_cov=np.zeros((1, 1)),
             measurement_cov=np.zeros((1, 1)),
             prior=prior,
-            state_dim=1,
             measurement_dim=1,
         )
         trajectory = simulate(model, 10, seed=0)
@@ -226,18 +222,18 @@ class TestSimulateDraws:
         np.testing.assert_array_equal(trajectory.measurements, measurements)
 
     def test_non_psd_noise_warns_once(self):
-        model = AdditiveStateSpaceModel(
-            transition=lambda x, k: 0.5 * x,
-            measurement=lambda x, k: x,
-            process_cov=np.array([[-1.0]]),
-            measurement_cov=np.eye(1),
-            prior=GaussianState(np.zeros(1), np.eye(1)),
-            state_dim=1,
-            measurement_dim=1,
-        )
+        # a constant noise that is not PSD is rejected when the model is
+        # built; a callable one is not checked, and each of its 20
+        # covariances gets numpy's warning once
+        fields = dict(transition=lambda x, k: 0.5 * x, measurement=lambda x, k: x,
+                      measurement_cov=np.eye(1), prior=GaussianState(np.zeros(1), np.eye(1)),
+                      measurement_dim=1)
+        with pytest.raises(ValueError, match="^process_cov: matrix is not PSD"):
+            AdditiveStateSpaceModel(process_cov=np.array([[-1.0]]), **fields)
+        model = AdditiveStateSpaceModel(process_cov=lambda k: np.array([[-1.0]]), **fields)
         with pytest.warns(RuntimeWarning, match="positive-semidefinite") as record:
             simulate(model, 20, seed=0)
-        assert len(record) == 1
+        assert len(record) == 20
 
 
 def time_varying_model():
@@ -247,7 +243,6 @@ def time_varying_model():
         process_cov=lambda k: np.array([[1.0 + k, 0.3], [0.3, 2.0]]),
         measurement_cov=np.array([[0.5]]),
         prior=GaussianState(np.zeros(2), np.eye(2)),
-        state_dim=2,
         measurement_dim=1,
     )
 
@@ -260,9 +255,41 @@ def walk_model(transition):
         process_cov=np.eye(1),
         measurement_cov=np.eye(1),
         prior=GaussianState(np.zeros(1), np.eye(1)),
-        state_dim=1,
         measurement_dim=1,
     )
+
+
+class TestModelChecks:
+    """A model's prior and constant noise are checked once, when it is built."""
+
+    def test_constant_noise_and_prior_are_checked_at_construction(self):
+        fields = dict(transition=lambda x, k: x, measurement=lambda x, k: x,
+                      measurement_cov=np.eye(1), measurement_dim=1)
+        with pytest.raises(ValueError, match=r"^process_cov: matrix is not PSD"):
+            AdditiveStateSpaceModel(process_cov=-1.0, prior=GaussianState(np.zeros(1), np.eye(1)),
+                                    **fields)
+        with pytest.raises(ValueError, match=r"^prior\.cov: matrix is not PSD"):
+            AdditiveStateSpaceModel(process_cov=np.eye(1),
+                                    prior=GaussianState(np.zeros(1), -np.eye(1)), **fields)
+
+    def test_state_dim_is_the_priors_dimension(self):
+        for model in (ungm_model(), bot_model(), time_varying_model()):
+            assert model.state_dim == model.prior.dimension
+        with pytest.raises(TypeError):  # no longer a field of its own
+            AdditiveStateSpaceModel(lambda x, k: x, lambda x, k: x, 1.0, 1.0,
+                                    GaussianState(np.zeros(1), np.eye(1)), state_dim=1,
+                                    measurement_dim=1)
+
+    def test_replace_keeps_the_dimension_and_reruns_the_checks(self):
+        # the path of a wrapper that swaps the model functions for traced ones
+        model = dataclasses.replace(bot_model(), transition=lambda x, k: x)
+        assert model.state_dim == model.prior.dimension == 5
+        with pytest.raises(ValueError, match=r"^prior\.cov: matrix is not PSD"):
+            dataclasses.replace(model, prior=GaussianState(np.zeros(5), -np.eye(5)))
+        with pytest.raises(ValueError, match=r"^measurement_cov: matrix is not PSD"):
+            dataclasses.replace(model, measurement_cov=-np.eye(4))
+        with pytest.raises(ValueError, match=r"noise covariance of shape \(5, 5\)"):
+            dataclasses.replace(model, prior=GaussianState(np.zeros(2), np.eye(2)))
 
 
 class TestSimulateMany:
@@ -286,11 +313,15 @@ class TestSimulateMany:
                 np.testing.assert_array_equal(batch.measurements[index], want)
 
     def test_non_psd_constant_noise_warns_once_per_call(self):
-        model = dataclasses.replace(walk_model(lambda x, k: 0.5 * x),
-                                    process_cov=np.array([[-1.0]]))
+        # the constant noise is a construction error; a callable one is
+        # factored, and warned about, once per step for all four seeds
+        walk = walk_model(lambda x, k: 0.5 * x)
+        with pytest.raises(ValueError, match="^process_cov: matrix is not PSD"):
+            dataclasses.replace(walk, process_cov=np.array([[-1.0]]))
+        model = dataclasses.replace(walk, process_cov=lambda k: np.array([[-1.0]]))
         with pytest.warns(RuntimeWarning, match="positive-semidefinite") as record:
             simulate_many(model, 20, range(4))
-        assert len(record) == 1
+        assert len(record) == 20
 
     @pytest.mark.parametrize("steps, seeds", [(0, [0]), (-1, [0, 1]), (5, [])])
     def test_rejects_no_steps_or_no_seeds(self, steps, seeds):
