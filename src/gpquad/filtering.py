@@ -20,14 +20,14 @@ are those of its rule run alone.  A failing step is retaken rule by rule.
 
 Model functions are vectorized over the leading axis: ``f(X, k)`` maps an
 (N, n) batch of states at destination index k to (N, n), ``h(X, k)`` maps
-(N, n) to (N, d).  Noise covariances may be constant matrices or
-callables of the time index; a scalar s stands for s I.  ``gp_transform``
-is the same step for one Gaussian and an integrand ``g(X)`` vectorized
-the same way.  It, ``predict`` and ``update`` reject a non-finite input
-or a noise or input covariance that is asymmetric or not PSD, and a
-model such a prior or constant noise covariance when it is built, each
-with a ``ValueError`` by the tolerances of ``quadrature``.  Moments that
-a step computes from finite values and that overflow are a
+(N, n) to (N, d).  A model's noise covariances are constant matrices,
+read when it is built; a step's own may be a scalar s, standing for s I.
+``gp_transform`` is the same step for one Gaussian and an integrand
+``g(X)`` vectorized the same way.  It, ``predict`` and ``update`` reject
+a non-finite input or a noise or input covariance that is asymmetric or
+not PSD, and a model such a prior or noise covariance when it is built,
+each with a ``ValueError`` by the tolerances of ``quadrature``.  Moments
+that a step computes from finite values and that overflow are a
 ``NumericalError`` in all four alike, by one check, ``_check_finite``;
 numpy's overflow and invalid-value warnings stay quiet in them.
 """
@@ -61,7 +61,8 @@ __all__ = [
 class GaussianState:
     """Mean vector and symmetric PSD covariance.
 
-    Construction checks that both are finite, the covariance's shape and,
+    Construction checks that both are finite, that the mean is a vector
+    (a scalar is one of length 1), the covariance's shape and,
     by ``matrix_sqrt``'s test, its symmetry, each with a ``ValueError``;
     not that it is PSD: every step that factors it checks that, through
     ``_checked_cov``, as does ``AdditiveStateSpaceModel`` for its prior.
@@ -73,6 +74,8 @@ class GaussianState:
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
+        if mean.ndim != 1:
+            raise ValueError(f"mean must be a vector, got shape {mean.shape}")
         n = mean.shape[0]
         if cov.shape != (n, n):
             raise ValueError(f"covariance shape {cov.shape} does not match mean of length {n}")
@@ -92,43 +95,45 @@ class AdditiveStateSpaceModel:
     """x_k = f(x_{k-1}, k) + q_{k-1},  y_k = h(x_k, k) + r_k.
 
     ``transition`` and ``measurement`` are vectorized over an (N, n)
-    batch; ``process_cov`` / ``measurement_cov`` are (n, n) / (d, d)
-    matrices or callables of k.  The time index passed to the transition
-    is the destination index (x_k receives k); n is the prior's length.
-    Construction, ``dataclasses.replace`` too, raises the ``ValueError``
-    of ``_checked_cov`` for the prior's or a constant noise covariance.
+    batch; ``process_cov`` / ``measurement_cov`` are constant (n, n) /
+    (d, d) matrices, read once like the prior's covariance (a scalar is
+    1x1); n is the prior's length, d the measurement noise's.  The time
+    index passed to the transition is the destination index (x_k receives
+    k).  Construction, ``dataclasses.replace`` too, raises a ``ValueError``
+    naming the field for a noise of another form, or ``_checked_cov``'s
+    for the prior's or a noise covariance.
     """
 
     transition: Callable[[np.ndarray, int], np.ndarray]
     measurement: Callable[[np.ndarray, int], np.ndarray]
-    process_cov: object
-    measurement_cov: object
+    process_cov: np.ndarray
+    measurement_cov: np.ndarray
     prior: GaussianState
-    measurement_dim: int
 
     def __post_init__(self):
         _checked_cov(self.prior.cov, "prior.cov")
-        for what, cov, matrix in (("process_cov", self.process_cov, self.q_cov),
-                                  ("measurement_cov", self.measurement_cov, self.r_cov)):
-            if not callable(cov):
-                _checked_cov(matrix(0), what)
+        for what, n in (("process_cov", self.state_dim), ("measurement_cov", None)):
+            try:
+                cov = np.atleast_2d(np.asarray(getattr(self, what), dtype=float))
+            except (TypeError, ValueError) as exc:  # a callable, a string
+                raise ValueError(f"{what}: not a float matrix: {exc}") from exc
+            if cov.shape != (len(cov) if n is None else n,) * 2:
+                raise ValueError(f"{what}: noise covariance of shape {cov.shape}; expected "
+                                 + ("a square matrix" if n is None else f"({n}, {n})"))
+            object.__setattr__(self, what, _checked_cov(cov, what))
 
     @property
     def state_dim(self) -> int:
         return self.prior.dimension
 
-    def q_cov(self, k: int) -> np.ndarray:
-        cov = self.process_cov
-        return _noise_matrix(cov(k) if callable(cov) else cov, self.state_dim)
-
-    def r_cov(self, k: int) -> np.ndarray:
-        cov = self.measurement_cov
-        return _noise_matrix(cov(k) if callable(cov) else cov, self.measurement_dim)
+    @property
+    def measurement_dim(self) -> int:
+        return self.measurement_cov.shape[0]
 
 
 def _noise_matrix(cov, d: int) -> np.ndarray:
     """A noise covariance as a (d, d) matrix, a scalar s standing for s I_d;
-    every noise covariance of the filter, its model and ``config_cov`` is
+    every noise covariance given to a filter step and ``config_cov`` is
     read through here, and a shape other than () or (d, d) raises."""
     cov = np.asarray(cov, dtype=float)
     if cov.shape == ():  # s on the diagonal, never s * 0, which is NaN for s = inf
@@ -302,10 +307,13 @@ def update(pred: GaussianState, rule: QuadratureRule, measurement,
 
     Returns (filtered state, innovation mean, innovation covariance,
     cross covariance, gain).  The gain solves K S = C after a Cholesky
-    check that S is positive definite.
+    check that S is positive definite.  A non-finite observation is a
+    ``ValueError``.
     """
     _check_rule_dimension(rule, pred.dimension)
     observation = np.atleast_1d(np.asarray(observation, dtype=float))
+    if not np.isfinite(observation).all():
+        raise ValueError("observation is not finite")
     mean, cov, *rest = _update(
         rule.points.points, rule.weights, pred.mean[None],
         _checked_cov(pred.cov, "pred.cov")[None], measurement,
@@ -318,10 +326,10 @@ def _filter_step(model, k: int, means, covs, points, weights, observations):
     """Predict and update a batch to time index k: the step's seven
     ``FilterOutput`` arrays in field order."""
     pred_means, pred_covs, cross = _transform(
-        points, weights, model.transition, means, covs, model.q_cov(k), k)
+        points, weights, model.transition, means, covs, model.process_cov, k)
     _check_finite(pred_means, pred_covs, "predicted")
     means, covs, mu, s_cov, _, _ = _update(
-        points, weights, pred_means, pred_covs, model.measurement, model.r_cov(k),
+        points, weights, pred_means, pred_covs, model.measurement, model.measurement_cov,
         observations, k)
     return pred_means, pred_covs, means, covs, mu, s_cov, cross
 
@@ -340,10 +348,11 @@ def run_filter(model: AdditiveStateSpaceModel,
     call and evaluates the model once on all their sigma points, padding
     included, which costs a padded point the arithmetic of a point.  The
     caller decides whether that pays (``_filtering_study`` pads only when
-    it at most doubles the sigma points).  A length-T vector is accepted
-    for scalar measurements.  The output's arrays carry the method axis
-    only for a sequence of rules and the trajectory axis only for a
-    batch: (M, S, T, ...) for both.
+    it at most doubles the sigma points).  A non-finite observation is a
+    ``ValueError`` naming the first time index at which one occurs, raised
+    before any step.  The output's arrays carry the method axis only for
+    a sequence of rules and the trajectory axis only for a batch:
+    (M, S, T, ...) for both.
     A step that raises ``NumericalError`` is taken by each rule alone: a
     rule that raises alone stops, its ``errors`` entry that error's text
     with the time index, and the others step on with unchanged numbers; a
@@ -357,20 +366,18 @@ def run_filter(model: AdditiveStateSpaceModel,
         raise ValueError("run_filter needs at least one rule")
     for index, member in enumerate(rules):
         _check_rule_dimension(member, model.state_dim, f"rule {index}", "model.state_dim is")
+    n, d = model.state_dim, model.measurement_dim
     observations = np.asarray(observations, dtype=float)
-    if observations.ndim == 1 and model.measurement_dim == 1:
-        observations = observations[:, None]
     batched = observations.ndim == 3
-    if not batched:
-        observations = np.atleast_2d(observations)
-        if observations.size == 0:
-            observations = observations.reshape(0, model.measurement_dim)
-        observations = observations[None]
-    if observations.shape[-1] != model.measurement_dim:
-        raise ValueError(
-            f"observations of dimension {observations.shape[-1]}, "
-            f"model expects {model.measurement_dim}"
-        )
+    if observations.ndim not in (2, 3) or observations.shape[-1] != d:
+        raise ValueError(f"observations of shape {observations.shape}, model expects "
+                         f"(T, {d}) or (S, T, {d})")
+    observations = observations if batched else observations[None]
+    non_finite = np.argwhere(~np.isfinite(observations).all(axis=2).T)  # (k - 1, s) rows
+    if len(non_finite):
+        k, trajectory = non_finite[0]
+        raise ValueError(f"observation at time index {k + 1}"
+                         + (f" of trajectory {trajectory}" if batched else "") + " is not finite")
     size, steps = observations.shape[:2]
     batch = len(rules) * size
     # member m*S + s: rule m on trajectory s, its points padded to the
@@ -382,7 +389,6 @@ def run_filter(model: AdditiveStateSpaceModel,
     weights = np.repeat(np.stack([np.pad(member.weights, width)
                                   for member, width in zip(rules, pad)]), size, axis=0)
     observations = np.tile(observations, (len(rules), 1, 1))
-    n, d = model.state_dim, model.measurement_dim
     arrays = [np.full((batch, steps) + shape, np.nan)
               for shape in ((n,), (n, n), (n,), (n, n), (d,), (d, d), (n, n))]
     means = np.broadcast_to(model.prior.mean, (batch, n))

@@ -12,7 +12,8 @@ batch ``x[None]``.  ``simulate_many`` draws a trajectory per seed, all
 of them as one recursion, and returns them as one ``Trajectory`` with a
 leading seed axis, the batch form ``run_filter`` takes; ``simulate`` is
 its batch of one, returned without that axis.  A model is checked
-once, when it is built, by ``AdditiveStateSpaceModel`` and ``bot_model``.
+once, when it is built, by ``AdditiveStateSpaceModel`` and ``bot_model``,
+and its noise is two constant matrices, each factored once per call.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ def ungm_model() -> AdditiveStateSpaceModel:
         process_cov=np.array([[10.0]]),
         measurement_cov=np.array([[1.0]]),
         prior=GaussianState(np.zeros(1), np.array([[5.0]])),
-        measurement_dim=1,
     )
 
 
@@ -153,7 +153,6 @@ def bot_model(*, sensors=None, bearing_noise_std: float = 0.05, dt: float = 1.0,
         process_cov=process,
         measurement_cov=bearing_noise_std**2 * np.eye(4),
         prior=prior,
-        measurement_dim=4,
     )
 
 
@@ -173,31 +172,22 @@ def moment_integrand(exponent: int):
     return y, y_squared
 
 
-def _normal_factor(cov) -> np.ndarray:
-    """numpy's SVD factor F of a covariance.
+def _normal_factor(cov: np.ndarray) -> np.ndarray:
+    """numpy's SVD factor F of a float covariance matrix.
 
     ``standard_normal((1, n)) @ F.T`` is then the draw that
     ``rng.multivariate_normal(0, cov)`` makes from the same generator
-    state, bit for bit, without its SVD per draw.  A callable noise, which
-    a model does not check, gets numpy's warning where it is not PSD.  The
-    ``allclose`` at 1e-8 is numpy's own check in ``multivariate_normal``,
-    kept so that draws and warnings match numpy's; it is the one
-    covariance tolerance not defined by ``quadrature``.
+    state, bit for bit, without its SVD per draw.  The ``allclose`` at
+    1e-8 is numpy's own check in ``multivariate_normal``, kept so that
+    draws and warnings match numpy's: a covariance that the PSD tolerance
+    of ``quadrature`` admits may still get numpy's warning here; it is the
+    one covariance tolerance not defined by ``quadrature``.
     """
-    cov = np.asarray(cov, dtype=float)
     u, s, vh = np.linalg.svd(cov)
     if not np.allclose(np.dot(vh.T * s, vh), cov, rtol=1e-8, atol=1e-8):
         warnings.warn("covariance is not symmetric positive-semidefinite.",
                       RuntimeWarning)
     return u * np.sqrt(s)
-
-
-def _step_factors(cov, cov_at, steps: int) -> np.ndarray:
-    """The noise factor of steps 1..T: one (m, m) factor for a constant
-    covariance, a (T, m, m) stack, one per step, for a callable."""
-    if callable(cov):
-        return np.stack([_normal_factor(cov_at(k)) for k in range(1, steps + 1)])
-    return _normal_factor(cov_at(0))
 
 
 def _noise(z: np.ndarray, factor: np.ndarray) -> np.ndarray:
@@ -207,7 +197,7 @@ def _noise(z: np.ndarray, factor: np.ndarray) -> np.ndarray:
     ``standard_normal((1, m)) @ F.T``; a plain (S, m) @ F.T is one matrix
     product and rounds differently in several dimensions.
     """
-    return (z[..., None, :] @ np.swapaxes(factor, -1, -2))[..., 0, :]
+    return (z[..., None, :] @ factor.T)[..., 0, :]
 
 
 def simulate_many(model: AdditiveStateSpaceModel, steps: int, seeds) -> Trajectory:
@@ -219,8 +209,7 @@ def simulate_many(model: AdditiveStateSpaceModel, steps: int, seeds) -> Trajecto
     recursion does: the prior's n values, then per step n process and d
     measurement values.  So every trajectory equals, bit for bit, the one
     ``rng.multivariate_normal`` draws on the prior, process and
-    measurement covariances; a constant covariance is factored once per
-    call, a callable one once per step for all seeds.  Returns one
+    measurement covariances, each factored once per call.  Returns one
     ``Trajectory`` of states (S, T+1, n) and measurements (S, T, d) in seed
     order.  A non-finite state raises ``NumericalError`` naming the
     earliest step and, of the seeds that diverge there, the first; so does
@@ -235,10 +224,8 @@ def simulate_many(model: AdditiveStateSpaceModel, steps: int, seeds) -> Trajecto
     draws = np.stack([np.random.default_rng(seed).standard_normal(n + steps * (n + d))
                       for seed in seeds])
     per_step = draws[:, n:].reshape(len(seeds), steps, n + d)
-    process_noise = _noise(per_step[..., :n],
-                           _step_factors(model.process_cov, model.q_cov, steps))
-    measurement_noise = _noise(per_step[..., n:],
-                               _step_factors(model.measurement_cov, model.r_cov, steps))
+    process_noise = _noise(per_step[..., :n], _normal_factor(model.process_cov))
+    measurement_noise = _noise(per_step[..., n:], _normal_factor(model.measurement_cov))
     states = np.empty((steps + 1, len(seeds), n))
     measurements = np.empty((steps, len(seeds), d))
     states[0] = model.prior.mean + _noise(draws[:, :n], _normal_factor(model.prior.cov))

@@ -454,7 +454,6 @@ class TestMethodGroups:
             process_cov=np.zeros((1, 1)),
             measurement_cov=np.eye(1),
             prior=GaussianState(np.zeros(1), np.eye(1)),
-            measurement_dim=1,
         )
         methods = [_method("ghkf-3", {"type": "gauss-hermite", "order": 3}),
                    _method("ut-negative", {"type": "ut", "kappa": -0.5})]

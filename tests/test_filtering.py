@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -74,7 +75,6 @@ def random_linear_model(seed=42, n=2, d=1, spectral_radius=0.85):
         process_cov=q,
         measurement_cov=r,
         prior=prior,
-        measurement_dim=d,
     )
     return model, a, h, q, r
 
@@ -186,9 +186,14 @@ class TestRunFilter:
             np.testing.assert_allclose(out.filtered_means[k], fm, atol=1e-8)
             np.testing.assert_allclose(out.filtered_covs[k], fp, atol=1e-8)
 
-    def test_observations_of_the_wrong_dimension_raise(self):
-        with pytest.raises(ValueError, match="observations of dimension 2, model expects 1"):
-            run_filter(ungm_model(), ut_points(1, 2.0), np.zeros((10, 2)))
+    @pytest.mark.parametrize("ys", [np.zeros((10, 2)), np.zeros(5), np.zeros(()),
+                                    np.zeros((2, 3, 5, 1))],
+                             ids=["dimension-2", "vector", "scalar", "4-d"])
+    def test_observations_of_the_wrong_dimension_raise(self, ys):
+        # (T, d) and (S, T, d) only: a length-T vector is not read as (T, 1)
+        with pytest.raises(ValueError, match=re.escape(
+                f"observations of shape {ys.shape}, model expects (T, 1) or (S, T, 1)")):
+            run_filter(ungm_model(), ut_points(1, 2.0), ys)
 
     @pytest.mark.parametrize("call,message", [
         (lambda rule: run_filter(ungm_model(), [ut_points(1, 2.0), rule], np.zeros((3, 1))),
@@ -288,7 +293,6 @@ class TestRunSmoother:
             process_cov=np.zeros((1, 1)),
             measurement_cov=np.eye(1),
             prior=prior,
-            measurement_dim=1,
         )
         rng = np.random.default_rng(1)
         ys = (0.7 + rng.normal(size=(15, 1)))
@@ -382,7 +386,6 @@ class TestBatchedRecursion:
             process_cov=np.zeros((1, 1)),
             measurement_cov=np.eye(1),
             prior=GaussianState(np.array([3.0]), np.eye(1)),
-            measurement_dim=1,
         )
         rule = ut_points(1, -0.5)
         healthy = np.array([[[3.0]], [[5.0]]])
@@ -412,7 +415,6 @@ class TestBatchedRecursion:
             transition=counted("transition", model.transition),
             measurement=counted("measurement", model.measurement),
             process_cov=q, measurement_cov=r, prior=model.prior,
-            measurement_dim=1,
         )
         monkeypatch.setattr(filtering, "matrix_sqrt",
                             counted("matrix_sqrt", filtering.matrix_sqrt))
@@ -577,7 +579,7 @@ class TestMixedPointCounts:
             transition=lambda x, k: np.zeros_like(x),
             measurement=lambda x, k: np.where(x == 0.0, np.nan, x),
             process_cov=0.5, measurement_cov=0.1,
-            prior=GaussianState(np.zeros(1), np.eye(1)), measurement_dim=1)
+            prior=GaussianState(np.zeros(1), np.eye(1)))
         rules = [cubature_points(1), ut_points(1, 2.0), gauss_hermite_points(1, 4)]
         ys = np.array([[0.3, -0.2, 0.5], [1.0, 0.4, -0.1]])[..., None]
         out = run_filter(model, rules, ys)
@@ -599,7 +601,7 @@ def squares_model(n, mean):
     return AdditiveStateSpaceModel(
         transition=lambda x, k: x**2, measurement=lambda x, k: x,
         process_cov=np.zeros((n, n)), measurement_cov=np.eye(n),
-        prior=GaussianState(np.full(n, mean), np.eye(n)), measurement_dim=n)
+        prior=GaussianState(np.full(n, mean), np.eye(n)))
 
 
 def solo_error(model, rule, ys):
@@ -638,16 +640,17 @@ class TestFailingRules:
             assert np.isfinite(failed[:, 0]).all() and np.isnan(failed[:, 1:]).all()
 
     def test_rules_failing_in_different_phases_at_one_step(self):
-        # f(x) = x, h(x) = x^2: the UT with kappa = -1/2 updates to a
+        # f(x) = x, h(x) = c x^2: the UT with kappa = -1/2 updates to a
         # negative filtered variance at time index 1, whose square root the
         # prediction at time index 2 cannot take; with kappa = -1/5 the
-        # filtered variance stays positive, but once the noise drops to 0
-        # the innovation variance 4 m^2 P - P^2 / 5 at time index 2 goes
-        # negative for the trajectory whose filtered mean is near 0
+        # filtered variance stays positive, but once c grows from 1 to 100
+        # the innovation variance c^2 (4 m^2 P - P^2 / 5) + 0.3 at time
+        # index 2 goes negative for the trajectory whose filtered mean is
+        # near 0
         model = AdditiveStateSpaceModel(
-            transition=lambda x, k: x, measurement=lambda x, k: x**2,
-            process_cov=0.0, measurement_cov=lambda k: 0.3 if k == 1 else 0.0,
-            prior=GaussianState(np.ones(1), np.eye(1)), measurement_dim=1)
+            transition=lambda x, k: x, measurement=lambda x, k: (1.0 if k == 1 else 100.0) * x**2,
+            process_cov=0.0, measurement_cov=[[0.3]],
+            prior=GaussianState(np.ones(1), np.eye(1)))
         ys = np.array([[-0.05, 1.0, 1.0, 1.0], [2.0, 1.0, 1.0, 1.0]])[..., None]
         rules = [gauss_hermite_points(1, 3), ut_points(1, -0.5), ut_points(1, -0.2)]
         out = run_filter(model, rules, ys)
@@ -745,25 +748,40 @@ class TestFailingRules:
 
 
 class TestNoiseCovariances:
-    def test_constant_matrix_is_read_and_callable_is_called(self):
+    def test_model_holds_float_matrices_and_a_scalar_is_1x1(self):
         model, *_ = random_linear_model()
-        timed = AdditiveStateSpaceModel(
-            transition=model.transition, measurement=model.measurement,
-            process_cov=lambda k: k * np.eye(2), measurement_cov=lambda k: float(k),
-            prior=model.prior, measurement_dim=1)
-        np.testing.assert_array_equal(model.q_cov(4), 0.1 * np.eye(2))
-        np.testing.assert_array_equal(model.r_cov(4), [[0.1]])
-        np.testing.assert_array_equal(timed.q_cov(3), 3 * np.eye(2))
-        np.testing.assert_array_equal(timed.r_cov(5), [[5.0]])
+        assert model.process_cov.dtype == model.measurement_cov.dtype == float
+        np.testing.assert_array_equal(model.process_cov, 0.1 * np.eye(2))
+        np.testing.assert_array_equal(model.measurement_cov, [[0.1]])
+        scalar = dataclasses.replace(model, measurement_cov=2)
+        assert scalar.measurement_cov.dtype == float
+        np.testing.assert_array_equal(scalar.measurement_cov, [[2.0]])
+        assert scalar.measurement_dim == 1
+
+    @pytest.mark.parametrize("field,cov,match", [
+        ("process_cov", lambda k: np.eye(2), "not a float matrix"),
+        ("measurement_cov", lambda k: 0.1, "not a float matrix"),
+        ("process_cov", 0.1, r"noise covariance of shape \(1, 1\); expected \(2, 2\)"),
+        ("measurement_cov", np.ones((1, 2)),
+         r"noise covariance of shape \(1, 2\); expected a square matrix"),
+        ("measurement_cov", np.ones((2, 1, 1)),
+         r"noise covariance of shape \(2, 1, 1\); expected a square matrix"),
+    ], ids=["callable-process", "callable-measurement", "scalar-for-2d", "non-square",
+            "stack"])
+    def test_other_noise_is_a_value_error_naming_the_field(self, field, cov, match):
+        with pytest.raises(ValueError, match=f"^{field}: {match}"):
+            dataclasses.replace(random_linear_model()[0], **{field: cov})
+
+    def test_callable_negative_noise_raises_at_construction(self):
+        # read at every step, this noise filtered 50 steps without an error
+        # or a warning, to a predicted variance of 2.865
+        with pytest.raises(ValueError, match="^process_cov: not a float matrix"):
+            AdditiveStateSpaceModel(
+                transition=lambda x, k: 2 * x, measurement=lambda x, k: x,
+                process_cov=lambda k: np.array([[-0.1]]), measurement_cov=np.eye(1),
+                prior=GaussianState(np.zeros(1), 5 * np.eye(1)))
 
     def test_scalar_is_a_multiple_of_the_identity(self):
-        model, *_ = random_linear_model()
-        scalar = AdditiveStateSpaceModel(
-            transition=model.transition, measurement=model.measurement,
-            process_cov=0.1, measurement_cov=lambda k: 0.2,
-            prior=model.prior, measurement_dim=1)
-        np.testing.assert_array_equal(scalar.q_cov(1), 0.1 * np.eye(2))
-        np.testing.assert_array_equal(scalar.r_cov(1), [[0.2]])
         rule = cubature_points(2)
         state = GaussianState(np.zeros(2), np.eye(2))
         predicted = predict(state, rule, lambda x, k: x, 0.1).cov
@@ -832,13 +850,13 @@ class TestOverflow:
 
 
 class TestOverflowInEveryPath:
-    # no np.errstate here: pytest's error::RuntimeWarning filter fails any
+    # no np.errstate here: pytest's error filter fails any
     # test from which numpy's overflow or invalid-value warning escapes
     OVERFLOWING = staticmethod(lambda x, k: 1e200 * (1 + x))
 
     def test_group_filter_gives_each_rule_an_error_cell(self):
         model = dataclasses.replace(ungm_model(), transition=self.OVERFLOWING)
-        out = run_filter(model, [ut_points(1, 2.0), cubature_points(1)], np.zeros(5))
+        out = run_filter(model, [ut_points(1, 2.0), cubature_points(1)], np.zeros((5, 1)))
         assert out.errors == ("filter failed at time index 1: predicted mean or "
                               "covariance is not finite",) * 2
         assert np.isnan(out.filtered_means).all()
@@ -895,16 +913,55 @@ class TestGaussianStateValidation:
                              lambda x, k: x, bad), "^process_cov: matrix"),
         (lambda bad: update(GaussianState(np.zeros(2), np.eye(2)), cubature_points(2),
                             lambda x, k: x, bad, np.zeros(2)), "^measurement_cov: matrix"),
-        (lambda bad: run_filter(dataclasses.replace(random_linear_model()[0], process_cov=bad),
+        (lambda bad: run_filter(dataclasses.replace(random_linear_model()[0],
+                                                    process_cov=np.full((2, 2), bad)),
                                 cubature_points(2), np.zeros(5)), "^process_cov: matrix"),
+        (lambda bad: update(GaussianState(np.zeros(1), np.eye(1)), ut_points(1, 2.0),
+                            lambda x, k: x, 1.0, [bad]), "^observation is not"),
     ], ids=["state-cov", "state-mean", "gp_transform-noise", "gp_transform-mean",
             "predict", "update", "run_filter-prior", "predict-2d", "update-2d",
-            "run_filter-noise-2d"])
+            "run_filter-noise-2d", "update-observation"])
     def test_non_finite_input_is_a_value_error(self, call, what, bad):
         # unchecked, a NaN covariance reached the sigma points and raised
-        # "function returned non-finite values", a NumericalError; a scalar
-        # inf noise in 2-D must not be built as inf * eye(2), whose NaN off
-        # the diagonal comes with numpy's invalid-value RuntimeWarning
+        # "function returned non-finite values", a NumericalError, and a
+        # non-finite observation "filtered mean or covariance is not
+        # finite"; a scalar inf noise in 2-D must not be built as
+        # inf * eye(2), whose NaN off the diagonal comes with numpy's
+        # invalid-value RuntimeWarning
         with pytest.raises(ValueError, match=f"{what} .*finite") as info:
             call(bad)
         assert not isinstance(info.value, NumericalError)
+
+    @pytest.mark.parametrize("ys,message", [
+        (np.array([[0.0], [1.0], [np.inf], [np.nan]]),
+         "^observation at time index 3 is not finite$"),
+        # the earliest time index, then the first trajectory at it
+        (np.array([[[0.0], [1.0], [2.0]], [[0.0], [np.nan], [np.inf]],
+                   [[0.0], [-np.inf], [0.0]]]),
+         "^observation at time index 2 of trajectory 1 is not finite$"),
+    ], ids=["one-trajectory", "batch"])
+    def test_non_finite_observation_in_run_filter_is_a_value_error(self, ys, message):
+        # unchecked, every rule of the group got the error cell "filter
+        # failed at time index ...: filtered mean or covariance is not
+        # finite"; now the input is rejected before any model call
+        calls = []
+
+        def measurement(x, k):
+            calls.append(k)
+            return x
+
+        model = dataclasses.replace(ungm_model(), measurement=measurement)
+        with pytest.raises(ValueError, match=message) as info:
+            run_filter(model, [ut_points(1, 2.0), cubature_points(1)], ys)
+        assert not isinstance(info.value, NumericalError)
+        assert calls == []
+
+    @pytest.mark.parametrize("call", [
+        lambda: GaussianState(np.zeros((1, 2)), [[1.0]]),
+        # unchecked, numpy's "cannot reshape array of size 6 into shape
+        # (3,1)" from inside the transform
+        lambda: gp_transform(ut_points(1, 2.0), lambda x: x, [[0.0, 5.0]], [[1.0]], 0.0),
+    ], ids=["state", "gp_transform"])
+    def test_mean_that_is_not_a_vector_is_rejected(self, call):
+        with pytest.raises(ValueError, match=r"^mean must be a vector, got shape \(1, 2\)$"):
+            call()

@@ -33,8 +33,8 @@ class TestUngmModel:
                                       self.model.measurement(-xs, 0))
 
     def test_noise_and_prior(self):
-        assert self.model.q_cov(1)[0, 0] == 10.0
-        assert self.model.r_cov(1)[0, 0] == 1.0
+        assert self.model.process_cov[0, 0] == 10.0
+        assert self.model.measurement_cov[0, 0] == 1.0
         assert self.model.prior.cov[0, 0] == 5.0
 
 
@@ -59,7 +59,7 @@ class TestBotModel:
 
     def test_process_noise_block(self):
         model = bot_model(q1=0.1, dt=1.0)
-        q = model.q_cov(1)
+        q = model.process_cov
         assert q[0, 0] == pytest.approx(0.1 / 3.0)
         assert q[0, 1] == pytest.approx(0.05)
         assert q[4, 4] == pytest.approx(1.75e-4)  # the default q2
@@ -80,7 +80,7 @@ class TestBotModel:
         np.testing.assert_allclose(speed_out, speed_in, atol=1e-9)
 
     def test_measurement_noise(self):
-        r = self.model.r_cov(0)
+        r = self.model.measurement_cov
         np.testing.assert_allclose(r, 0.05**2 * np.eye(4))  # the default noise
 
     def test_config_validation(self):
@@ -165,7 +165,6 @@ class TestSimulate:
             process_cov=np.zeros((1, 1)),
             measurement_cov=np.zeros((1, 1)),
             prior=prior,
-            measurement_dim=1,
         )
         trajectory = simulate(model, 10, seed=0)
         np.testing.assert_allclose(trajectory.measurements,
@@ -198,9 +197,10 @@ def multivariate_normal_trajectory(model, steps, seed):
     measurements = []
     for k in range(1, steps + 1):
         drift = model.transition(states[-1][None, :], k).reshape(n)
-        states.append(drift + rng.multivariate_normal(np.zeros(n), model.q_cov(k)))
+        states.append(drift + rng.multivariate_normal(np.zeros(n), model.process_cov))
         projected = model.measurement(states[-1][None, :], k).reshape(d)
-        measurements.append(projected + rng.multivariate_normal(np.zeros(d), model.r_cov(k)))
+        measurements.append(projected + rng.multivariate_normal(np.zeros(d),
+                                                                model.measurement_cov))
     return np.array(states), np.array(measurements)
 
 
@@ -214,36 +214,25 @@ class TestSimulateDraws:
         np.testing.assert_array_equal(trajectory.states, states)
         np.testing.assert_array_equal(trajectory.measurements, measurements)
 
-    def test_time_varying_covariance_matches_multivariate_normal(self):
-        model = time_varying_model()
-        states, measurements = multivariate_normal_trajectory(model, 25, 3)
-        trajectory = simulate(model, 25, 3)
-        np.testing.assert_array_equal(trajectory.states, states)
-        np.testing.assert_array_equal(trajectory.measurements, measurements)
-
     def test_non_psd_noise_warns_once(self):
-        # a constant noise that is not PSD is rejected when the model is
-        # built; a callable one is not checked, and each of its 20
-        # covariances gets numpy's warning once
-        fields = dict(transition=lambda x, k: 0.5 * x, measurement=lambda x, k: x,
-                      measurement_cov=np.eye(1), prior=GaussianState(np.zeros(1), np.eye(1)),
-                      measurement_dim=1)
+        # a noise that is not PSD is rejected when the model is built; one
+        # that the PSD tolerance admits but numpy's allclose does not is
+        # factored once, and gets numpy's warning once
         with pytest.raises(ValueError, match="^process_cov: matrix is not PSD"):
-            AdditiveStateSpaceModel(process_cov=np.array([[-1.0]]), **fields)
-        model = AdditiveStateSpaceModel(process_cov=lambda k: np.array([[-1.0]]), **fields)
+            dataclasses.replace(nearly_psd_model(), process_cov=-np.eye(2))
         with pytest.warns(RuntimeWarning, match="positive-semidefinite") as record:
-            simulate(model, 20, seed=0)
-        assert len(record) == 20
+            simulate(nearly_psd_model(), 20, seed=0)
+        assert len(record) == 1
 
 
-def time_varying_model():
+def nearly_psd_model():
+    """A 2-D model whose process noise has the eigenvalue -1e-7 beside 1e4."""
     return AdditiveStateSpaceModel(
-        transition=lambda x, k: 0.9 * x,
+        transition=lambda x, k: 0.5 * x,
         measurement=lambda x, k: x[:, :1],
-        process_cov=lambda k: np.array([[1.0 + k, 0.3], [0.3, 2.0]]),
-        measurement_cov=np.array([[0.5]]),
+        process_cov=np.diag([1e4, -1e-7]),
+        measurement_cov=np.eye(1),
         prior=GaussianState(np.zeros(2), np.eye(2)),
-        measurement_dim=1,
     )
 
 
@@ -255,7 +244,6 @@ def walk_model(transition):
         process_cov=np.eye(1),
         measurement_cov=np.eye(1),
         prior=GaussianState(np.zeros(1), np.eye(1)),
-        measurement_dim=1,
     )
 
 
@@ -264,7 +252,7 @@ class TestModelChecks:
 
     def test_constant_noise_and_prior_are_checked_at_construction(self):
         fields = dict(transition=lambda x, k: x, measurement=lambda x, k: x,
-                      measurement_cov=np.eye(1), measurement_dim=1)
+                      measurement_cov=np.eye(1))
         with pytest.raises(ValueError, match=r"^process_cov: matrix is not PSD"):
             AdditiveStateSpaceModel(process_cov=-1.0, prior=GaussianState(np.zeros(1), np.eye(1)),
                                     **fields)
@@ -272,13 +260,15 @@ class TestModelChecks:
             AdditiveStateSpaceModel(process_cov=np.eye(1),
                                     prior=GaussianState(np.zeros(1), -np.eye(1)), **fields)
 
-    def test_state_dim_is_the_priors_dimension(self):
-        for model in (ungm_model(), bot_model(), time_varying_model()):
+    def test_dimensions_are_read_off_the_prior_and_the_measurement_noise(self):
+        for model in (ungm_model(), bot_model(), nearly_psd_model()):
             assert model.state_dim == model.prior.dimension
-        with pytest.raises(TypeError):  # no longer a field of its own
-            AdditiveStateSpaceModel(lambda x, k: x, lambda x, k: x, 1.0, 1.0,
-                                    GaussianState(np.zeros(1), np.eye(1)), state_dim=1,
-                                    measurement_dim=1)
+            assert model.measurement_dim == len(model.measurement_cov)
+        assert (bot_model().state_dim, bot_model().measurement_dim) == (5, 4)
+        for field in ("state_dim", "measurement_dim"):
+            with pytest.raises(TypeError):  # neither is a field of its own
+                AdditiveStateSpaceModel(lambda x, k: x, lambda x, k: x, 1.0, 1.0,
+                                        GaussianState(np.zeros(1), np.eye(1)), **{field: 1})
 
     def test_replace_keeps_the_dimension_and_reruns_the_checks(self):
         # the path of a wrapper that swaps the model functions for traced ones
@@ -296,7 +286,6 @@ class TestSimulateMany:
     @pytest.mark.parametrize("make_model, seeds, steps", [
         (ungm_model, range(8), 200),
         (bot_model, range(16), 60),
-        (time_varying_model, [3, 0, 11], 25),
     ])
     def test_bit_identical_to_each_seed_alone(self, make_model, seeds, steps):
         model = make_model()
@@ -313,15 +302,15 @@ class TestSimulateMany:
                 np.testing.assert_array_equal(batch.measurements[index], want)
 
     def test_non_psd_constant_noise_warns_once_per_call(self):
-        # the constant noise is a construction error; a callable one is
-        # factored, and warned about, once per step for all four seeds
+        # a noise that is not PSD is a construction error; one that the PSD
+        # tolerance admits is factored, and warned about, once per call
+        # for all four seeds
         walk = walk_model(lambda x, k: 0.5 * x)
         with pytest.raises(ValueError, match="^process_cov: matrix is not PSD"):
             dataclasses.replace(walk, process_cov=np.array([[-1.0]]))
-        model = dataclasses.replace(walk, process_cov=lambda k: np.array([[-1.0]]))
         with pytest.warns(RuntimeWarning, match="positive-semidefinite") as record:
-            simulate_many(model, 20, range(4))
-        assert len(record) == 20
+            simulate_many(nearly_psd_model(), 20, range(4))
+        assert len(record) == 1
 
     @pytest.mark.parametrize("steps, seeds", [(0, [0]), (-1, [0, 1]), (5, [])])
     def test_rejects_no_steps_or_no_seeds(self, steps, seeds):
